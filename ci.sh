@@ -35,35 +35,18 @@
 #   6c. trace v2 convert round-trip: record a v1 trace, upgrade it with
 #      `trace-convert`, which re-opens both files and verifies the
 #      access stream converted byte-faithfully
-#   7. pipelined determinism: the determinism snapshot again with
-#      CSALT_PIPELINE=force, so the threaded producer path must hit the
-#      exact pinned counters of the inline engine
-#   7b. the same snapshot across CSALT_L0=off|on x CSALT_PIPELINE=force:
-#      the L0 hit-way memo force-disabled and force-enabled must both
-#      hit the pinned counters on the threaded path too (the inline
-#      off/on matrix runs inside the suite itself)
-#   7c. the same snapshot across CSALT_CKPT=off|on x CSALT_PIPELINE=force:
-#      restored runs must hit the pinned counters bit-for-bit on the
-#      threaded path too (the inline off/on matrix runs inside the
-#      suite itself)
-#   8. pipeline-vs-inline equality at release length: the full
-#      (workload x scheme x virtualization) grid, longer runs than the
-#      debug suite (skipped with --quick; needs a release build)
-#   9. telemetry overhead smoke: NullRecorder within the <2% budget
+#   7. telemetry overhead smoke: NullRecorder within the <2% budget
 #      (skipped with --quick; needs a release build)
-#  10. engine throughput smoke: steady-state accesses/sec per scheme must
+#   8. engine throughput smoke: steady-state accesses/sec per scheme must
 #      stay within 20% of the floor recorded in BENCH_throughput.json
 #      (skipped with --quick; needs a release build)
-#  11. clippy with the workspace lint table, warnings denied
-#  12. rustfmt check
-#  13. the csalt-audit static sweep over every preset x scheme
-#  14. csalt-audit srclint: the source-level determinism lints
+#   9. clippy with the workspace lint table, warnings denied
+#  10. rustfmt check
+#  11. the csalt-audit static sweep over every preset x scheme
+#  12. csalt-audit srclint: the source-level determinism lints
 #      (S-rules) over every crates/*/src file — no hash-order
 #      iteration, no wall-clock reads, SAFETY'd unsafe, integer
-#      counters, Release/Acquire discipline; waivers must be reasoned
-#  15. csalt-audit modelcheck: exhaustive schedule exploration of the
-#      modeled SPSC ring and ThreadBudget ledger (M-properties), plus
-#      the mutation suite proving the checker itself catches bugs
+#      counters; waivers must be reasoned
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -133,24 +116,7 @@ cargo run -q -p csalt-sim --bin csalt-experiments -- \
 cargo run -q -p csalt-sim --bin csalt-experiments -- \
     trace-convert "$tmp_v1" "$tmp_v2" --asid 3
 
-step "determinism snapshot under CSALT_PIPELINE=force (pinned counters, threaded path)"
-CSALT_PIPELINE=force cargo test -q --test determinism
-
-step "determinism snapshot under CSALT_L0=off|on x CSALT_PIPELINE=force (memo ablation)"
-for l0 in off on; do
-    CSALT_L0="$l0" CSALT_PIPELINE=force cargo test -q --test determinism
-done
-
-step "determinism snapshot under CSALT_CKPT=off|on x CSALT_PIPELINE=force (restore ablation)"
-for ckpt in off on; do
-    CSALT_CKPT="$ckpt" CSALT_PIPELINE=force cargo test -q --test determinism
-done
-
 if [[ $quick -eq 0 ]]; then
-    step "pipeline-vs-inline equality, release length (full workload x scheme grid)"
-    CSALT_EQ_ACCESSES=10000 CSALT_EQ_WARMUP=5000 \
-        cargo test -q --release --test pipeline_equality
-
     step "telemetry overhead smoke (NullRecorder < 2%)"
     CSALT_SMOKE=1 cargo bench -q -p csalt-bench --bench telemetry_overhead
 
@@ -169,8 +135,5 @@ cargo run -q -p csalt-audit -- --all-presets
 
 step "cargo run -p csalt-audit -- srclint (source-level determinism lints)"
 cargo run -q -p csalt-audit -- srclint
-
-step "cargo run -p csalt-audit -- modelcheck (exhaustive SPSC/budget schedules)"
-cargo run -q -p csalt-audit -- modelcheck
 
 printf '\nci.sh: all gates passed\n'

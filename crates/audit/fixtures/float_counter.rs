@@ -1,4 +1,4 @@
-//# path: crates/pipeline/src/budget.rs
+//# path: crates/sim/src/checkpoint.rs
 //# expect: S005
 // Float arithmetic in a counter module: 0.1 has no binary
 // representation, and accumulation order changes the total.

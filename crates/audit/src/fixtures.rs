@@ -11,7 +11,7 @@
 //!
 //! `path` is the *virtual* workspace path the snippet is linted as —
 //! which manifest scopes apply depends on the path, so a fixture can
-//! place itself inside (say) the pipeline crate's no-unsafe scope
+//! place itself inside (say) an integer-only module's float-deny scope
 //! without living there. `expect` lists the short rule codes the lint
 //! must report, unwaived, and **nothing else**; an empty list means the
 //! fixture must lint clean (used to prove reasoned waivers work).
@@ -56,18 +56,6 @@ pub const FIXTURES: &[Fixture] = &[
     Fixture {
         name: "reasonless_waiver",
         text: include_str!("../fixtures/reasonless_waiver.rs"),
-    },
-    Fixture {
-        name: "relaxed_publish",
-        text: include_str!("../fixtures/relaxed_publish.rs"),
-    },
-    Fixture {
-        name: "release_no_acquire",
-        text: include_str!("../fixtures/release_no_acquire.rs"),
-    },
-    Fixture {
-        name: "unsafe_in_pipeline",
-        text: include_str!("../fixtures/unsafe_in_pipeline.rs"),
     },
     Fixture {
         name: "wall_clock",

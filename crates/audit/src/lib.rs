@@ -16,22 +16,16 @@
 //!   checked on a [`HierarchySnapshot`] after runs and at epoch
 //!   boundaries when `csalt-sim` is built with its `audit` feature.
 //!
-//! * **Source lints** (`CSALT-S000`–`S008`, [`srclint`]) — a hand-rolled
+//! * **Source lints** (`CSALT-S000`–`S006`, [`srclint`]) — a hand-rolled
 //!   lexical analysis over every `crates/*/src` file that enforces the
 //!   determinism contract at the source level: no hash-order iteration in
 //!   result-affecting crates, no wall-clock reads outside timing modules,
-//!   `// SAFETY:` on every unsafe block, integer-only counters, and
-//!   Release/Acquire discipline on the SPSC publication indices.
-//! * **Model checking** (`CSALT-M001`–`M005`, [`modelcheck`]) — exhaustive
-//!   DFS over every schedule of modeled SPSC-ring and thread-budget
-//!   executions under an abstract store-buffer memory model, proving FIFO
-//!   delivery, publication safety, and budget conservation on bounded
-//!   instances.
+//!   `// SAFETY:` on every unsafe block, and integer-only counters.
 //!
 //! The `csalt-audit` binary (`cargo run -p csalt-audit -- --all-presets`)
 //! drives the static layer and exits non-zero on any error-severity
 //! diagnostic; `--format json` emits machine-readable output. The
-//! `srclint` and `modelcheck` subcommands drive the other two layers.
+//! `srclint` subcommand drives the source lints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,13 +38,12 @@ use std::fmt;
 
 pub mod fixtures;
 pub mod lexer;
-pub mod modelcheck;
 pub mod srclint;
 
 pub use csalt_types::invariants::{check_scheme, check_system};
 
 /// Version stamped into every JSON report this crate emits
-/// (`AuditReport`, `SrclintReport`, `ModelcheckReport`). Bumped whenever
+/// (`AuditReport`, `SrclintReport`). Bumped whenever
 /// a report's shape changes so downstream consumers can dispatch.
 pub const SCHEMA_VERSION: u32 = 2;
 

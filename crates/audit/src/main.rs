@@ -1,16 +1,13 @@
-//! `csalt-audit` CLI: three analysis layers behind one binary.
+//! `csalt-audit` CLI: two analysis layers behind one binary.
 //!
 //! * default / `--all-presets` — sweep every built-in preset ×
 //!   translation scheme through the static rule registry (CSALT-Axxx).
 //! * `srclint` — lex every `crates/*/src` file and enforce the
 //!   source-level determinism rules (CSALT-S000+).
-//! * `modelcheck` — exhaustively explore every schedule of the modeled
-//!   SPSC ring and thread-budget ledger (CSALT-M001+).
 //!
 //! Exit status is 0 when no error-severity finding was reported, 1 when
 //! at least one was, and 2 on usage errors.
 
-use csalt_audit::modelcheck::{self, ModelcheckReport};
 use csalt_audit::srclint::{self, SrclintReport};
 use csalt_audit::{audit_config, conservation_rules, fixtures, static_rules, AuditReport};
 use csalt_types::{SystemConfig, TranslationScheme};
@@ -26,7 +23,6 @@ enum Format {
 enum Command {
     Presets,
     Srclint,
-    Modelcheck,
 }
 
 struct Options {
@@ -36,19 +32,17 @@ struct Options {
     broken: bool,
 }
 
-const USAGE: &str = "usage: csalt-audit [srclint|modelcheck] [--all-presets] \
+const USAGE: &str = "usage: csalt-audit [srclint] [--all-presets] \
 [--format text|json] [--list-rules] [--broken]
 
   (no subcommand) sweep every built-in preset x scheme through the
                   static CSALT-Axxx rules (the default action)
   srclint         lex every crates/*/src file and enforce the
                   source-level determinism rules (CSALT-S000+)
-  modelcheck      exhaustively explore schedules of the modeled SPSC
-                  ring and thread budget (CSALT-M001+)
   --all-presets   explicit spelling of the default action
   --format FMT    output format: text (default) or json
   --list-rules    print every rule registry (Axxx static, A1xx
-                  conservation, Sxxx source, Mxxx model) and exit
+                  conservation, Sxxx source) and exit
   --broken        demonstrate the failure path: audit a deliberately
                   inconsistent config and lint the negative fixtures;
                   exits non-zero";
@@ -65,7 +59,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "srclint" if first => opts.command = Command::Srclint,
-            "modelcheck" if first => opts.command = Command::Modelcheck,
             "--all-presets" => {} // the default action; accepted for scripts
             "--format" => {
                 let value = it
@@ -127,24 +120,6 @@ fn print_srclint(report: &SrclintReport, format: Format) {
     }
 }
 
-fn print_modelcheck(report: &ModelcheckReport, format: Format) {
-    match format {
-        Format::Json => print_json(report),
-        Format::Text => {
-            for c in &report.checks {
-                println!("{c}");
-            }
-            println!(
-                "explored {} state(s) / {} transition(s) / {} terminal(s) across {} check(s)",
-                report.states,
-                report.transitions,
-                report.terminals,
-                report.checks.len()
-            );
-        }
-    }
-}
-
 fn print_json<T: serde::Serialize>(value: &T) {
     match serde_json::to_string_pretty(value) {
         Ok(json) => println!("{json}"),
@@ -163,10 +138,6 @@ fn list_rules() {
     }
     println!("source lints (csalt-audit srclint):");
     for r in srclint::srclint_rules() {
-        println!("  {}  {:<24} {}", r.code, r.name, r.summary);
-    }
-    println!("model-checked properties (csalt-audit modelcheck):");
-    for r in modelcheck::model_properties() {
         println!("  {}  {:<24} {}", r.code, r.name, r.summary);
     }
 }
@@ -231,11 +202,6 @@ fn main() -> ExitCode {
                 }
             };
             print_srclint(&report, opts.format);
-            report.clean()
-        }
-        Command::Modelcheck => {
-            let report = modelcheck::run_suite();
-            print_modelcheck(&report, opts.format);
             report.clean()
         }
         Command::Presets => {

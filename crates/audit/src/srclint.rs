@@ -1,10 +1,10 @@
 //! Source-level determinism lints (`csalt-audit srclint`, rules
-//! `S000`–`S008`).
+//! `S000`–`S006`).
 //!
 //! The repo's value proposition is bit-identical reproduction, and the
 //! failure modes that silently break it are *source* patterns: a
 //! `HashMap` iteration feeding a report, a wall-clock read leaking into
-//! a result, a mis-ordered atomic in the SPSC ring. This pass walks
+//! a result, a float creeping into cycle accounting. This pass walks
 //! every `crates/*/src` file with the hand-rolled [`crate::lexer`]
 //! (vendored-deps constraint — no `syn`) and enforces the project's
 //! determinism contracts:
@@ -14,12 +14,12 @@
 //! | S001 | no `HashMap`/`HashSet` in result-affecting crates |
 //! | S002 | no wall-clock / thread-identity reads outside timing modules |
 //! | S003 | every `unsafe` carries a `// SAFETY:` comment |
-//! | S004 | zero `unsafe` in crates on the no-unsafe list (pipeline) |
 //! | S005 | no float arithmetic in counter/cycle-accounting modules |
 //! | S006 | no `f32` anywhere (f64-only policy where floats are legal) |
-//! | S007 | every `Release` store field has a matching `Acquire` load |
-//! | S008 | no `Relaxed` on manifest-listed publication fields |
 //! | S000 | waiver hygiene (reasonless or stale `audit-waive` markers) |
+//!
+//! Codes S004, S007 and S008 are retired. Unsafe code is covered by the
+//! workspace `unsafe_code = "deny"` lint plus S003.
 //!
 //! Scope comes from `crates/audit/srclint.manifest` (embedded at
 //! compile time). Code under `#[cfg(test)]` / `#[test]` is exempt.
@@ -64,11 +64,6 @@ pub fn srclint_rules() -> &'static [crate::Rule] {
             summary: "every unsafe block carries a // SAFETY: justification",
         },
         crate::Rule {
-            code: "S004",
-            name: "no-unsafe-crate",
-            summary: "zero unsafe in crates on the no-unsafe list (pipeline)",
-        },
-        crate::Rule {
             code: "S005",
             name: "integer-counters",
             summary: "no float types/literals in counter/cycle-accounting modules",
@@ -77,16 +72,6 @@ pub fn srclint_rules() -> &'static [crate::Rule] {
             code: "S006",
             name: "no-f32",
             summary: "no f32 anywhere in crate sources (f64-only float policy)",
-        },
-        crate::Rule {
-            code: "S007",
-            name: "release-acquire-pairing",
-            summary: "every Release-stored atomic field has an Acquire load",
-        },
-        crate::Rule {
-            code: "S008",
-            name: "no-relaxed-publication",
-            summary: "Relaxed denied on manifest-listed publication fields",
         },
     ]
 }
@@ -102,14 +87,8 @@ pub struct Manifest {
     pub hash_deny: Vec<String>,
     /// S002 exemptions: path prefixes where clock reads are allowed.
     pub clock_allow: Vec<String>,
-    /// S004 scope: path prefixes where `unsafe` is denied outright.
-    pub no_unsafe: Vec<String>,
     /// S005 scope: path prefixes that must stay float-free.
     pub float_deny: Vec<String>,
-    /// S007/S008 scope: the ring/budget modules.
-    pub atomics_scope: Vec<String>,
-    /// S008: atomic field names that must never use `Relaxed`.
-    pub relaxed_deny: Vec<String>,
 }
 
 impl Manifest {
@@ -128,10 +107,7 @@ impl Manifest {
             match directive {
                 "hash-deny" => m.hash_deny.push(arg),
                 "clock-allow" => m.clock_allow.push(arg),
-                "no-unsafe-crate" => m.no_unsafe.push(arg),
                 "float-deny" => m.float_deny.push(arg),
-                "atomics-scope" => m.atomics_scope.push(arg),
-                "relaxed-deny" => m.relaxed_deny.push(arg),
                 other => {
                     return Err(format!(
                         "manifest line {}: unknown directive {other:?}",
@@ -385,141 +361,6 @@ fn match_group(tokens: &[Token], open: usize, open_c: char, close_c: char) -> Op
 }
 
 // ---------------------------------------------------------------------
-// Atomic-operation extraction (S007/S008).
-// ---------------------------------------------------------------------
-
-const ATOMIC_LOADS: &[&str] = &["load"];
-const ATOMIC_STORES: &[&str] = &["store"];
-const ATOMIC_RMWS: &[&str] = &[
-    "swap",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "fetch_update",
-];
-
-#[derive(Debug)]
-struct AtomicOp {
-    field: String,
-    method: String,
-    orderings: Vec<String>,
-    line: u32,
-    file: String,
-}
-
-/// Extracts `<expr>.<atomic_method>(...)` call sites with the atomic
-/// field name (last plain identifier in the receiver chain, skipping
-/// tuple indices and bracket groups) and every `Ordering` variant named
-/// in the argument list.
-fn atomic_ops(fa: &FileAnalysis) -> Vec<AtomicOp> {
-    let tokens = &fa.tokens;
-    let mut ops = Vec::new();
-    for i in 0..tokens.len() {
-        if fa.skip[i] {
-            continue;
-        }
-        let Tok::Ident(method) = &tokens[i].tok else {
-            continue;
-        };
-        let method = method.as_str();
-        if !(ATOMIC_LOADS.contains(&method)
-            || ATOMIC_STORES.contains(&method)
-            || ATOMIC_RMWS.contains(&method))
-        {
-            continue;
-        }
-        // Must be a method call: preceded by `.`, followed by `(`.
-        if i == 0
-            || tokens[i - 1].tok != Tok::Punct('.')
-            || tokens.get(i + 1).map(|t| &t.tok) != Some(&Tok::Punct('('))
-        {
-            continue;
-        }
-        let Some(field) = receiver_field(tokens, i - 1) else {
-            continue;
-        };
-        let Some(close) = match_group(tokens, i + 1, '(', ')') else {
-            continue;
-        };
-        let orderings: Vec<String> = tokens[i + 2..close]
-            .iter()
-            .filter_map(|t| match &t.tok {
-                Tok::Ident(s)
-                    if matches!(
-                        s.as_str(),
-                        "Relaxed" | "Acquire" | "Release" | "AcqRel" | "SeqCst"
-                    ) =>
-                {
-                    Some(s.clone())
-                }
-                _ => None,
-            })
-            .collect();
-        if orderings.is_empty() {
-            // Not an atomic call after all (e.g. `Vec::swap`, a trait
-            // `load` without an Ordering argument).
-            continue;
-        }
-        ops.push(AtomicOp {
-            field,
-            method: method.to_string(),
-            orderings,
-            line: tokens[i].line,
-            file: fa.path.clone(),
-        });
-    }
-    ops
-}
-
-/// Walks backwards from the `.` before an atomic method to the plain
-/// identifier naming the field: skips tuple indices (`.0`) and balanced
-/// `[...]` / `(...)` groups.
-fn receiver_field(tokens: &[Token], dot: usize) -> Option<String> {
-    let mut k = dot; // tokens[k] is the `.`
-    loop {
-        if k == 0 {
-            return None;
-        }
-        k -= 1;
-        match &tokens[k].tok {
-            Tok::Ident(name) => return Some(name.clone()),
-            Tok::Int(_) => {
-                // tuple index: expect a `.` before it
-                if k == 0 || tokens[k - 1].tok != Tok::Punct('.') {
-                    return None;
-                }
-                k -= 1; // now at the `.`, loop continues backwards
-            }
-            Tok::Punct(']') => k = rmatch_group(tokens, k, '[', ']')?,
-            Tok::Punct(')') => k = rmatch_group(tokens, k, '(', ')')?,
-            _ => return None,
-        }
-    }
-}
-
-/// Index of the token opening the group closed at `close`.
-fn rmatch_group(tokens: &[Token], close: usize, open_c: char, close_c: char) -> Option<usize> {
-    let mut depth = 0usize;
-    for k in (0..=close).rev() {
-        if tokens[k].tok == Tok::Punct(close_c) {
-            depth += 1;
-        } else if tokens[k].tok == Tok::Punct(open_c) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
-// ---------------------------------------------------------------------
 // The rules.
 // ---------------------------------------------------------------------
 
@@ -534,13 +375,12 @@ fn violation(rule: &'static str, fa: &FileAnalysis, line: u32, message: String) 
     }
 }
 
-/// Rules decidable from one file alone (everything but S007).
+/// Every rule but waiver hygiene; each is decidable from one file.
 fn per_file_rules(fa: &FileAnalysis, m: &Manifest) -> Vec<SrcViolation> {
     let mut out = Vec::new();
     let path = fa.path.as_str();
     let hash_scope = under(path, &m.hash_deny);
     let clock_denied = !under(path, &m.clock_allow);
-    let no_unsafe = under(path, &m.no_unsafe);
     let float_denied = under(path, &m.float_deny);
 
     for (i, t) in fa.tokens.iter().enumerate() {
@@ -578,28 +418,14 @@ fn per_file_rules(fa: &FileAnalysis, m: &Manifest) -> Vec<SrcViolation> {
                             .to_string(),
                     ));
                 }
-                "unsafe" => {
-                    if no_unsafe {
-                        out.push(violation(
-                            "S004",
-                            fa,
-                            t.line,
-                            "unsafe in a zero-unsafe crate: the pipeline's lock-free \
-                             structures are safe by design (atomic slot words); keep \
-                             them that way"
-                                .to_string(),
-                        ));
-                    } else if !has_safety_comment(fa, t.line) {
-                        out.push(violation(
-                            "S003",
-                            fa,
-                            t.line,
-                            "unsafe without a `// SAFETY:` comment within the 3 lines \
-                             above: every unsafe block must state its proof obligation"
-                                .to_string(),
-                        ));
-                    }
-                }
+                "unsafe" if !has_safety_comment(fa, t.line) => out.push(violation(
+                    "S003",
+                    fa,
+                    t.line,
+                    "unsafe without a `// SAFETY:` comment within the 3 lines \
+                     above: every unsafe block must state its proof obligation"
+                        .to_string(),
+                )),
                 "f32" => {
                     if float_denied {
                         out.push(violation(
@@ -638,69 +464,7 @@ fn per_file_rules(fa: &FileAnalysis, m: &Manifest) -> Vec<SrcViolation> {
             _ => {}
         }
     }
-
-    // S008: Relaxed on protected publication fields.
-    if under(path, &m.atomics_scope) {
-        for op in atomic_ops(fa) {
-            if m.relaxed_deny.contains(&op.field) && op.orderings.iter().any(|o| o == "Relaxed") {
-                out.push(violation(
-                    "S008",
-                    fa,
-                    op.line,
-                    format!(
-                        "Ordering::Relaxed on publication field `{}` (.{}): slot \
-                         visibility rides this edge; use Release/Acquire",
-                        op.field, op.method
-                    ),
-                ));
-            }
-        }
-    }
     out
-}
-
-/// S007 over an atomics scope (one fixture file, or the union of every
-/// manifest-scoped file in a workspace run): each field that is ever
-/// `Release`-stored must be `Acquire`-loaded somewhere in the scope.
-fn pairing_rule(analyses: &[&FileAnalysis]) -> Vec<SrcViolation> {
-    let ops: Vec<Vec<AtomicOp>> = analyses.iter().map(|fa| atomic_ops(fa)).collect();
-    let mut release_stores: Vec<&AtomicOp> = Vec::new();
-    let mut acquire_loaded: Vec<String> = Vec::new();
-    for op in ops.iter().flatten() {
-        let releases = op
-            .orderings
-            .iter()
-            .any(|o| matches!(o.as_str(), "Release" | "AcqRel" | "SeqCst"));
-        let acquires = op
-            .orderings
-            .iter()
-            .any(|o| matches!(o.as_str(), "Acquire" | "AcqRel" | "SeqCst"));
-        let is_store = ATOMIC_STORES.contains(&op.method.as_str());
-        let is_load = ATOMIC_LOADS.contains(&op.method.as_str());
-        let is_rmw = ATOMIC_RMWS.contains(&op.method.as_str());
-        if releases && (is_store || is_rmw) {
-            release_stores.push(op);
-        }
-        if acquires && (is_load || is_rmw) {
-            acquire_loaded.push(op.field.clone());
-        }
-    }
-    release_stores
-        .into_iter()
-        .filter(|op| !acquire_loaded.contains(&op.field))
-        .map(|op| SrcViolation {
-            rule: "S007",
-            file: op.file.clone(),
-            line: op.line,
-            message: format!(
-                "field `{}` is Release-stored but never Acquire-loaded in the \
-                 atomics scope: the release edge synchronizes with nothing",
-                op.field
-            ),
-            waived: false,
-            waive_reason: None,
-        })
-        .collect()
 }
 
 /// Whether tokens at `i` start the identifier sequence `seq` joined by
@@ -789,16 +553,12 @@ fn apply_waivers(fa: &mut FileAnalysis, violations: &mut Vec<SrcViolation>) {
 // ---------------------------------------------------------------------
 
 /// Lints a single source text under its (virtual) workspace-relative
-/// path. The file is its own atomics scope. This is the fixture entry
-/// point; [`lint_workspace`] is the real one.
+/// path. This is the fixture entry point; [`lint_workspace`] is the
+/// real one.
 #[must_use]
 pub fn lint_source(path: &str, src: &str) -> Vec<SrcViolation> {
-    let m = Manifest::builtin();
     let mut fa = analyze(path, src);
-    let mut violations = per_file_rules(&fa, m);
-    if under(path, &m.atomics_scope) {
-        violations.extend(pairing_rule(&[&fa]));
-    }
+    let mut violations = per_file_rules(&fa, Manifest::builtin());
     apply_waivers(&mut fa, &mut violations);
     violations
 }
@@ -836,11 +596,6 @@ pub fn lint_workspace(root: &Path) -> Result<SrclintReport, String> {
     for fa in &analyses {
         violations.extend(per_file_rules(fa, m));
     }
-    let scoped: Vec<&FileAnalysis> = analyses
-        .iter()
-        .filter(|fa| under(&fa.path, &m.atomics_scope))
-        .collect();
-    violations.extend(pairing_rule(&scoped));
     for fa in &mut analyses {
         apply_waivers(fa, &mut violations);
     }
@@ -916,7 +671,7 @@ mod tests {
     fn manifest_parses_and_is_nonempty() {
         let m = Manifest::builtin();
         assert!(m.hash_deny.iter().any(|p| p == "crates/sim"));
-        assert!(m.relaxed_deny.contains(&"tail".to_string()));
+        assert!(m.float_deny.iter().any(|p| p == "crates/trace"));
         assert!(Manifest::parse("bogus-directive x").is_err());
     }
 
@@ -943,18 +698,17 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_needs_safety_comment_and_pipeline_denies_it() {
+    fn unsafe_needs_safety_comment() {
         let bare = "fn f() { unsafe { core(); } }\n";
         let with = "fn f() {\n  // SAFETY: proven elsewhere\n  unsafe { core(); }\n}\n";
         assert_eq!(codes("crates/cache/src/x.rs", bare), vec!["S003"]);
         assert_eq!(codes("crates/cache/src/x.rs", with), Vec::<&str>::new());
-        assert_eq!(codes("crates/pipeline/src/x.rs", with), vec!["S004"]);
     }
 
     #[test]
     fn floats_flagged_in_counter_modules() {
         let src = "fn f() -> f64 { 1.5 }\n";
-        assert_eq!(codes("crates/pipeline/src/budget.rs", src), vec!["S005"]);
+        assert_eq!(codes("crates/sim/src/checkpoint.rs", src), vec!["S005"]);
         assert_eq!(
             codes("crates/core/src/hierarchy.rs", src),
             Vec::<&str>::new()
@@ -963,32 +717,6 @@ mod tests {
             codes("crates/core/src/x.rs", "fn g(x: f32) {}\n"),
             vec!["S006"]
         );
-    }
-
-    #[test]
-    fn release_without_acquire_and_relaxed_publication() {
-        let no_acq = "fn f(a: &AtomicUsize) { a.store(1, Ordering::Release); }\n";
-        // receiver ident is `a`, not a denied field; rename to tail to
-        // also check S008 separation.
-        let v = lint_source("crates/pipeline/src/spsc.rs", no_acq);
-        assert!(v.iter().any(|v| v.rule == "S007"), "{v:?}");
-        let relaxed = "fn f(s: &S) { s.tail.store(1, Ordering::Relaxed); let _ = s.tail.load(Ordering::Acquire); }\n";
-        assert_eq!(codes("crates/pipeline/src/spsc.rs", relaxed), vec!["S008"]);
-        let paired = "fn f(s: &S) { s.tail.store(1, Ordering::Release); let _ = s.tail.load(Ordering::Acquire); }\n";
-        assert_eq!(
-            codes("crates/pipeline/src/spsc.rs", paired),
-            Vec::<&str>::new()
-        );
-    }
-
-    #[test]
-    fn receiver_field_skips_indices_and_tuples() {
-        let src = "fn f(s: &S, i: usize) { s.shared.buf[i * 2].store(0, Ordering::Relaxed); s.h.tail.0.store(1, Ordering::Relaxed); }\n";
-        let v = lint_source("crates/pipeline/src/spsc.rs", src);
-        // buf is not denied; tail is.
-        let s008: Vec<_> = v.iter().filter(|v| v.rule == "S008").collect();
-        assert_eq!(s008.len(), 1, "{v:?}");
-        assert!(s008[0].message.contains("`tail`"));
     }
 
     #[test]

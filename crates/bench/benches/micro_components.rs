@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the simulator's hot components: cache
 //! access, stack-distance profiling, TLB lookup, nested page walks,
-//! pipeline staging (SPSC ring and generator batch) and DRAM timing.
+//! access generation (generator step plus key packing) and DRAM timing.
 //! These measure the *simulator's* performance (so the experiment
 //! harness's runtime stays predictable), not the modelled machine's.
 
@@ -12,7 +12,7 @@ use csalt_ptw::{FrameAllocator, GuestAddressSpace, HugePagePolicy, NestedWalker,
 use csalt_tlb::{SramTlb, Tsb};
 use csalt_types::{
     Asid, DramTimings, EntryKind, LineAddr, PageSize, PhysAddr, PhysFrame, ReplacementKind,
-    SystemConfig, VirtAddr, VirtPage,
+    SystemConfig, TranslationHint, VirtAddr, VirtPage,
 };
 
 fn bench_cache_access(c: &mut Criterion) {
@@ -132,40 +132,10 @@ fn bench_nested_walk(c: &mut Criterion) {
     });
 }
 
-fn bench_spsc_ring(c: &mut Criterion) {
-    // Per-record cost of the pipeline's lock-free ring: batched pushes
-    // of staged 4-word records drained by batched pops, single-threaded
-    // so the number is the ring's own overhead (encode + atomics), not
-    // scheduler interference.
-    let (mut tx, mut rx) = csalt_pipeline::ring::<csalt_pipeline::StagedAccess>(4096);
-    let asid = Asid::new(1);
-    let batch: Vec<csalt_pipeline::StagedAccess> = (0..64u64)
-        .map(|i| {
-            csalt_pipeline::StagedAccess::stage(
-                csalt_types::MemAccess::read(VirtAddr::new(i << 12), 1),
-                asid,
-            )
-        })
-        .collect();
-    c.bench_function("spsc_ring", |b| {
-        b.iter(|| {
-            let pushed = tx.push_batch(&batch);
-            let mut drained = 0;
-            while drained < pushed {
-                if let Some(rec) = rx.pop() {
-                    black_box(rec);
-                    drained += 1;
-                }
-            }
-            black_box(drained)
-        });
-    });
-}
-
 fn bench_generator_batch(c: &mut Criterion) {
-    // Producer-side staging cost: one generator step plus the
-    // translation-hint packing — what each pipeline producer thread
-    // pays per record before it ever touches a ring.
+    // Per-access generation cost: one generator step plus the
+    // translation-hint packing — what the engine pays per access before
+    // the hierarchy sees it.
     let mut cfg = csalt_sim::SimConfig::new(
         csalt_workloads::WorkloadSpec::pair(
             "graph500_gups",
@@ -182,7 +152,7 @@ fn bench_generator_batch(c: &mut Criterion) {
     c.bench_function("generator_batch", |b| {
         b.iter(|| {
             let acc = generator.next_access();
-            black_box(csalt_pipeline::StagedAccess::stage(acc, asid))
+            black_box((acc, TranslationHint::compute(acc.vaddr, asid)))
         });
     });
 }
@@ -207,7 +177,6 @@ criterion_group!(
     bench_radix_walk,
     bench_tsb_lookup,
     bench_nested_walk,
-    bench_spsc_ring,
     bench_generator_batch,
     bench_dram_access
 );

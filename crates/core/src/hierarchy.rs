@@ -52,9 +52,7 @@ pub struct AccessCharge {
 
 /// One pre-staged access of a commit block: everything
 /// [`MemoryHierarchy::access_hinted`] needs, gathered ahead of time so
-/// the engines can commit a whole block back-to-back. Defined here
-/// (rather than reusing the pipeline crate's staged record) because the
-/// hierarchy is upstream of the pipeline.
+/// the engines can commit a whole block back-to-back.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockAccess {
     /// Issuing core.
@@ -424,9 +422,8 @@ impl MemoryHierarchy {
     }
 
     /// The ASID assigned to a context (contexts get sequential ASIDs
-    /// starting at 1; ASID 0 is never issued). Public so the pipeline's
-    /// producer stage can precompute packed TLB keys for a context
-    /// without holding a hierarchy reference.
+    /// starting at 1; ASID 0 is never issued). Public so callers can
+    /// precompute packed TLB keys for a context.
     pub fn asid_of(&self, ctx: ContextId) -> Asid {
         Asid::new(ctx.raw() as u16 + 1)
     }
@@ -442,10 +439,9 @@ impl MemoryHierarchy {
     }
 
     /// [`MemoryHierarchy::access`] with the state-independent
-    /// precomputation (packed TLB keys) already done — the commit-stage
-    /// entry point of the pipelined execution mode, and the single
-    /// implementation `access` delegates to, so both modes charge
-    /// bit-identical cycles.
+    /// precomputation (packed TLB keys) already done — the single
+    /// implementation `access` delegates to, so precomputed and inline
+    /// keys charge bit-identical cycles.
     ///
     /// # Panics
     ///
@@ -490,8 +486,8 @@ impl MemoryHierarchy {
     /// appending one [`AccessCharge`] per record to `charges` in block
     /// order. Exactly equivalent to calling
     /// [`MemoryHierarchy::access_hinted`] per record — the batching
-    /// exists so the engines touch their bookkeeping (and the pipeline
-    /// ring its atomics) once per block instead of once per access.
+    /// exists so the engines touch their bookkeeping once per block
+    /// instead of once per access.
     ///
     /// # Panics
     ///
@@ -733,8 +729,8 @@ impl MemoryHierarchy {
 
     /// Resolves `va` to a frame, charging translation cycles. The SRAM
     /// TLB levels are probed through `hint`'s prepacked keys — computed
-    /// either inline (`access`) or ahead of time on a pipeline producer
-    /// thread (`access_hinted`); one code path serves both.
+    /// either inline (`access`) or ahead of time by the caller
+    /// (`access_hinted`); one code path serves both.
     fn translate<const TIMED: bool>(
         &mut self,
         core: CoreId,

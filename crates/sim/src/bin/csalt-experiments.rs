@@ -15,13 +15,10 @@
 //! `--cache-dir <path>` / `CSALT_CACHE_DIR` relocates the persisted
 //! result cache (default `target/csalt-cache/`), and `--no-cache` /
 //! `CSALT_NO_CACHE` disables persistence (in-process dedup remains).
-//! `--pipeline[=auto|force|off]` / `CSALT_PIPELINE` selects the
-//! pipelined execution mode (producer threads stage accesses over SPSC
-//! rings ahead of the serial commit stage; results are bit-identical).
 
 use csalt_sim::experiments as exp;
 #[cfg(feature = "telemetry")]
-use csalt_sim::{run_instrumented_with_stats, Instrumentation};
+use csalt_sim::{run_instrumented, Instrumentation};
 use csalt_sim::{sweep, SimConfig, Sweep, SweepOptions};
 #[cfg(feature = "telemetry")]
 use csalt_telemetry::{NullRecorder, Recorder, StreamRecorder};
@@ -271,7 +268,7 @@ fn run_single(args: &[String]) {
         progress_every_epochs: progress,
         trace: trace_buf.as_mut(),
     };
-    let (result, pipeline) = run_instrumented_with_stats(&cfg, &mut inst);
+    let result = run_instrumented(&cfg, &mut inst);
 
     println!(
         "{} / {}: ipc {:.4}, l2-tlb mpki {:.2}, walks {}, translation cyc/acc {:.1}",
@@ -282,19 +279,6 @@ fn run_single(args: &[String]) {
         result.snapshot.page_walks,
         result.snapshot.translation_cycles as f64 / result.snapshot.accesses.max(1) as f64,
     );
-    if let Some(p) = &pipeline {
-        println!(
-            "pipeline: {} producers over {}-slot rings, {} staged / {} committed, \
-             stalls {} producer / {} consumer, mean occupancy {:.1}",
-            p.producers,
-            p.ring_capacity,
-            p.records_staged,
-            p.records_committed,
-            p.producer_stalls,
-            p.consumer_stalls,
-            p.mean_occupancy(),
-        );
-    }
     if let Some(s) = &stream {
         if let Some(path) = &telemetry_path {
             println!(
@@ -528,19 +512,6 @@ fn extract_sweep_flags(args: &mut Vec<String>) {
             "--no-cache" => {
                 args.remove(i);
                 std::env::set_var("CSALT_NO_CACHE", "1");
-            }
-            "--pipeline" => {
-                args.remove(i);
-                std::env::set_var("CSALT_PIPELINE", "auto");
-            }
-            flag if flag.starts_with("--pipeline=") => {
-                let mode = args.remove(i);
-                let mode = &mode["--pipeline=".len()..];
-                if !matches!(mode, "auto" | "force" | "off") {
-                    eprintln!("--pipeline: '{mode}' is not one of auto, force, off");
-                    std::process::exit(2);
-                }
-                std::env::set_var("CSALT_PIPELINE", mode);
             }
             _ => i += 1,
         }
@@ -875,10 +846,7 @@ fn main() {
             "  {:<22} upgrade a v1 trace to v2 and verify the round-trip",
             "trace-convert"
         );
-        println!(
-            "\nsweep flags (any position): --jobs <N>, --cache-dir <path>, --no-cache, \
-             --pipeline[=auto|force|off]"
-        );
+        println!("\nsweep flags (any position): --jobs <N>, --cache-dir <path>, --no-cache");
         return;
     }
     if args[0] == "cache-gate" {

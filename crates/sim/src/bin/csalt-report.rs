@@ -68,29 +68,16 @@ fn telemetry_report(path: &PathBuf, check: bool) {
             emit(&table);
         }
     }
-    // L0 memo and pipeline block-drain gauges from the stream's
-    // instruments record, when the run recorded them.
+    // L0 memo counters from the stream's instruments record, when the
+    // run recorded them.
     {
-        use csalt_telemetry::{l0_metrics, pipeline_metrics};
+        use csalt_telemetry::l0_metrics;
         if let (Some(hits), Some(inv)) = (
             summary.counter(l0_metrics::HITS),
             summary.counter(l0_metrics::INVALIDATIONS),
         ) {
             emit(&format!(
                 "l0 memo: {hits} scan-skipping hits, {inv} invalidations\n"
-            ));
-        }
-        if let (Some(drains), Some(records)) = (
-            summary.counter(pipeline_metrics::BLOCK_DRAINS),
-            summary.counter(pipeline_metrics::BLOCK_DRAINED_RECORDS),
-        ) {
-            let mean = if drains == 0 {
-                0.0
-            } else {
-                records as f64 / drains as f64
-            };
-            emit(&format!(
-                "pipeline block drains: {drains} ({records} records, mean {mean:.1} per drain)\n"
             ));
         }
     }
@@ -230,10 +217,8 @@ fn trace_report(path: &PathBuf, check: bool, expect_repartitions: Option<u64>) {
 
     let repartitions = summary.instant_count(1, "repartition");
     let switches = summary.instant_count(1, "context_switch");
-    let stalls = summary.instant_count(2, "ring_stall");
     emit(&format!(
-        "instants: {repartitions} repartitions, {switches} context switches, \
-         {stalls} ring stalls\n"
+        "instants: {repartitions} repartitions, {switches} context switches\n"
     ));
 
     let mut failed = false;

@@ -18,8 +18,8 @@
 //!
 //! The hard contract — a restored run is bit-identical to a
 //! straight-through run — is pinned by `tests/determinism.rs` across
-//! every scheme, both virtualization modes and the pipelined commit
-//! path, and re-proven by the `ckpt-gate` CI step. `CSALT_CKPT=off` is
+//! every scheme and both virtualization modes, and re-proven by the
+//! `ckpt-gate` CI step. `CSALT_CKPT=off` is
 //! the escape hatch that disables the whole layer.
 //!
 //! This module is integer-only (the envelope stores `f64` state as bit

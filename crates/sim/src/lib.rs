@@ -36,13 +36,12 @@ pub mod sweep;
 pub mod trace_store;
 
 pub use checkpoint::{CkptRequest, CkptStats};
-pub use csalt_pipeline::{PipelineStats, ThreadBudget};
 pub use simulator::{
-    build_threads, run, run_inline, run_pipelined, run_with_generators, run_with_stats, L0Request,
-    OccupancySample, PipelineRequest, SimConfig, SimResult, WarmupMode,
+    build_threads, run, run_with_generators, L0Request, OccupancySample, SimConfig, SimResult,
+    WarmupMode,
 };
 pub use sweep::{Sweep, SweepOptions, SweepStats};
 pub use trace_store::{TraceStoreRequest, TraceStoreStats};
 
 #[cfg(feature = "telemetry")]
-pub use simulator::{run_instrumented, run_instrumented_with_stats, Instrumentation};
+pub use simulator::{run_instrumented, Instrumentation};

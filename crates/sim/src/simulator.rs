@@ -24,12 +24,10 @@ use crate::fastforward::{functional_phase, FunctionalSchedule};
 use csalt_core::{
     AccessCharge, BlockAccess, HierarchySnapshot, MemoryHierarchy, PartitionSample, StageSample,
 };
-use csalt_pipeline::{
-    PipelineProgress, PipelineStats, Reservation, StagedAccess, StagedStreams, ThreadBudget,
-};
 use csalt_ptw::HugePagePolicy;
 use csalt_types::{
-    geomean, Asid, ContextId, CoreId, Cycle, MemAccess, SystemConfig, TranslationScheme,
+    geomean, Asid, ContextId, CoreId, Cycle, MemAccess, SystemConfig, TranslationHint,
+    TranslationScheme,
 };
 use csalt_workloads::{AnyGenerator, TraceGenerator, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -281,15 +279,13 @@ trait PhaseHooks {
     /// the core's cycle count after the switch overhead was charged.
     fn on_context_switch(&mut self, _core: usize, _from_vm: u32, _to_vm: u32, _at_cycles: Cycle) {}
     /// Called after every round-robin sweep over the cores with the
-    /// phase's cumulative access count, target, and (when the pipelined
-    /// source is running) a live pipeline-progress snapshot.
+    /// phase's cumulative access count and target.
     fn after_sweep(
         &mut self,
         _hier: &MemoryHierarchy,
         _cores: &[CoreState],
         _total: u64,
         _target: u64,
-        _progress: Option<PipelineProgress>,
     ) {
     }
 }
@@ -298,22 +294,23 @@ trait PhaseHooks {
 struct NoHooks;
 impl PhaseHooks for NoHooks {}
 
-/// Where the commit stage gets its next access for a `(core, VM)`
-/// generator stream. The engine is monomorphized over the
-/// implementation, mirroring [`PhaseHooks`]: the inline source compiles
-/// to exactly the pre-pipeline per-access code, so the default path
-/// pays nothing for the pipelined mode's existence.
+/// One access plus its pure precomputation: the generator's
+/// [`MemAccess`] and its packed `(vpn, size, asid)` TLB keys.
+#[derive(Clone, Copy)]
+pub(crate) struct StagedAccess {
+    /// The access exactly as the generator produced it.
+    pub(crate) acc: MemAccess,
+    /// Prepacked TLB keys for the access under its VM's ASID.
+    pub(crate) hint: TranslationHint,
+}
+
+/// Where the engine gets its next access for a `(core, VM)` stream.
+/// The engine is monomorphized over the implementation, mirroring
+/// [`PhaseHooks`], so each source compiles to its own per-access code.
 pub(crate) trait AccessSource {
     /// The next access of `(core, vm)`'s stream, with its pure
     /// precomputation (packed TLB keys) done.
     fn next(&mut self, core: usize, vm: usize) -> StagedAccess;
-
-    /// A live progress snapshot, when this source has one (the
-    /// pipelined source exposes its ring counters; the inline source
-    /// has nothing to report).
-    fn progress(&self) -> Option<PipelineProgress> {
-        None
-    }
 
     /// Advances `(core, vm)`'s stream by `n` accesses without
     /// committing them. Checkpoint restore uses this to fast-forward
@@ -345,14 +342,10 @@ impl<S: AccessSource> AccessSource for CountingSource<'_, S> {
         self.pops[vm][core] += 1;
         self.inner.next(core, vm)
     }
-
-    fn progress(&self) -> Option<PipelineProgress> {
-        self.inner.progress()
-    }
 }
 
-/// Single-threaded source: drives the generators at commit time, on the
-/// commit thread (the classic execution mode).
+/// Generator source: drives the generators as the engine consumes their
+/// accesses, packing each access's TLB keys on the way.
 struct InlineSource {
     /// Generator matrix, `[vm][core]`.
     threads: Vec<Vec<AnyGenerator>>,
@@ -363,26 +356,11 @@ struct InlineSource {
 impl AccessSource for InlineSource {
     #[inline]
     fn next(&mut self, core: usize, vm: usize) -> StagedAccess {
-        StagedAccess::stage(self.threads[vm][core].next_access(), self.asids[vm])
-    }
-}
-
-/// Pipelined source: pops records that producer threads staged ahead of
-/// time (see `csalt-pipeline`). Holds the thread-budget reservation for
-/// its producers for the lifetime of the run.
-struct PipelinedSource {
-    streams: StagedStreams,
-    _reserved: Reservation<'static>,
-}
-
-impl AccessSource for PipelinedSource {
-    #[inline]
-    fn next(&mut self, core: usize, vm: usize) -> StagedAccess {
-        self.streams.next(core, vm)
-    }
-
-    fn progress(&self) -> Option<PipelineProgress> {
-        Some(self.streams.progress())
+        let acc = self.threads[vm][core].next_access();
+        StagedAccess {
+            acc,
+            hint: TranslationHint::compute(acc.vaddr, self.asids[vm]),
+        }
     }
 }
 
@@ -403,44 +381,6 @@ impl AccessSource for StagedReplaySource {
 
     fn skip(&mut self, core: usize, vm: usize, n: u64) {
         self.threads[vm][core].skip(n);
-    }
-}
-
-/// How the caller asked the engine to execute (the `CSALT_PIPELINE`
-/// env var / `--pipeline` CLI flag).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineRequest {
-    /// Classic single-threaded execution (the default).
-    Off,
-    /// Pipeline if it plausibly helps: falls back to inline when the
-    /// host has no spare parallelism (budgeted against sweep workers —
-    /// no oversubscription) or the workload replays a recorded trace.
-    Auto,
-    /// Pipeline with at least one producer even on a saturated host
-    /// (CI determinism gates use this so the pipelined commit path is
-    /// genuinely exercised on small machines). Trace-replay workloads
-    /// still fall back: there is no generation work to overlap.
-    Force,
-}
-
-impl PipelineRequest {
-    /// Parses a `CSALT_PIPELINE` value. Unset/empty/`0`/`off`/`false`
-    /// mean [`PipelineRequest::Off`]; `force` forces; anything truthy
-    /// (`1`, `on`, `true`, `auto`) is [`PipelineRequest::Auto`].
-    #[must_use]
-    pub fn parse(value: Option<&str>) -> Self {
-        match value.map(str::to_ascii_lowercase).as_deref() {
-            None | Some("" | "0" | "off" | "false" | "inline") => PipelineRequest::Off,
-            Some("force") => PipelineRequest::Force,
-            Some(_) => PipelineRequest::Auto,
-        }
-    }
-
-    /// The request selected by the `CSALT_PIPELINE` environment
-    /// variable.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var("CSALT_PIPELINE").ok().as_deref())
     }
 }
 
@@ -513,75 +453,13 @@ fn vm_asids(vms: u32) -> Vec<Asid> {
     (0..vms).map(|vm| Asid::new(vm as u16 + 1)).collect()
 }
 
-/// Execution plan for one run, decided before any thread is spawned.
-enum ExecPlan {
-    Inline,
-    /// Every generator is a staged (v2) trace replay: pop prepacked
-    /// records directly, no packing and no producer threads.
-    StagedReplay,
-    /// Producer thread count plus the budget reservation backing it.
-    Pipelined(usize, Reservation<'static>),
-}
-
-/// Decides inline vs pipelined for one run. See [`PipelineRequest`] for
-/// the fallback rules; producer threads are reserved from the workspace
-/// [`ThreadBudget`] so a sweep's workers and this run's producers never
-/// add up past the host's parallelism (unless forced).
-fn plan_execution(
-    cfg: &SimConfig,
-    threads: &[Vec<AnyGenerator>],
-    req: PipelineRequest,
-) -> ExecPlan {
-    // A matrix of staged (v2) traces replays prepacked records directly
-    // regardless of the pipeline request: the records already are the
-    // staged payload, so there is nothing for producers to do and the
-    // single-threaded pop is the fastest path. Bit-identical to inline.
-    let asids = vm_asids(cfg.system.contexts_per_core);
-    if threads
-        .iter()
-        .enumerate()
-        .all(|(vm, row)| !row.is_empty() && row.iter().all(|g| g.is_staged_replay(asids[vm])))
-    {
-        return ExecPlan::StagedReplay;
-    }
-    if req == PipelineRequest::Off {
-        return ExecPlan::Inline;
-    }
-    // Replay workloads stream records out of memory; there is no
-    // generation work worth moving to another thread.
-    if threads.iter().flatten().any(AnyGenerator::is_replay) {
-        return ExecPlan::Inline;
-    }
-    let budget = ThreadBudget::global();
-    let cores = cfg.system.cores as usize;
-    // Leave one hardware thread for the commit stage itself.
-    let want = cores.min(budget.capacity().saturating_sub(1)).max(1);
-    let reserved = match req {
-        PipelineRequest::Auto => {
-            if budget.capacity() < 2 {
-                return ExecPlan::Inline;
-            }
-            let r = budget.reserve(want);
-            if r.granted() == 0 {
-                return ExecPlan::Inline;
-            }
-            r
-        }
-        _ => budget.reserve_at_least(want, 1),
-    };
-    let producers = reserved.granted();
-    ExecPlan::Pipelined(producers, reserved)
-}
-
-/// Shared dispatch behind every public entry point: plans the execution
-/// mode, builds the matching [`AccessSource`], runs the engine, and
-/// returns the pipeline telemetry when the pipelined path ran.
+/// Shared dispatch behind every public entry point: builds the
+/// [`AccessSource`] for the generator matrix and runs the engine.
 fn execute<H: PhaseHooks>(
     cfg: &SimConfig,
     mut threads: Vec<Vec<AnyGenerator>>,
-    req: PipelineRequest,
     hooks: &mut H,
-) -> (SimResult, Option<PipelineStats>) {
+) -> SimResult {
     // Staged traces recorded under a different ASID get their packed
     // keys recomputed once, up front, so replay stays zero-repack per
     // access no matter which ASID the trace was recorded for.
@@ -595,46 +473,28 @@ fn execute<H: PhaseHooks>(
             }
         }
     }
-    match plan_execution(cfg, &threads, req) {
-        ExecPlan::Inline => {
-            let mut source = InlineSource {
-                asids: vm_asids(cfg.system.contexts_per_core),
-                threads,
-            };
-            (simulate(cfg, hooks, &mut source), None)
-        }
-        ExecPlan::StagedReplay => {
-            let trace_threads = threads
-                .into_iter()
-                .map(|row| {
-                    row.into_iter()
-                        .map(|g| match g {
-                            AnyGenerator::Trace(t) => t,
-                            _ => unreachable!("plan checked every generator is a staged trace"),
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut source = StagedReplaySource {
-                threads: trace_threads,
-            };
-            (simulate(cfg, hooks, &mut source), None)
-        }
-        ExecPlan::Pipelined(producers, reserved) => {
-            let asids = vm_asids(cfg.system.contexts_per_core);
-            let mut source = PipelinedSource {
-                streams: StagedStreams::spawn(
-                    threads,
-                    &asids,
-                    producers,
-                    csalt_pipeline::source::DEFAULT_RING_CAPACITY,
-                ),
-                _reserved: reserved,
-            };
-            let result = simulate(cfg, hooks, &mut source);
-            let stats = source.streams.finish();
-            (result, Some(stats))
-        }
+    // A matrix of staged (v2) traces replays its prepacked records
+    // directly: the records already carry the packed keys, so popping
+    // them is the fastest path. Bit-identical to the generator source.
+    if threads
+        .iter()
+        .enumerate()
+        .all(|(vm, row)| !row.is_empty() && row.iter().all(|g| g.is_staged_replay(asids[vm])))
+    {
+        let traces = threads
+            .into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .map(|g| match g {
+                        AnyGenerator::Trace(t) => t,
+                        _ => unreachable!("every generator was checked to be a staged trace"),
+                    })
+                    .collect()
+            })
+            .collect();
+        simulate(cfg, hooks, &mut StagedReplaySource { threads: traces })
+    } else {
+        simulate(cfg, hooks, &mut InlineSource { threads, asids })
     }
 }
 
@@ -653,66 +513,19 @@ fn enforce_audit(context: &str, diags: &[csalt_audit::Diagnostic]) {
     }
 }
 
-/// Runs one configuration to completion, in the execution mode selected
-/// by the `CSALT_PIPELINE` environment variable (inline when unset; see
-/// [`PipelineRequest`]). Both modes produce bit-identical results.
+/// Runs one configuration to completion.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid (zero cores, bad geometry…).
 pub fn run(cfg: &SimConfig) -> SimResult {
-    run_with_stats(cfg).0
-}
-
-/// [`run`] plus the pipeline telemetry of the run (`None` when the
-/// inline path executed).
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (zero cores, bad geometry…).
-pub fn run_with_stats(cfg: &SimConfig) -> (SimResult, Option<PipelineStats>) {
-    execute(
-        cfg,
-        build_threads(cfg),
-        PipelineRequest::from_env(),
-        &mut NoHooks,
-    )
-}
-
-/// Runs one configuration strictly single-threaded, ignoring
-/// `CSALT_PIPELINE` — the reference the pipelined mode is bit-compared
-/// against (and the measurement baseline of the throughput bench).
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (zero cores, bad geometry…).
-pub fn run_inline(cfg: &SimConfig) -> SimResult {
-    execute(cfg, build_threads(cfg), PipelineRequest::Off, &mut NoHooks).0
-}
-
-/// Runs one configuration in the pipelined mode regardless of host
-/// parallelism ([`PipelineRequest::Force`] semantics: at least one
-/// producer thread, even on a saturated budget).
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (zero cores, bad geometry…).
-pub fn run_pipelined(cfg: &SimConfig) -> (SimResult, PipelineStats) {
-    let (result, stats) = execute(
-        cfg,
-        build_threads(cfg),
-        PipelineRequest::Force,
-        &mut NoHooks,
-    );
-    let stats = stats.expect("forced pipeline always runs pipelined for generated workloads");
-    (result, stats)
+    execute(cfg, build_threads(cfg), &mut NoHooks)
 }
 
 /// Runs one configuration over caller-supplied generators instead of
 /// the ones `cfg.workload` would build — the entry point for recorded-
 /// trace replay (`AnyGenerator::Trace`). `threads[vm][core]` must match
-/// the config's VM and core counts. Honours `CSALT_PIPELINE`, except
-/// that workloads containing a replay generator always run inline.
+/// the config's VM and core counts.
 ///
 /// # Panics
 ///
@@ -730,7 +543,7 @@ pub fn run_with_generators(cfg: &SimConfig, threads: Vec<Vec<AnyGenerator>>) -> 
             .all(|row| row.len() == cfg.system.cores as usize),
         "one generator per core in every VM row"
     );
-    execute(cfg, threads, PipelineRequest::from_env(), &mut NoHooks).0
+    execute(cfg, threads, &mut NoHooks)
 }
 
 /// One timed scheduling phase: run every core up to `total_per_core`
@@ -890,13 +703,7 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
         }
 
         if let Some(h) = hooks.as_deref_mut() {
-            h.after_sweep(
-                hier,
-                cores_state,
-                total_done,
-                target_total,
-                source.progress(),
-            );
+            h.after_sweep(hier, cores_state, total_done, target_total);
         }
 
         #[cfg(feature = "audit")]
@@ -971,7 +778,7 @@ fn warmup_phase<H: PhaseHooks, S: AccessSource>(
 }
 
 /// The engine shared by [`run`] and the instrumented path, monomorphized
-/// over the hook set and the access source (inline vs pipelined).
+/// over the hook set and the access source (generators vs staged replay).
 fn simulate<H: PhaseHooks, S: AccessSource>(
     cfg: &SimConfig,
     hooks: &mut H,
@@ -1274,27 +1081,12 @@ pub struct Instrumentation<'a> {
 /// Panics if the configuration is invalid (zero cores, bad geometry…).
 #[cfg(feature = "telemetry")]
 pub fn run_instrumented(cfg: &SimConfig, inst: &mut Instrumentation<'_>) -> SimResult {
-    run_instrumented_with_stats(cfg, inst).0
-}
-
-/// [`run_instrumented`] plus the pipeline telemetry of the run (`None`
-/// when the inline path executed) — what `csalt-experiments run` prints
-/// its stats line from.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (zero cores, bad geometry…).
-#[cfg(feature = "telemetry")]
-pub fn run_instrumented_with_stats(
-    cfg: &SimConfig,
-    inst: &mut Instrumentation<'_>,
-) -> (SimResult, Option<PipelineStats>) {
     // A disabled recorder (e.g. `NullRecorder`) drops everything, so
     // skip the hook bookkeeping entirely and take the same monomorphized
     // no-op path as `run` — this is what keeps a telemetry-capable build
     // free when telemetry is not requested.
     if !inst.recorder.is_enabled() && inst.progress_every_epochs == 0 && inst.trace.is_none() {
-        return run_with_stats(cfg);
+        return run(cfg);
     }
     let cores = cfg.system.cores as usize;
     let wall_start = if let Some(t) = inst.trace.as_deref_mut() {
@@ -1341,54 +1133,11 @@ pub fn run_instrumented_with_stats(
         l2_decisions_seen: 0,
         l3_decisions_seen: 0,
         last_commit_wall: wall_start.unwrap_or(0),
-        last_progress: PipelineProgress::default(),
         last_l0: csalt_types::L0Stats::default(),
     };
-    let (result, pipeline) = execute(
-        cfg,
-        build_threads(cfg),
-        PipelineRequest::from_env(),
-        &mut hooks,
-    );
-    if let Some(p) = &pipeline {
-        // The rings' stall/occupancy gauges land in the stream's final
-        // Instruments record (see csalt-telemetry's `pipeline_metrics`).
-        use csalt_telemetry::pipeline_metrics as m;
-        let rec = &mut *hooks.inst.recorder;
-        rec.counter(m::RECORDS_STAGED, p.records_staged);
-        rec.counter(m::RECORDS_COMMITTED, p.records_committed);
-        rec.counter(m::PRODUCER_STALLS, p.producer_stalls);
-        rec.counter(m::CONSUMER_STALLS, p.consumer_stalls);
-        rec.counter(m::BLOCK_DRAINS, p.block_drains);
-        rec.counter(m::BLOCK_DRAINED_RECORDS, p.block_drained_records);
-        rec.gauge(m::PRODUCERS, p.producers as f64);
-        rec.gauge(m::RING_CAPACITY, p.ring_capacity as f64);
-        rec.gauge(m::MEAN_RING_OCCUPANCY, p.mean_occupancy());
-        rec.gauge(m::MEAN_DRAIN_BLOCK, p.mean_drain_block());
-        // One wall-domain span per producer thread: the session the
-        // thread spent staging records, with its totals attached.
-        if let Some(t) = hooks.inst.trace.as_deref_mut() {
-            let end = csalt_trace::timing::wall_micros();
-            let start = wall_start.unwrap_or(end);
-            for (i, perf) in p.per_producer.iter().enumerate() {
-                let tid = 1 + i as u32;
-                t.set_track_name(Domain::Wall, tid, format!("producer {i}"));
-                t.begin_args(
-                    Domain::Wall,
-                    tid,
-                    start,
-                    "produce",
-                    vec![
-                        ("staged", ArgValue::U64(perf.staged)),
-                        ("stalls", ArgValue::U64(perf.stalls)),
-                    ],
-                );
-                t.end(Domain::Wall, tid, end, "produce");
-            }
-        }
-    }
+    let result = execute(cfg, build_threads(cfg), &mut hooks);
     {
-        // The L0 memo counters ride the same end-of-stream instruments
+        // The L0 memo counters ride the end-of-stream instruments
         // record. `last_l0` is the final epoch's reading, i.e. the
         // measured phase's totals (warmup resets them with the rest).
         use csalt_telemetry::l0_metrics as l0m;
@@ -1398,7 +1147,7 @@ pub fn run_instrumented_with_stats(
         rec.counter(l0m::INVALIDATIONS, l0.invalidations);
     }
     hooks.finish();
-    (result, pipeline)
+    result
 }
 
 /// The live hook set behind [`run_instrumented`].
@@ -1429,7 +1178,6 @@ struct LiveHooks<'a, 'b> {
     l3_decisions_seen: u64,
     /// Wall timestamp where the current commit span began.
     last_commit_wall: u64,
-    last_progress: PipelineProgress,
     /// Hierarchy-wide L0 memo counters as of the last emitted epoch,
     /// so the end-of-run instruments can report them after the
     /// hierarchy is gone.
@@ -1462,14 +1210,8 @@ impl LiveHooks<'_, '_> {
     /// epoch span on the partitioner track, one `repartition` instant
     /// per partitioned cache (with the fresh decision's utility and
     /// marginal-utility curve when the partitioner acted this epoch),
-    /// and the wall-domain commit span with ring-stall markers.
-    fn trace_epoch(
-        &mut self,
-        hier: &MemoryHierarchy,
-        cores: &[CoreState],
-        total: u64,
-        progress: Option<PipelineProgress>,
-    ) {
+    /// and the wall-domain commit span.
+    fn trace_epoch(&mut self, hier: &MemoryHierarchy, cores: &[CoreState], total: u64) {
         let ts = cores
             .iter()
             .map(|c| c.cycles)
@@ -1547,65 +1289,22 @@ impl LiveHooks<'_, '_> {
             &mut self.l3_decisions_seen,
         );
 
-        // Wall domain: the commit stage's slice of real time spent on
-        // this epoch, with ring stalls flagged when the pipeline ran.
+        // Wall domain: the engine's slice of real time spent on this
+        // epoch.
         let now = csalt_trace::timing::wall_micros().max(self.last_commit_wall);
-        let mut args = vec![
+        let args = vec![
             ("epoch", ArgValue::U64(epoch)),
             ("accesses", ArgValue::U64(accesses)),
         ];
-        if let Some(p) = progress {
-            args.push((
-                "staged",
-                ArgValue::U64(
-                    p.records_staged
-                        .saturating_sub(self.last_progress.records_staged),
-                ),
-            ));
-            args.push((
-                "committed",
-                ArgValue::U64(
-                    p.records_committed
-                        .saturating_sub(self.last_progress.records_committed),
-                ),
-            ));
-        }
         t.begin_args(Domain::Wall, 0, self.last_commit_wall, "commit", args);
         t.end(Domain::Wall, 0, now, "commit");
-        if let Some(p) = progress {
-            let producer_stalls = p
-                .producer_stalls
-                .saturating_sub(self.last_progress.producer_stalls);
-            let consumer_stalls = p
-                .consumer_stalls
-                .saturating_sub(self.last_progress.consumer_stalls);
-            if producer_stalls > 0 || consumer_stalls > 0 {
-                t.instant(
-                    Domain::Wall,
-                    0,
-                    now,
-                    "ring_stall",
-                    vec![
-                        ("producer_stalls", ArgValue::U64(producer_stalls)),
-                        ("consumer_stalls", ArgValue::U64(consumer_stalls)),
-                    ],
-                );
-            }
-            self.last_progress = p;
-        }
         self.last_commit_wall = now;
     }
 
     /// Emits the epoch record covering `(last emission, total]`.
-    fn emit_epoch(
-        &mut self,
-        hier: &MemoryHierarchy,
-        cores: &[CoreState],
-        total: u64,
-        progress: Option<PipelineProgress>,
-    ) {
+    fn emit_epoch(&mut self, hier: &MemoryHierarchy, cores: &[CoreState], total: u64) {
         if self.inst.trace.is_some() {
-            self.trace_epoch(hier, cores, total, progress);
+            self.trace_epoch(hier, cores, total);
         }
         self.last_l0 = hier.l0_stats();
         let snap = hier.snapshot();
@@ -1802,25 +1501,18 @@ impl PhaseHooks for LiveHooks<'_, '_> {
         cores: &[CoreState],
         total: u64,
         target: u64,
-        progress: Option<PipelineProgress>,
     ) {
         while total >= self.next_epoch_at {
             self.next_epoch_at += self.epoch_len;
-            self.emit_epoch(hier, cores, total, progress);
+            self.emit_epoch(hier, cores, total);
             if self.inst.progress_every_epochs > 0
                 && self.epoch.is_multiple_of(self.inst.progress_every_epochs)
             {
                 let (l2_ways, l3_ways) = hier.current_partitions();
                 let ways = |w: Option<u32>| w.map_or_else(|| "-".to_owned(), |w| w.to_string());
-                let pipe = progress.map_or_else(String::new, |p| {
-                    format!(
-                        ", pipeline {}/{} staged/committed, stalls {}p/{}c",
-                        p.records_staged, p.records_committed, p.producer_stalls, p.consumer_stalls,
-                    )
-                });
                 let l0 = self.last_l0;
                 eprintln!(
-                    "[csalt] {} / {}: epoch {}, {total} of {target} accesses retired ({} remaining), data ways l2/l3 {}/{}, l0 memo {} hits / {} inv{}",
+                    "[csalt] {} / {}: epoch {}, {total} of {target} accesses retired ({} remaining), data ways l2/l3 {}/{}, l0 memo {} hits / {} inv",
                     self.workload,
                     self.scheme,
                     self.epoch,
@@ -1829,14 +1521,13 @@ impl PhaseHooks for LiveHooks<'_, '_> {
                     ways(l3_ways),
                     l0.hits,
                     l0.invalidations,
-                    pipe,
                 );
             }
         }
         // The final (usually partial) epoch: emitted exactly once, when
         // the phase target is reached, so delta sums equal run totals.
         if total >= target && total > self.last_emit_total {
-            self.emit_epoch(hier, cores, total, progress);
+            self.emit_epoch(hier, cores, total);
         }
     }
 }
@@ -1948,51 +1639,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_run_matches_inline_bit_for_bit() {
-        let mut cfg = quick(TranslationScheme::CsaltCd);
-        cfg.accesses_per_core = 5_000;
-        cfg.warmup_accesses_per_core = 2_000;
-        let inline = run_inline(&cfg);
-        let (pipelined, stats) = run_pipelined(&cfg);
-        assert_eq!(
-            serde_json::to_string(&inline).expect("serialize"),
-            serde_json::to_string(&pipelined).expect("serialize"),
-        );
-        assert!(stats.producers >= 1);
-        assert_eq!(
-            stats.records_committed,
-            (cfg.accesses_per_core + cfg.warmup_accesses_per_core) * u64::from(cfg.system.cores)
-        );
-        assert!(stats.records_staged >= stats.records_committed);
-    }
-
-    #[test]
-    fn pipeline_request_parses_every_spelling() {
-        use PipelineRequest::{Auto, Force, Off};
-        for off in [
-            None,
-            Some(""),
-            Some("0"),
-            Some("off"),
-            Some("false"),
-            Some("inline"),
-        ] {
-            assert_eq!(PipelineRequest::parse(off), Off, "{off:?}");
-        }
-        for auto in [
-            Some("1"),
-            Some("auto"),
-            Some("on"),
-            Some("true"),
-            Some("yes"),
-        ] {
-            assert_eq!(PipelineRequest::parse(auto), Auto, "{auto:?}");
-        }
-        assert_eq!(PipelineRequest::parse(Some("force")), Force);
-        assert_eq!(PipelineRequest::parse(Some("FORCE")), Force);
-    }
-
-    #[test]
     fn l0_request_parses_every_spelling() {
         use L0Request::{Off, On};
         for off in [Some("0"), Some("off"), Some("false"), Some("OFF")] {
@@ -2015,47 +1661,13 @@ mod tests {
         cfg.accesses_per_core = 5_000;
         cfg.warmup_accesses_per_core = 2_000;
         std::env::set_var("CSALT_L0", "off");
-        let off = run_inline(&cfg);
+        let off = run(&cfg);
         std::env::set_var("CSALT_L0", "on");
-        let on = run_inline(&cfg);
+        let on = run(&cfg);
         std::env::remove_var("CSALT_L0");
         assert_eq!(
             serde_json::to_string(&off).expect("serialize"),
             serde_json::to_string(&on).expect("serialize"),
         );
-    }
-
-    #[test]
-    fn replay_workloads_fall_back_to_inline() {
-        // A generator matrix containing a recorded-trace replay must
-        // plan inline even under Force: replay generators are not
-        // guaranteed Send, and the trace is consumed where it lives.
-        let cfg = quick(TranslationScheme::PomTlb);
-        let threads = build_threads(&cfg);
-        assert!(matches!(
-            plan_execution(&cfg, &threads, PipelineRequest::Force),
-            ExecPlan::Pipelined(..)
-        ));
-
-        let mut record = Vec::new();
-        let mut replay_threads = build_threads(&cfg);
-        for _ in 0..(cfg.accesses_per_core + cfg.warmup_accesses_per_core) {
-            record.push(replay_threads[0][0].next_access());
-        }
-        let replayed: Vec<Vec<AnyGenerator>> = (0..cfg.system.contexts_per_core)
-            .map(|_| {
-                (0..cfg.system.cores)
-                    .map(|_| {
-                        AnyGenerator::Trace(csalt_workloads::TraceFile::from_records(
-                            record.clone(),
-                        ))
-                    })
-                    .collect()
-            })
-            .collect();
-        assert!(matches!(
-            plan_execution(&cfg, &replayed, PipelineRequest::Force),
-            ExecPlan::Inline
-        ));
     }
 }

@@ -3,7 +3,7 @@
 //! with timed warmup on timing-independent configurations, and the
 //! sampled-window accounting contract.
 
-use csalt_sim::{build_threads, run, run_inline, SimConfig, WarmupMode};
+use csalt_sim::{build_threads, run, SimConfig, WarmupMode};
 use csalt_types::TranslationScheme;
 use csalt_workloads::BenchKind;
 use csalt_workloads::{AnyGenerator, TraceFile, TraceGenerator, WorkloadSpec};
@@ -185,6 +185,6 @@ fn staged_replay_matches_unstaged_replay_bit_for_bit() {
     assert_eq!(json(&unstaged), json(&staged));
 
     // And both match the generated run they were recorded from.
-    let generated = run_inline(&cfg);
+    let generated = run(&cfg);
     assert_eq!(json(&generated), json(&staged));
 }

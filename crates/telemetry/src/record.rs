@@ -281,37 +281,6 @@ impl HistogramRecord {
     }
 }
 
-/// Instrument names the pipelined execution mode records (they land in
-/// the stream's final [`InstrumentsRecord`]): per-stage stall counts
-/// and ring-occupancy gauges for the producer/consumer rings, so a
-/// stream shows whether production kept ahead of commit.
-pub mod pipeline_metrics {
-    /// Counter: records producer threads staged into rings.
-    pub const RECORDS_STAGED: &str = "pipeline.records_staged";
-    /// Counter: records the commit stage popped.
-    pub const RECORDS_COMMITTED: &str = "pipeline.records_committed";
-    /// Counter: producer stall waits (every owned ring full — commit
-    /// was the bottleneck, the desired steady state).
-    pub const PRODUCER_STALLS: &str = "pipeline.producer_stalls";
-    /// Counter: consumer stall spins (commit outran production).
-    pub const CONSUMER_STALLS: &str = "pipeline.consumer_stalls";
-    /// Gauge: producer threads the run used.
-    pub const PRODUCERS: &str = "pipeline.producers";
-    /// Gauge: per-(core, VM) ring capacity in records.
-    pub const RING_CAPACITY: &str = "pipeline.ring_capacity";
-    /// Gauge: mean sampled occupancy of the ring being popped, as a
-    /// fraction of capacity.
-    pub const MEAN_RING_OCCUPANCY: &str = "pipeline.mean_ring_occupancy";
-    /// Counter: `pop_block` drains the commit stage took (each is one
-    /// shared-index round trip, however many records it delivered).
-    pub const BLOCK_DRAINS: &str = "pipeline.block_drains";
-    /// Counter: records delivered by block drains.
-    pub const BLOCK_DRAINED_RECORDS: &str = "pipeline.block_drained_records";
-    /// Gauge: mean records per block drain — the achieved shared-line
-    /// amortization factor.
-    pub const MEAN_DRAIN_BLOCK: &str = "pipeline.mean_drain_block";
-}
-
 /// Instrument names for the L0 hit-way memo in front of the TLB/cache
 /// set scans (they land in the stream's final [`InstrumentsRecord`]):
 /// how often the last-hit fast path fired and how often its entries

@@ -159,8 +159,8 @@ impl PomTlb {
         self.lookup_prepacked(pack(&TlbKey { page, asid }))
     }
 
-    /// [`PomTlb::lookup`] with the key already packed (the pipeline's
-    /// producer stage precomputes keys; see [`csalt_types::pack_tlb_key`]).
+    /// [`PomTlb::lookup`] with the key already packed (callers precompute
+    /// keys ahead of the lookup; see [`csalt_types::pack_tlb_key`]).
     /// Identical semantics and statistics — `lookup` delegates here.
     pub fn lookup_prepacked(&mut self, packed: u64) -> PomLookup {
         // L0 fast path: the memoized entry sits at way 0, so the hit

@@ -43,8 +43,8 @@ pub(crate) const EMPTY: u64 = csalt_types::PACKED_TLB_EMPTY;
 /// Packs a [`TlbKey`] into one comparable word so the per-set way scan
 /// compares one `u64` per way instead of a multi-word struct. The layout
 /// (VPN above, 2-bit page-size code, 16-bit ASID) is defined once in
-/// [`csalt_types::pack_tlb_key`] so the pipeline's producer stage can
-/// precompute identical keys.
+/// [`csalt_types::pack_tlb_key`] so callers can precompute identical
+/// keys ahead of the lookup.
 #[inline]
 pub(crate) fn pack(key: &TlbKey) -> u64 {
     csalt_types::pack_tlb_key(key.page.vpn(), key.page.size(), key.asid)
@@ -182,8 +182,8 @@ impl SramTlb {
         self.lookup_prepacked(pack(&TlbKey { page, asid }))
     }
 
-    /// [`SramTlb::lookup`] with the key already packed (the pipeline's
-    /// producer stage precomputes keys; see [`csalt_types::pack_tlb_key`]).
+    /// [`SramTlb::lookup`] with the key already packed (callers precompute
+    /// keys ahead of the lookup; see [`csalt_types::pack_tlb_key`]).
     /// Identical semantics and statistics — `lookup` delegates here.
     pub fn lookup_prepacked(&mut self, packed: u64) -> Option<PhysFrame> {
         // L0 fast path: a repeat of the last hit skips the way scan but

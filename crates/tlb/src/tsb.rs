@@ -259,8 +259,8 @@ impl Tsb {
         self.lookup_impl(pack(&TlbKey { page, asid }), page, asid)
     }
 
-    /// [`Tsb::lookup`] with the key already packed (the pipeline's
-    /// producer stage precomputes keys; see [`csalt_types::pack_tlb_key`]).
+    /// [`Tsb::lookup`] with the key already packed (callers precompute
+    /// keys ahead of the lookup; see [`csalt_types::pack_tlb_key`]).
     /// Identical semantics and statistics — `lookup` delegates to the
     /// same implementation. The packing is lossless, so the page and
     /// ASID are reconstructed exactly.

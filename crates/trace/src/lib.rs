@@ -15,9 +15,8 @@
 //!   (config, seed), so a trace of the engine domain is bit-identical
 //!   across runs.
 //! * [`Domain::Wall`] — microseconds of host wall clock since process
-//!   start. Infrastructure events (sweep jobs, pipeline producer
-//!   sessions, ring-stall markers, commit batches) live here; they
-//!   never feed back into simulated results.
+//!   start. Infrastructure events (sweep jobs, commit batches) live
+//!   here; they never feed back into simulated results.
 //!
 //! The only wall-clock read in the crate is [`timing::wall_micros`],
 //! registered as a timing module in `crates/audit/srclint.manifest`

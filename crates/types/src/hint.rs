@@ -1,15 +1,14 @@
-//! Pure translation precomputation shared between the TLB crate and the
-//! pipeline's producer stage.
+//! Pure translation precomputation shared between the TLB crate, the
+//! simulator's access sources and staged (v2) traces.
 //!
 //! Every TLB lookup begins by packing `(virtual page, page size, ASID)`
 //! into one comparable `u64` (see `csalt-tlb`'s struct-of-arrays way
 //! scan). That packing is a pure function of the access — it depends on
-//! no hierarchy state — so the pipelined execution mode can compute it
-//! on a producer thread while the commit stage is busy with an earlier
-//! access. This module holds the one canonical packing and the
-//! [`TranslationHint`] bundle of precomputed keys, so the inline and
-//! pipelined paths go through literally the same code and stay
-//! bit-identical.
+//! no hierarchy state — so it can be computed once, ahead of the lookup,
+//! or even stored in a trace at record time. This module holds the one
+//! canonical packing and the [`TranslationHint`] bundle of precomputed
+//! keys, so generated and replayed accesses go through literally the
+//! same code and stay bit-identical.
 
 use crate::addr::{PageSize, VirtAddr};
 use crate::ids::Asid;
@@ -59,10 +58,10 @@ pub fn unpack_tlb_vpn(packed: u64) -> u64 {
 ///
 /// The hierarchy probes the 4 KiB L1/L2 TLB entries and (when huge
 /// pages are enabled) the 2 MiB entries for the same `(address, ASID)`;
-/// both packed keys are pure functions of the access, so the pipelined
-/// mode stages them on the producer thread and the inline mode computes
-/// them at the top of `MemoryHierarchy::access`. Either way the lookup
-/// code consumes the same two words.
+/// both packed keys are pure functions of the access, so the simulator
+/// computes them as it pulls the access (or a staged trace stores them)
+/// and `MemoryHierarchy::access` computes them itself otherwise. Either
+/// way the lookup code consumes the same two words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TranslationHint {
     /// Packed `(4 KiB page of the address, ASID)` key.

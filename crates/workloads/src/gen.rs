@@ -197,16 +197,6 @@ pub enum AnyGenerator {
 }
 
 impl AnyGenerator {
-    /// Whether this generator replays a recorded trace rather than
-    /// synthesizing one. Replay streams are read from memory with no
-    /// sampling work to overlap, so the pipelined execution mode falls
-    /// back to inline for workloads containing one (see
-    /// `csalt-sim::run_with_generators`).
-    #[must_use]
-    pub fn is_replay(&self) -> bool {
-        matches!(self, AnyGenerator::Trace(_))
-    }
-
     /// The trace being replayed, if this generator is a replay. Lets
     /// the engine restage packed keys for the run's ASIDs and pop
     /// prepacked records without repacking.

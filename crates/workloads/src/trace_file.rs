@@ -18,8 +18,8 @@
 //! **v2** — a 32-byte header (`magic`, `version = 2`, `record count:
 //! u64`, `asid: u16`, 14 reserved zero bytes) followed by fixed-width
 //! 32-byte records of four `u64` words: `vaddr`, `gap << 1 | is_write`,
-//! `packed_4k`, `packed_2m` — exactly the staged-access wire format the
-//! pipeline's SPSC rings carry. Replay pops records with **zero key
+//! `packed_4k`, `packed_2m` — an access plus its precomputed
+//! [`csalt_types::TranslationHint`]. Replay pops records with **zero key
 //! packing**: the TLB lookup keys were precomputed at record time for
 //! the header's ASID (they are a pure function of `(vaddr, asid)`), and
 //! [`TraceFile::restage`] recomputes them in one bulk pass if a run

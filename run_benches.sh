@@ -59,7 +59,7 @@ if [ "$rc" -ne 0 ]; then
     echo "FAILED: sweep (exit $rc)" | tee -a bench_output.txt
     status=1
 fi
-echo "=== throughput (inline + pipeline -> BENCH_throughput.json) ===" | tee -a bench_output.txt
+echo "=== throughput (-> BENCH_throughput.json) ===" | tee -a bench_output.txt
 cargo bench -p csalt-bench --bench throughput 2>&1 | tee -a bench_output.txt
 rc=${PIPESTATUS[0]}
 if [ "$rc" -ne 0 ]; then

@@ -25,7 +25,6 @@
 //! | [`ptw`] | radix page tables, PSC MMU caches, 1D + 2D (nested) walkers |
 //! | [`workloads`] | synthetic trace generators for the six benchmarks |
 //! | [`core`] | the assembled hierarchy with every translation scheme |
-//! | [`pipeline`] | lock-free SPSC rings, staged records, the shared thread budget |
 //! | [`sim`] | the multi-core simulator and per-figure experiments |
 //! | [`telemetry`] | recorders, per-epoch records, walk traces, latency histograms |
 //! | [`audit`] | CSALT-Axxx static rules and conservation-law auditing |
@@ -61,7 +60,6 @@ pub use csalt_audit as audit;
 pub use csalt_cache as cache;
 pub use csalt_core as core;
 pub use csalt_dram as dram;
-pub use csalt_pipeline as pipeline;
 pub use csalt_profiler as profiler;
 pub use csalt_ptw as ptw;
 pub use csalt_sim as sim;
