@@ -341,6 +341,7 @@ fn main() {
         println!("recorded to {}", path.display());
         csalt_bench::append_history(
             "sweep",
+            record.dirty,
             &[
                 ("cold_secs".to_owned(), record.cold_secs, "lower"),
                 ("cold_ckpt_secs".to_owned(), record.cold_ckpt_secs, "lower"),

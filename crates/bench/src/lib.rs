@@ -92,12 +92,14 @@ pub struct HistoryLine {
 pub type HistoryMetric = (String, f64, &'static str);
 
 /// Appends one line per metric to `BENCH_history.jsonl` at the repo
-/// root. Best-effort: history is observability, so failures warn on
-/// stderr instead of failing the bench that produced the numbers.
-pub fn append_history(bench: &str, metrics: &[HistoryMetric]) {
+/// root. `dirty` is the tree state the bench read before it measured:
+/// by now the bench has rewritten its own record file, so a fresh
+/// read would mark every line dirty. Best-effort: history is
+/// observability, so failures warn on stderr instead of failing the
+/// bench that produced the numbers.
+pub fn append_history(bench: &str, dirty: bool, metrics: &[HistoryMetric]) {
     let path = history_path();
     let git_rev = csalt_sim::sweep::git_rev();
-    let dirty = csalt_sim::sweep::git_dirty();
     let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let timestamp = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
