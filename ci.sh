@@ -24,8 +24,8 @@
 #      and reproduce byte-identical results, and cross-figure duplicate
 #      configs must be simulated exactly once
 #   6d. checkpoint gate: a smoke suite whose configs share warmup
-#      prefixes runs with checkpointed warmup + shared staged traces
-#      off and then on, both into fresh caches — the enabled pass must
+#      prefixes runs with checkpointed warmup off and then on, both
+#      into fresh caches — the enabled pass must
 #      be byte-identical to the disabled one and restore at least one
 #      warmup snapshot (the fork-from-snapshot path provably ran)
 #   6b. functional fast-forward smoke: a `--warmup-mode functional`

@@ -44,16 +44,12 @@ struct SweepRecord {
     configs_unique: usize,
     /// Per-core accesses (measured phase) of each config.
     accesses_per_core: u64,
-    /// Cold pass with checkpointing and the shared trace store
-    /// disabled: fresh cache directory, every unique config simulated
-    /// straight through (the pre-checkpoint baseline).
+    /// Cold pass with checkpointing disabled: fresh cache directory,
+    /// every unique config simulated straight through (the
+    /// pre-checkpoint baseline).
     cold_secs: f64,
-    /// Ablation cell: checkpointed warmup on, shared trace store off.
-    cold_ckpt_only_secs: f64,
-    /// Ablation cell: shared trace store on, checkpointed warmup off.
-    cold_store_only_secs: f64,
-    /// Cold pass with checkpointed warmup + shared staged traces
-    /// enabled: same suite, fresh directory, byte-identical results.
+    /// Cold pass with checkpointed warmup enabled: same suite, fresh
+    /// directory, byte-identical results.
     cold_ckpt_secs: f64,
     /// `cold_secs / cold_ckpt_secs` — the fork-from-snapshot speedup.
     ckpt_speedup: f64,
@@ -190,15 +186,11 @@ fn main() {
         .collect::<std::collections::HashSet<_>>()
         .len();
 
-    // Pass 1 — cold baseline: checkpointing and the shared trace store
-    // disabled, fresh cache directory. (Both layers resolve their
-    // directory from the environment, so the env is pointed at the
-    // pass's own directory throughout.)
+    // Pass 1 — cold baseline: checkpointing disabled, fresh cache
+    // directory.
     let dir = std::env::temp_dir().join(format!("csalt-bench-sweep-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::env::set_var("CSALT_CACHE_DIR", &dir);
     std::env::set_var("CSALT_CKPT", "off");
-    std::env::set_var("CSALT_TRACE_STORE", "off");
     let t = Instant::now();
     let cold_sweep = Sweep::new(SweepOptions::with_dir(dir.clone()));
     let cold_results = cold_sweep.run_batch(configs.clone());
@@ -215,35 +207,10 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Ablation cells — each layer alone, fresh directory each time,
-    // byte-identical to the baseline. These two timings plus the
-    // baseline and pass 2 fill the EXPERIMENTS.md cold-suite ablation
-    // table.
-    let ablation = |ckpt: &str, store: &str| {
-        std::env::set_var("CSALT_CKPT", ckpt);
-        std::env::set_var("CSALT_TRACE_STORE", store);
-        csalt_sim::trace_store::clear_resident();
-        let t = Instant::now();
-        let sweep = Sweep::new(SweepOptions::with_dir(dir.clone()));
-        let results = sweep.run_batch(configs.clone());
-        let secs = t.elapsed().as_secs_f64();
-        assert_eq!(
-            json(&cold_results),
-            json(&results),
-            "ablation pass (ckpt={ckpt}, store={store}) must be byte-identical to the baseline"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-        secs
-    };
-    let cold_ckpt_only_secs = ablation("on", "off");
-    let cold_store_only_secs = ablation("off", "on");
-
     // Pass 2 — checkpointed cold: same suite, fresh directory,
-    // checkpointed warmup + shared staged traces on. Must reproduce
-    // the baseline byte-for-byte and actually fork from snapshots.
+    // checkpointed warmup on. Must reproduce the baseline
+    // byte-for-byte and actually fork from snapshots.
     std::env::set_var("CSALT_CKPT", "on");
-    std::env::set_var("CSALT_TRACE_STORE", "on");
-    csalt_sim::trace_store::clear_resident();
     let t = Instant::now();
     let ckpt_sweep = Sweep::new(SweepOptions::with_dir(dir.clone()));
     let ckpt_results = ckpt_sweep.run_batch(configs.clone());
@@ -277,9 +244,7 @@ fn main() {
         "warm results must be byte-identical"
     );
     let _ = std::fs::remove_dir_all(&dir);
-    std::env::remove_var("CSALT_CACHE_DIR");
     std::env::remove_var("CSALT_CKPT");
-    std::env::remove_var("CSALT_TRACE_STORE");
 
     let record = SweepRecord {
         git_rev: git_rev(),
@@ -289,8 +254,6 @@ fn main() {
         configs_unique: unique,
         accesses_per_core: accesses,
         cold_secs,
-        cold_ckpt_only_secs,
-        cold_store_only_secs,
         cold_ckpt_secs,
         ckpt_speedup,
         warm_secs,
@@ -299,16 +262,13 @@ fn main() {
         warm,
     };
     println!(
-        "sweep [{}]: {} configs ({} unique, {} deduped) cold {:.2}s \
-         [ckpt-only {:.2}s, store-only {:.2}s] -> ckpt cold {:.2}s \
+        "sweep [{}]: {} configs ({} unique, {} deduped) cold {:.2}s -> ckpt cold {:.2}s \
          ({:.2}x, {} restored) -> warm {:.3}s ({} cache hits, 0 simulations){}",
         record.engine_fingerprint,
         record.configs_submitted,
         record.configs_unique,
         record.cold.deduped,
         record.cold_secs,
-        record.cold_ckpt_only_secs,
-        record.cold_store_only_secs,
         record.cold_ckpt_secs,
         record.ckpt_speedup,
         record.cold_ckpt.restored,

@@ -32,7 +32,7 @@
 //! round restores a warmup image another round saved.
 
 use csalt_sim::{experiments, run, SimConfig, WarmupMode};
-use csalt_types::{geomean, Asid, TranslationHint, TranslationScheme};
+use csalt_types::{Asid, TranslationHint, TranslationScheme};
 use csalt_workloads::{BenchKind, TraceFile, TraceGenerator, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -80,16 +80,9 @@ struct ThroughputRecord {
     fastforward_smoke_accesses_per_sec: f64,
     /// Smoke-length v2 staged replay rate — same role for trace replay.
     trace_replay_v2_smoke_accesses_per_sec: f64,
-    /// Geomean throughput across the fig07 schemes with the L0
-    /// hit-way memo enabled (the default engine configuration).
-    l0_on_geomean_accesses_per_sec: f64,
-    /// The same geomean with `CSALT_L0=off` — the scan-skip ablation
-    /// baseline. The on/off ratio is the memo's measured payoff.
-    l0_off_geomean_accesses_per_sec: f64,
 }
 
-/// One scheme's recorded measurement at both run lengths, plus the L0
-/// memo ablation.
+/// One scheme's recorded measurement at both run lengths.
 #[derive(Debug, Serialize, Deserialize)]
 struct SchemeThroughput {
     /// `TranslationScheme::label()`.
@@ -99,9 +92,6 @@ struct SchemeThroughput {
     /// Same metric at the smoke-length run — the floor `CSALT_SMOKE=1`
     /// compares against (short runs are systematically slower).
     smoke_accesses_per_sec: f64,
-    /// Full-length accesses/sec with `CSALT_L0=off` — the memo
-    /// ablation row (`accesses_per_sec` is the memo-on rate).
-    l0_off_accesses_per_sec: f64,
 }
 
 fn repo_root() -> PathBuf {
@@ -353,10 +343,6 @@ fn main() {
     // Time cold runs only: with checkpointing on, a round after the
     // first would restore the warmup image the first one saved.
     std::env::set_var("CSALT_CKPT", "off");
-    // Pin the memo on for every standard measurement so a stray
-    // `CSALT_L0=off` in the shell cannot skew the rates; the ablation
-    // column flips it off explicitly per scheme.
-    std::env::set_var("CSALT_L0", "on");
 
     let path = repo_root().join("BENCH_throughput.json");
     if std::env::var("CSALT_SMOKE").is_ok() {
@@ -382,31 +368,13 @@ fn main() {
         let cfg = config(scheme, accesses, warmup);
         let label = scheme.label();
         let aps = measure(&cfg, rounds);
-        std::env::set_var("CSALT_L0", "off");
-        let l0_off_aps = measure(&cfg, rounds);
-        std::env::set_var("CSALT_L0", "on");
-        println!("{label:>14}: {aps:>12.0} acc/s, l0 off {l0_off_aps:>12.0} acc/s");
+        println!("{label:>14}: {aps:>12.0} acc/s");
         schemes.push(SchemeThroughput {
             scheme: label.clone(),
             accesses_per_sec: aps,
             smoke_accesses_per_sec: rate_for(&smoke_rates, &label),
-            l0_off_accesses_per_sec: l0_off_aps,
         });
     }
-
-    // The L0 memo ablation: memo-on vs memo-off geomean across the
-    // fig07 schemes.
-    let l0_on_geo = geomean(schemes.iter().map(|s| s.accesses_per_sec)).unwrap_or(0.0);
-    let l0_off_geo = geomean(schemes.iter().map(|s| s.l0_off_accesses_per_sec)).unwrap_or(0.0);
-    let l0_speedup = if l0_off_geo > 0.0 {
-        l0_on_geo / l0_off_geo
-    } else {
-        0.0
-    };
-    println!(
-        "        l0 memo: {l0_on_geo:>12.0} acc/s geomean vs off {l0_off_geo:>12.0} acc/s \
-         ({l0_speedup:.2}x)",
-    );
 
     let (ff_functional, ff_timed) = measure_fastforward();
     let ff_speedup = ff_functional / ff_timed;
@@ -455,8 +423,6 @@ fn main() {
         trace_replay_v1_accesses_per_sec: replay_v1,
         fastforward_smoke_accesses_per_sec: ff_smoke,
         trace_replay_v2_smoke_accesses_per_sec: replay_v2_smoke,
-        l0_on_geomean_accesses_per_sec: l0_on_geo,
-        l0_off_geomean_accesses_per_sec: l0_off_geo,
     };
     let json = serde_json::to_string_pretty(&record).expect("record serializes");
     std::fs::write(&path, json + "\n").expect("write BENCH_throughput.json");
@@ -482,16 +448,5 @@ fn main() {
         record.trace_replay_v2_accesses_per_sec,
         "higher",
     ));
-    history.push((
-        "l0_on/geomean_accesses_per_sec".to_owned(),
-        record.l0_on_geomean_accesses_per_sec,
-        "higher",
-    ));
-    history.push((
-        "l0_off/geomean_accesses_per_sec".to_owned(),
-        record.l0_off_geomean_accesses_per_sec,
-        "higher",
-    ));
-    history.push(("l0_speedup/geomean".to_owned(), l0_speedup, "higher"));
     csalt_bench::append_history("throughput", dirty, &history);
 }

@@ -15,8 +15,7 @@
 
 use crate::replacement::{way_range_mask, SetReplacement, WayMask};
 use csalt_types::{
-    CkptError, CkptReader, CkptWriter, EntryKind, HitMissStats, L0Memo, L0Stats, LineAddr,
-    ReplacementKind,
+    CkptError, CkptReader, CkptWriter, EntryKind, HitMissStats, LineAddr, ReplacementKind,
 };
 use serde::{Deserialize, Serialize};
 
@@ -158,11 +157,6 @@ pub struct Cache {
     /// `Some(n)` ⇒ ways `0..n` belong to data, `n..K` to TLB entries.
     data_ways: Option<u32>,
     stats: CacheStats,
-    /// Last-hit `(line number → set, way)` memo; repeat hits skip the
-    /// way scan and replay the hit arm's mutations (dirty bit, recency
-    /// touch, per-kind hit count) with the *current* access's kind and
-    /// write flag, exactly as the scan would.
-    l0: L0Memo<()>,
 }
 
 impl Cache {
@@ -188,7 +182,6 @@ impl Cache {
                 .collect(),
             data_ways: None,
             stats: CacheStats::default(),
-            l0: L0Memo::new(),
         }
     }
 
@@ -240,23 +233,6 @@ impl Cache {
     /// Resets statistics; contents are preserved.
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-        self.l0.reset_stats();
-    }
-
-    /// Enables or disables the L0 hit-way memo (results are identical
-    /// either way; only the way scan is skipped on repeats).
-    pub fn set_l0_enabled(&mut self, enabled: bool) {
-        self.l0.set_enabled(enabled);
-    }
-
-    /// L0 memo hit/invalidation counters.
-    pub fn l0_stats(&self) -> L0Stats {
-        self.l0.stats()
-    }
-
-    /// Drops the L0 memo entry (context switch hook).
-    pub fn l0_invalidate(&mut self) {
-        self.l0.invalidate();
     }
 
     /// Sets the way partition: `data_ways` ways for data lines, the rest
@@ -273,14 +249,11 @@ impl Cache {
             "partition must leave at least one way per kind"
         );
         self.data_ways = Some(data_ways);
-        // Epoch repartition: way splits move, drop the memo.
-        self.l0.invalidate();
     }
 
     /// Removes the partition (unmanaged replacement over all ways).
     pub fn clear_partition(&mut self) {
         self.data_ways = None;
-        self.l0.invalidate();
     }
 
     #[inline]
@@ -342,19 +315,6 @@ impl Cache {
         write: bool,
         insert: InsertPos,
     ) -> AccessOutcome {
-        // L0 fast path: a repeat of the last hit line skips the way scan
-        // and replays exactly the scan's hit arm below (dirty bit,
-        // recency touch, per-kind hit count).
-        if let Some((set, way, ())) = self.l0.hit(line.line_number()) {
-            let slot = self.slot(set, way);
-            self.dirty[slot] |= write;
-            self.repl[set as usize].touch(way);
-            self.kind_stats_mut(kind).record_hit();
-            return AccessOutcome {
-                hit: true,
-                evicted: None,
-            };
-        }
         let set = self.set_index(line);
         let tag = self.tag(line);
         let base = self.slot(set, 0);
@@ -368,7 +328,6 @@ impl Cache {
             self.dirty[base + way] |= write;
             self.repl[set as usize].touch(way as u32);
             self.kind_stats_mut(kind).record_hit();
-            self.l0.remember(line.line_number(), set, way as u32, ());
             return AccessOutcome {
                 hit: true,
                 evicted: None,
@@ -405,9 +364,6 @@ impl Cache {
             }
         };
 
-        // The fill (and any eviction) rewrote a way of this set; a memo
-        // pointing into it would be stale.
-        self.l0.invalidate_set(set);
         let slot = self.slot(set, way);
         self.tags[slot] = tag;
         self.kinds[slot] = kind;
@@ -433,7 +389,6 @@ impl Cache {
             let slot = self.slot(set, way);
             if self.tags[slot] == tag {
                 self.tags[slot] = INVALID_TAG;
-                self.l0.invalidate_set(set);
                 return Some(Evicted {
                     line: self.line_addr(set, tag),
                     kind: self.kinds[slot],
@@ -483,8 +438,7 @@ impl Cache {
 
     /// Serializes the full result-affecting cache state: geometry guard
     /// words, tag/kind/dirty arrays, partition, per-kind statistics and
-    /// per-set replacement state. The L0 memo is *not* serialized (it
-    /// is a behaviour-invisible accelerator; restore invalidates it).
+    /// per-set replacement state.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u64(self.sets);
         w.u32(self.ways);
@@ -523,8 +477,7 @@ impl Cache {
     }
 
     /// Restores state written by [`Cache::ckpt_save`] into this
-    /// (config-constructed) cache. Geometry must match; the L0 memo is
-    /// invalidated so the first post-restore access rescans.
+    /// (config-constructed) cache. Geometry must match.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         if r.u64()? != self.sets || r.u32()? != self.ways {
             return Err(CkptError::Mismatch("cache geometry"));
@@ -576,7 +529,6 @@ impl Cache {
         for set in &mut self.repl {
             set.ckpt_load(r)?;
         }
-        self.l0.invalidate();
         Ok(())
     }
 }
@@ -736,48 +688,6 @@ mod tests {
     fn full_partition_rejected() {
         let mut c = small_cache();
         c.set_partition(4);
-    }
-
-    #[test]
-    fn l0_memo_is_behaviour_invisible() {
-        // Same access schedule with the memo on and off: identical
-        // outcomes (hits, evicted lines), stats and final contents, even
-        // across a repartition and a mid-stream invalidate.
-        let mut on = small_cache();
-        let mut off = small_cache();
-        off.set_l0_enabled(false);
-        let schedule: &[(u64, EntryKind, bool)] = &[
-            (0, EntryKind::Data, false),
-            (0, EntryKind::Data, true), // memoized repeat, sets dirty
-            (0, EntryKind::Tlb, false), // repeat under a different kind
-            (4, EntryKind::Data, false),
-            (0, EntryKind::Data, false),
-            (8, EntryKind::Tlb, false),
-            (12, EntryKind::Tlb, false),
-            (16, EntryKind::Data, false), // set 0 full → eviction
-            (0, EntryKind::Data, false),
-        ];
-        for &(n, kind, write) in schedule {
-            assert_eq!(
-                on.access(line(n), kind, write),
-                off.access(line(n), kind, write)
-            );
-        }
-        on.set_partition(2);
-        off.set_partition(2);
-        for &(n, kind, write) in schedule {
-            assert_eq!(
-                on.access(line(n), kind, write),
-                off.access(line(n), kind, write)
-            );
-        }
-        assert_eq!(on.invalidate(line(0)), off.invalidate(line(0)));
-        assert!(!on.access(line(0), EntryKind::Data, false).hit);
-        assert!(!off.access(line(0), EntryKind::Data, false).hit);
-        assert_eq!(on.stats(), off.stats());
-        assert_eq!(on.occupancy(), off.occupancy());
-        assert!(on.l0_stats().hits > 0, "repeats should hit the memo");
-        assert_eq!(off.l0_stats().hits, 0);
     }
 
     #[test]

@@ -23,8 +23,8 @@ use csalt_telemetry::{ServedBy, StageSample, WalkStage};
 use csalt_tlb::{PomTlb, SramTlb, Tsb};
 use csalt_types::{
     Asid, CkptError, CkptReader, CkptWriter, ContextId, CoreId, Cycle, EntryKind, HitMissStats,
-    L0Stats, LineAddr, MemAccess, PhysAddr, PhysFrame, SystemConfig, TranslationHint,
-    TranslationScheme, VirtAddr,
+    LineAddr, MemAccess, PhysAddr, PhysFrame, SystemConfig, TranslationHint, TranslationScheme,
+    VirtAddr,
 };
 use serde::{Deserialize, Serialize};
 
@@ -511,82 +511,16 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Enables or disables every component's L0 hit-way memo. Results
-    /// are bit-identical either way — the memo only skips set scans on
-    /// repeat hits — so this is a pure performance switch.
-    pub fn set_l0_memo(&mut self, enabled: bool) {
-        for c in &mut self.l1d {
-            c.set_l0_enabled(enabled);
-        }
-        for c in &mut self.l2 {
-            c.set_l0_enabled(enabled);
-        }
-        self.l3.set_l0_enabled(enabled);
-        for t in self
-            .l1_tlb_4k
-            .iter_mut()
-            .chain(self.l1_tlb_2m.iter_mut())
-            .chain(self.l2_tlb.iter_mut())
-        {
-            t.set_l0_enabled(enabled);
-        }
-        if let Some(p) = &mut self.pom {
-            p.set_l0_enabled(enabled);
-        }
-        if let Some(t) = &mut self.tsb {
-            t.set_l0_enabled(enabled);
-        }
+    /// Does nothing; exists only for `perfbench/` and goes with the benchmark's next change.
+    pub fn set_l0_memo(&mut self, _enabled: bool) {}
+
+    /// Zero hits; exists only for `perfbench/` and goes with the benchmark's next change.
+    pub fn l0_stats(&self) -> HitMissStats {
+        HitMissStats::new()
     }
 
-    /// Summed L0 memo counters over every component (telemetry /
-    /// progress reporting; reset together with the other statistics by
-    /// [`MemoryHierarchy::reset_stats`]).
-    pub fn l0_stats(&self) -> L0Stats {
-        let mut s = L0Stats::default();
-        for c in &self.l1d {
-            s = s.merged(c.l0_stats());
-        }
-        for c in &self.l2 {
-            s = s.merged(c.l0_stats());
-        }
-        s = s.merged(self.l3.l0_stats());
-        for t in self
-            .l1_tlb_4k
-            .iter()
-            .chain(self.l1_tlb_2m.iter())
-            .chain(self.l2_tlb.iter())
-        {
-            s = s.merged(t.l0_stats());
-        }
-        if let Some(p) = &self.pom {
-            s = s.merged(p.l0_stats());
-        }
-        if let Some(t) = &self.tsb {
-            s = s.merged(t.l0_stats());
-        }
-        s
-    }
-
-    /// Context-switch hook: drops the switching core's private memos and
-    /// the shared components' memos. CSALT's premise is that switches
-    /// destroy translation locality, and the memo keys the paper's ASID
-    /// recycling could alias are exactly the ones dropped here — the
-    /// keys themselves are ASID-tagged, so this is hygiene, not a
-    /// correctness requirement for live ASIDs.
-    pub fn l0_note_context_switch(&mut self, core: usize) {
-        self.l1d[core].l0_invalidate();
-        self.l2[core].l0_invalidate();
-        self.l3.l0_invalidate();
-        self.l1_tlb_4k[core].l0_invalidate();
-        self.l1_tlb_2m[core].l0_invalidate();
-        self.l2_tlb[core].l0_invalidate();
-        if let Some(p) = &mut self.pom {
-            p.l0_invalidate();
-        }
-        if let Some(t) = &mut self.tsb {
-            t.l0_invalidate();
-        }
-    }
+    /// Does nothing; exists only for `perfbench/` and goes with the benchmark's next change.
+    pub fn l0_note_context_switch(&mut self, _core: usize) {}
 
     /// The single implementation behind the timed and functional access
     /// paths, monomorphized on `TIMED` so the functional instantiation
@@ -1301,9 +1235,8 @@ impl MemoryHierarchy {
     /// cache/TLB contents and replacement state, POM-TLB/TSB tables,
     /// page tables and frame allocators, PSC prefixes, DRAM open rows,
     /// partitioner and criticality state, and the aggregate counters.
-    /// Transients (the walk scratch buffer, the per-access trace sink,
-    /// L0 memos) carry no observable state and are skipped; L0 memos
-    /// are dropped on restore.
+    /// Transients (the walk scratch buffer, the per-access trace sink)
+    /// carry no observable state and are skipped.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.len64(self.l1d.len());
         w.bool(self.virtualized);

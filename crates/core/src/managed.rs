@@ -121,21 +121,6 @@ impl ManagedCache {
         self.cache.reset_stats();
     }
 
-    /// Enables or disables the underlying cache's L0 hit-way memo.
-    pub fn set_l0_enabled(&mut self, enabled: bool) {
-        self.cache.set_l0_enabled(enabled);
-    }
-
-    /// The underlying cache's L0 memo counters.
-    pub fn l0_stats(&self) -> csalt_types::L0Stats {
-        self.cache.l0_stats()
-    }
-
-    /// Drops the underlying cache's L0 memo entry (context switch hook).
-    pub fn l0_invalidate(&mut self) {
-        self.cache.l0_invalidate();
-    }
-
     /// Total accesses served.
     pub fn accesses(&self) -> u64 {
         self.accesses

@@ -618,10 +618,9 @@ fn cache_gate() {
 
 /// `csalt-experiments ckpt-gate`: proof of the fork-from-snapshot
 /// contract. Runs a suite whose configs share warmup prefixes twice
-/// into fresh cache directories — once with checkpointing and the
-/// shared trace store disabled, once with both enabled — and fails
-/// (exit 1) unless the enabled pass produced byte-identical results
-/// AND restored at least one checkpoint.
+/// into fresh cache directories — once with checkpointing disabled,
+/// once enabled — and fails (exit 1) unless the enabled pass produced
+/// byte-identical results AND restored at least one checkpoint.
 fn ckpt_gate() {
     // Base suite plus, per unique config, a variant that differs only
     // in measured-phase length — same warmup prefix, different config
@@ -652,12 +651,7 @@ fn ckpt_gate() {
         let dir =
             std::env::temp_dir().join(format!("csalt-ckpt-gate-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // The checkpoint and trace-store layers resolve their
-        // directory from the environment, independently of the
-        // sweep's; point everything at this pass's fresh dir.
-        std::env::set_var("CSALT_CACHE_DIR", &dir);
         std::env::set_var("CSALT_CKPT", ckpt);
-        std::env::set_var("CSALT_TRACE_STORE", ckpt);
         let t = std::time::Instant::now();
         let sweep = Sweep::new(SweepOptions::with_dir(dir.clone()));
         let results = sweep.run_batch(configs.clone());
@@ -675,7 +669,6 @@ fn ckpt_gate() {
     let (on_json, on_secs, on_stats) = pass("on", "on");
     let after = csalt_sim::checkpoint::stats();
     std::env::remove_var("CSALT_CKPT");
-    std::env::remove_var("CSALT_TRACE_STORE");
 
     if on_json != off_json {
         fail("checkpointed results are not byte-identical to the disabled run");
@@ -704,8 +697,7 @@ fn cache_artifacts(dir: &std::path::Path) -> Vec<(PathBuf, u64, std::time::Syste
     let mut files = Vec::new();
     for entry in entries.flatten() {
         let name = entry.file_name().to_string_lossy().into_owned();
-        let eligible =
-            name.starts_with("results-") || name.starts_with("ckpt-") || name.starts_with("trace-");
+        let eligible = name.starts_with("results-") || name.starts_with("ckpt-");
         if !eligible {
             continue;
         }
@@ -791,19 +783,17 @@ fn cache_stats() {
     };
     let (res_n, res_b) = class("results-");
     let (ckpt_n, ckpt_b) = class("ckpt-");
-    let (trace_n, trace_b) = class("trace-");
     let costs = std::fs::metadata(dir.join("costs.jsonl"))
         .map(|m| m.len())
         .unwrap_or(0);
     println!("cache dir: {}", dir.display());
     println!("  results:     {res_n:>5} files  {res_b:>12} bytes");
     println!("  checkpoints: {ckpt_n:>5} files  {ckpt_b:>12} bytes");
-    println!("  traces:      {trace_n:>5} files  {trace_b:>12} bytes");
     println!("  cost model:  {:>5} file   {costs:>12} bytes", 1);
     println!(
         "  total:       {:>5} files  {:>12} bytes (gc-eligible)",
-        res_n + ckpt_n + trace_n,
-        res_b + ckpt_b + trace_b
+        res_n + ckpt_n,
+        res_b + ckpt_b
     );
     println!("current fingerprint: {}", sweep::engine_fingerprint());
 }

@@ -8,9 +8,10 @@
 //! one to run can serialize the whole simulator ([`HierarchyCheckpoint`])
 //! and every sibling can restore it and run only its measured phase.
 //!
-//! Images live under the sweep cache directory
+//! Images live in the run's cache directory — a sweep's own
+//! `SweepOptions::cache_dir` for its jobs, else the process default
 //! (`target/csalt-cache/`, `CSALT_CACHE_DIR`, disabled by
-//! `CSALT_NO_CACHE`), named `ckpt-<engine-fingerprint>-<warmup-key>.bin`
+//! `CSALT_NO_CACHE`) — named `ckpt-<engine-fingerprint>-<warmup-key>.bin`
 //! and framed by the [`csalt_types::ckpt`] envelope: magic, version,
 //! fingerprint, length-validated payload, trailing checksum. A torn,
 //! stale or corrupt image is *never* an error — the run falls back to a
@@ -26,13 +27,12 @@
 //! patterns) and never reads a clock; `srclint` pins both properties.
 
 use crate::simulator::SimConfig;
-use crate::sweep::{canonical_json, engine_fingerprint, SweepOptions};
+use crate::sweep::{canonical_json, engine_fingerprint};
 use csalt_core::MemoryHierarchy;
 use csalt_types::ckpt::fnv1a_bytes;
 use csalt_types::{CkptError, CkptReader, CkptWriter};
 use serde::Serialize;
-use std::cell::Cell;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Whether checkpointed warmup runs (the `CSALT_CKPT` env var). The
@@ -103,43 +103,20 @@ pub fn stats() -> CkptStats {
     }
 }
 
-thread_local! {
-    static LAST_RUN_RESTORED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the most recent `run` on *this thread* restored its warmup
-/// from a checkpoint. The sweep's workers read this right after each
-/// job to keep restored-job wall-clock out of the cold-cost model.
-#[must_use]
-pub fn last_run_restored() -> bool {
-    LAST_RUN_RESTORED.with(Cell::get)
-}
-
-pub(crate) fn set_last_run_restored(restored: bool) {
-    LAST_RUN_RESTORED.with(|c| c.set(restored));
-}
-
 // ---------------------------------------------------------------------
 // The warmup-prefix key.
 // ---------------------------------------------------------------------
 
-/// The [`SimConfig`] fields (by serde name) that determine post-warmup
-/// state. Everything else — `accesses_per_core`, `sample_windows`,
-/// `window_accesses`, `occupancy_scan_interval` — only shapes the
+/// The [`SimConfig`] fields (by serde name) that only shape the
 /// measured phase, which runs *after* the checkpoint capture point.
-const WARMUP_FIELDS: [&str; 12] = [
-    "huge_fraction",
-    "profiler_interval",
-    "scale",
-    "scheme",
-    "seed",
-    "switch_overhead_cycles",
-    "system",
-    "trace_partitions",
-    "virtualized",
-    "warmup_accesses_per_core",
-    "warmup_mode",
-    "workload",
+/// Every other field — including any added later — is part of the
+/// warmup key, so a field missing here can only split checkpoint
+/// groups, never let a sibling restore the wrong image.
+const MEASURED_ONLY_FIELDS: [&str; 4] = [
+    "accesses_per_core",
+    "occupancy_scan_interval",
+    "sample_windows",
+    "window_accesses",
 ];
 
 /// Canonical JSON of the warmup-determining subset of `cfg` (sorted
@@ -147,10 +124,10 @@ const WARMUP_FIELDS: [&str; 12] = [
 /// result cache).
 fn warmup_prefix_json(cfg: &SimConfig) -> String {
     use serde_json::Value;
-    let mut keep: Vec<(String, Value)> = Vec::with_capacity(WARMUP_FIELDS.len());
+    let mut keep: Vec<(String, Value)> = Vec::new();
     if let Value::Map(entries) = cfg.to_content() {
         for (k, v) in entries {
-            if WARMUP_FIELDS.contains(&k.as_str()) {
+            if !MEASURED_ONLY_FIELDS.contains(&k.as_str()) {
                 keep.push((k, v));
             }
         }
@@ -274,11 +251,11 @@ pub(crate) struct CkptPlan {
 /// Decides whether (and where) this run checkpoints: requires
 /// `CSALT_CKPT` on, a cache directory, and a nonzero warmup (a
 /// zero-warmup checkpoint would save nothing).
-pub(crate) fn plan(cfg: &SimConfig) -> Option<CkptPlan> {
+pub(crate) fn plan(cfg: &SimConfig, cache_dir: Option<&Path>) -> Option<CkptPlan> {
     if !CkptRequest::from_env().enabled() || cfg.warmup_accesses_per_core == 0 {
         return None;
     }
-    let dir = SweepOptions::from_env().cache_dir?;
+    let dir = cache_dir?;
     let fingerprint = engine_fingerprint();
     let path = dir.join(format!("ckpt-{}-{}.bin", fingerprint, warmup_key(cfg)));
     Some(CkptPlan { path, fingerprint })
@@ -355,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_matches_l0_conventions() {
+    fn parse_accepts_every_off_spelling() {
         assert_eq!(CkptRequest::parse(None), CkptRequest::On);
         assert_eq!(CkptRequest::parse(Some("off")), CkptRequest::Off);
         assert_eq!(CkptRequest::parse(Some("0")), CkptRequest::Off);
@@ -392,15 +369,77 @@ mod tests {
         assert_ne!(warmup_key(&base), warmup_key(&native));
     }
 
+    /// A value of the same serde shape that differs from `v`: numbers
+    /// step, booleans flip, strings change (to another enum variant
+    /// name when `v` is one), and maps or sequences change one entry.
+    /// Returns every candidate; the caller keeps the first that still
+    /// deserializes.
+    fn perturbations(v: &serde_json::Value) -> Vec<serde_json::Value> {
+        use serde_json::Value;
+        match v {
+            Value::Null => vec![Value::Bool(true)],
+            Value::Bool(b) => vec![Value::Bool(!b)],
+            Value::U64(n) => vec![Value::U64(n + 1)],
+            Value::I64(n) => vec![Value::I64(n - 1)],
+            Value::F64(x) => vec![Value::F64(x + 0.25)],
+            Value::Str(s) => ["Conventional", "Functional", "Timed"]
+                .iter()
+                .map(|w| (*w).to_owned())
+                .chain([format!("{s}x")])
+                .filter(|w| w != s)
+                .map(Value::Str)
+                .collect(),
+            Value::Seq(items) => (0..items.len())
+                .flat_map(|i| {
+                    perturbations(&items[i]).into_iter().map(move |p| {
+                        let mut items = items.clone();
+                        items[i] = p;
+                        Value::Seq(items)
+                    })
+                })
+                .collect(),
+            Value::Map(entries) => (0..entries.len())
+                .flat_map(|i| {
+                    perturbations(&entries[i].1).into_iter().map(move |p| {
+                        let mut entries = entries.clone();
+                        entries[i].1 = p;
+                        Value::Map(entries)
+                    })
+                })
+                .collect(),
+        }
+    }
+
     #[test]
-    fn warmup_prefix_json_keeps_every_listed_field() {
-        let text = warmup_prefix_json(&cfg());
-        for field in WARMUP_FIELDS {
+    fn warmup_key_covers_every_field_off_the_measured_only_list() {
+        use serde::Deserialize;
+        use serde_json::Value;
+        let base = cfg();
+        let Value::Map(entries) = base.to_content() else {
+            panic!("SimConfig serializes as an object");
+        };
+        for name in MEASURED_ONLY_FIELDS {
             assert!(
-                text.contains(&format!("\"{field}\"")),
-                "warmup prefix JSON lost field {field}"
+                entries.iter().any(|(k, _)| k == name),
+                "measured-only field {name} is not a SimConfig field"
             );
         }
-        assert!(!text.contains("accesses_per_core\":4000"));
+        for (i, (name, value)) in entries.iter().enumerate() {
+            let changed = perturbations(value)
+                .into_iter()
+                .find_map(|p| {
+                    let mut e = entries.clone();
+                    e[i].1 = p;
+                    SimConfig::from_content(&Value::Map(e)).ok()
+                })
+                .unwrap_or_else(|| panic!("no valid change of field {name}"));
+            assert_ne!(changed, base, "field {name}");
+            let measured_only = MEASURED_ONLY_FIELDS.contains(&name.as_str());
+            assert_eq!(
+                warmup_key(&changed) == warmup_key(&base),
+                measured_only,
+                "field {name}: the warmup key must change unless it is measured-only"
+            );
+        }
     }
 }

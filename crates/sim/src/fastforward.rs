@@ -78,9 +78,6 @@ pub(crate) fn functional_phase<S: AccessSource>(
                 if vms > 1 && instr[core] >= sched.instr_per_switch {
                     instr[core] = 0;
                     cores_state[core].current_vm = (cores_state[core].current_vm + 1) % vms;
-                    // Drop the core's memoized hit-ways on the switch,
-                    // as the timed phase does. Stats-only.
-                    hier.l0_note_context_switch(core);
                 }
                 let vm = cores_state[core].current_vm as usize;
                 let staged = source.next(core, vm);

@@ -37,11 +37,9 @@ pub mod trace_store;
 
 pub use checkpoint::{CkptRequest, CkptStats};
 pub use simulator::{
-    build_threads, run, run_with_generators, L0Request, OccupancySample, SimConfig, SimResult,
-    WarmupMode,
+    build_threads, run, run_with_generators, OccupancySample, SimConfig, SimResult, WarmupMode,
 };
 pub use sweep::{Sweep, SweepOptions, SweepStats};
-pub use trace_store::{TraceStoreRequest, TraceStoreStats};
 
 #[cfg(feature = "telemetry")]
 pub use simulator::{run_instrumented, Instrumentation};

@@ -21,6 +21,7 @@
 //! misses overlap through MSHRs; translations do not).
 
 use crate::fastforward::{functional_phase, FunctionalSchedule};
+use crate::sweep::SweepOptions;
 use csalt_core::{
     AccessCharge, BlockAccess, HierarchySnapshot, MemoryHierarchy, PartitionSample, StageSample,
 };
@@ -31,6 +32,7 @@ use csalt_types::{
 };
 use csalt_workloads::{AnyGenerator, TraceGenerator, WorkloadSpec};
 use serde::{Deserialize, Serialize};
+use std::path::{Path, PathBuf};
 
 #[cfg(feature = "telemetry")]
 use csalt_telemetry::{
@@ -384,42 +386,6 @@ impl AccessSource for StagedReplaySource {
     }
 }
 
-/// Whether the L0 hit-way memos run (the `CSALT_L0` env var). The memo
-/// is a pure scan-skip — both settings are bit-identical on every
-/// simulated counter — so it defaults on; the switch exists for the
-/// determinism gates and the bench's ablation row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum L0Request {
-    /// Disable the memos: every lookup scans its set.
-    Off,
-    /// Run with the memos in front of the set scans (the default).
-    On,
-}
-
-impl L0Request {
-    /// Parses a `CSALT_L0` value. `0`/`off`/`false` (any case) disable;
-    /// everything else — including unset — enables.
-    #[must_use]
-    pub fn parse(value: Option<&str>) -> Self {
-        match value.map(str::to_ascii_lowercase).as_deref() {
-            Some("0" | "off" | "false") => L0Request::Off,
-            _ => L0Request::On,
-        }
-    }
-
-    /// The request selected by the `CSALT_L0` environment variable.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var("CSALT_L0").ok().as_deref())
-    }
-
-    /// Whether the memos should be enabled.
-    #[must_use]
-    pub fn enabled(self) -> bool {
-        self == L0Request::On
-    }
-}
-
 /// Builds the per-(VM, core) generator matrix (`[vm][core]`) a run of
 /// `cfg` executes: one hierarchy context per VM, one seeded generator
 /// per (VM, core) — the VM's per-core thread. Public so callers can
@@ -453,13 +419,16 @@ fn vm_asids(vms: u32) -> Vec<Asid> {
     (0..vms).map(|vm| Asid::new(vm as u16 + 1)).collect()
 }
 
-/// Shared dispatch behind every public entry point: builds the
-/// [`AccessSource`] for the generator matrix and runs the engine.
+/// Shared dispatch behind every entry point: builds the
+/// [`AccessSource`] for the generator matrix and runs the engine, with
+/// warmup checkpoints under `cache_dir` (`None`: no checkpoints).
+/// Returns the result and whether the warmup was restored.
 fn execute<H: PhaseHooks>(
     cfg: &SimConfig,
     mut threads: Vec<Vec<AnyGenerator>>,
     hooks: &mut H,
-) -> SimResult {
+    cache_dir: Option<&Path>,
+) -> (SimResult, bool) {
     // Staged traces recorded under a different ASID get their packed
     // keys recomputed once, up front, so replay stays zero-repack per
     // access no matter which ASID the trace was recorded for.
@@ -492,9 +461,14 @@ fn execute<H: PhaseHooks>(
                     .collect()
             })
             .collect();
-        simulate(cfg, hooks, &mut StagedReplaySource { threads: traces })
+        simulate(
+            cfg,
+            hooks,
+            &mut StagedReplaySource { threads: traces },
+            cache_dir,
+        )
     } else {
-        simulate(cfg, hooks, &mut InlineSource { threads, asids })
+        simulate(cfg, hooks, &mut InlineSource { threads, asids }, cache_dir)
     }
 }
 
@@ -513,13 +487,27 @@ fn enforce_audit(context: &str, diags: &[csalt_audit::Diagnostic]) {
     }
 }
 
+/// The checkpoint directory of the public entry points: the process
+/// default of [`SweepOptions::from_env`].
+fn default_cache_dir() -> Option<PathBuf> {
+    SweepOptions::from_env().cache_dir
+}
+
 /// Runs one configuration to completion.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid (zero cores, bad geometry…).
 pub fn run(cfg: &SimConfig) -> SimResult {
-    execute(cfg, build_threads(cfg), &mut NoHooks)
+    run_in(cfg, default_cache_dir().as_deref()).0
+}
+
+/// [`run`] with warmup checkpoints under `cache_dir` (`None`: no
+/// checkpoints), also reporting whether the warmup was restored. The
+/// sweep's workers run every job through here, so a sweep keeps its
+/// checkpoints in its own cache directory.
+pub(crate) fn run_in(cfg: &SimConfig, cache_dir: Option<&Path>) -> (SimResult, bool) {
+    execute(cfg, build_threads(cfg), &mut NoHooks, cache_dir)
 }
 
 /// Runs one configuration over caller-supplied generators instead of
@@ -543,7 +531,7 @@ pub fn run_with_generators(cfg: &SimConfig, threads: Vec<Vec<AnyGenerator>>) -> 
             .all(|row| row.len() == cfg.system.cores as usize),
         "one generator per core in every VM row"
     );
-    execute(cfg, threads, &mut NoHooks)
+    execute(cfg, threads, &mut NoHooks, default_cache_dir().as_deref()).0
 }
 
 /// One timed scheduling phase: run every core up to `total_per_core`
@@ -621,10 +609,6 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
                 if let Some(h) = hooks.as_deref_mut() {
                     h.on_context_switch(core, from_vm, state.current_vm, state.cycles);
                 }
-                // The memoized hit-ways belong to the outgoing VM's
-                // working set; drop them. Stats-only — the memo never
-                // holds simulated state.
-                hier.l0_note_context_switch(core);
             }
 
             let vm = state.current_vm as usize;
@@ -783,7 +767,8 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
     cfg: &SimConfig,
     hooks: &mut H,
     source: &mut S,
-) -> SimResult {
+    cache_dir: Option<&Path>,
+) -> (SimResult, bool) {
     let system = &cfg.system;
     system.validate().expect("system config must be valid");
     let cores = system.cores as usize;
@@ -800,11 +785,6 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
         huge,
         cfg.profiler_interval,
     );
-    // The L0 hit-way memos are on by default; `CSALT_L0=off` scans
-    // every set instead. Both settings are bit-identical (the memo
-    // replays the exact state mutations of the scan it skips), which
-    // the determinism gates pin.
-    hier.set_l0_memo(L0Request::from_env().enabled());
     if cfg.trace_partitions {
         hier.enable_partition_trace();
     }
@@ -846,16 +826,16 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
     // carries over in both modes, so the measured phase resumes from
     // the schedule position warmup ended on.
     //
-    // With checkpointing on (`CSALT_CKPT`, default on), the
-    // post-warmup state is content-addressed by the config's
-    // warmup-prefix key: the first run of a prefix simulates warmup
+    // With checkpointing on (`CSALT_CKPT`, default on) and a cache
+    // directory to keep images in, the post-warmup state is
+    // content-addressed by the config's warmup-prefix key: the first
+    // run of a prefix simulates warmup
     // and snapshots `(hierarchy, per-core VM, per-stream pop counts)`;
     // every later run restores the snapshot, fast-forwards its access
     // streams past the recorded pop counts, and enters the measured
     // phase directly — bit-identical to the straight-through run,
     // which `tests/determinism.rs` pins.
-    let ckpt_plan = crate::checkpoint::plan(cfg);
-    crate::checkpoint::set_last_run_restored(false);
+    let ckpt_plan = crate::checkpoint::plan(cfg, cache_dir);
     let mut restored = false;
     if let Some(plan) = &ckpt_plan {
         match plan.try_restore(&mut hier, cores, vms as usize) {
@@ -874,7 +854,6 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
                     }
                 }
                 restored = true;
-                crate::checkpoint::set_last_run_restored(true);
             }
             Ok(None) => {}
             Err(_) => {
@@ -888,7 +867,6 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
                     huge,
                     cfg.profiler_interval,
                 );
-                hier.set_l0_memo(L0Request::from_env().enabled());
                 if cfg.trace_partitions {
                     hier.enable_partition_trace();
                 }
@@ -1049,7 +1027,7 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
         enforce_audit("run completion", &diags);
     }
 
-    result
+    (result, restored)
 }
 
 /// Options for [`run_instrumented`]: where telemetry goes and how much
@@ -1133,19 +1111,13 @@ pub fn run_instrumented(cfg: &SimConfig, inst: &mut Instrumentation<'_>) -> SimR
         l2_decisions_seen: 0,
         l3_decisions_seen: 0,
         last_commit_wall: wall_start.unwrap_or(0),
-        last_l0: csalt_types::L0Stats::default(),
     };
-    let result = execute(cfg, build_threads(cfg), &mut hooks);
-    {
-        // The L0 memo counters ride the end-of-stream instruments
-        // record. `last_l0` is the final epoch's reading, i.e. the
-        // measured phase's totals (warmup resets them with the rest).
-        use csalt_telemetry::l0_metrics as l0m;
-        let l0 = hooks.last_l0;
-        let rec = &mut *hooks.inst.recorder;
-        rec.counter(l0m::HITS, l0.hits);
-        rec.counter(l0m::INVALIDATIONS, l0.invalidations);
-    }
+    let (result, _) = execute(
+        cfg,
+        build_threads(cfg),
+        &mut hooks,
+        default_cache_dir().as_deref(),
+    );
     hooks.finish();
     result
 }
@@ -1178,10 +1150,6 @@ struct LiveHooks<'a, 'b> {
     l3_decisions_seen: u64,
     /// Wall timestamp where the current commit span began.
     last_commit_wall: u64,
-    /// Hierarchy-wide L0 memo counters as of the last emitted epoch,
-    /// so the end-of-run instruments can report them after the
-    /// hierarchy is gone.
-    last_l0: csalt_types::L0Stats,
 }
 
 /// Cycles-domain track id of a core (`tid` 0 is the partitioner).
@@ -1306,7 +1274,6 @@ impl LiveHooks<'_, '_> {
         if self.inst.trace.is_some() {
             self.trace_epoch(hier, cores, total);
         }
-        self.last_l0 = hier.l0_stats();
         let snap = hier.snapshot();
         let delta = match &self.prev {
             Some(p) => snap.delta_since(p),
@@ -1510,17 +1477,14 @@ impl PhaseHooks for LiveHooks<'_, '_> {
             {
                 let (l2_ways, l3_ways) = hier.current_partitions();
                 let ways = |w: Option<u32>| w.map_or_else(|| "-".to_owned(), |w| w.to_string());
-                let l0 = self.last_l0;
                 eprintln!(
-                    "[csalt] {} / {}: epoch {}, {total} of {target} accesses retired ({} remaining), data ways l2/l3 {}/{}, l0 memo {} hits / {} inv",
+                    "[csalt] {} / {}: epoch {}, {total} of {target} accesses retired ({} remaining), data ways l2/l3 {}/{}",
                     self.workload,
                     self.scheme,
                     self.epoch,
                     target.saturating_sub(total),
                     ways(l2_ways),
                     ways(l3_ways),
-                    l0.hits,
-                    l0.invalidations,
                 );
             }
         }
@@ -1636,38 +1600,5 @@ mod tests {
         let json = serde_json::to_string(&r).expect("serialize");
         let back: SimResult = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back.instructions, r.instructions);
-    }
-
-    #[test]
-    fn l0_request_parses_every_spelling() {
-        use L0Request::{Off, On};
-        for off in [Some("0"), Some("off"), Some("false"), Some("OFF")] {
-            assert_eq!(L0Request::parse(off), Off, "{off:?}");
-        }
-        for on in [None, Some(""), Some("1"), Some("on"), Some("true")] {
-            assert_eq!(L0Request::parse(on), On, "{on:?}");
-        }
-        assert!(On.enabled());
-        assert!(!Off.enabled());
-    }
-
-    #[test]
-    fn l0_memo_off_matches_on_bit_for_bit() {
-        // The memo is a scan-skip, not a model change: disabling it via
-        // the env var must not move any simulated counter. (Parallel
-        // tests racing on the var are harmless for exactly that
-        // reason.)
-        let mut cfg = quick(TranslationScheme::CsaltCd);
-        cfg.accesses_per_core = 5_000;
-        cfg.warmup_accesses_per_core = 2_000;
-        std::env::set_var("CSALT_L0", "off");
-        let off = run(&cfg);
-        std::env::set_var("CSALT_L0", "on");
-        let on = run(&cfg);
-        std::env::remove_var("CSALT_L0");
-        assert_eq!(
-            serde_json::to_string(&off).expect("serialize"),
-            serde_json::to_string(&on).expect("serialize"),
-        );
     }
 }

@@ -40,7 +40,7 @@
 //! exactly (shortest-round-trip formatting), and the sweep-level tests
 //! pin that cached, deduped, and freshly-simulated paths agree.
 
-use crate::simulator::{run, SimConfig, SimResult};
+use crate::simulator::{run_in, SimConfig, SimResult};
 use csalt_telemetry::{HistogramRecord, NullRecorder, Recorder, TelemetryRecord};
 use csalt_trace::{ArgValue, Domain, TraceBuffer, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -173,8 +173,9 @@ pub fn engine_fingerprint() -> String {
 /// Construction-time knobs for a [`Sweep`].
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Where persisted results and the cost model live; `None` disables
-    /// persistence (in-process dedup still applies).
+    /// Where persisted results, the cost model and the jobs' warmup
+    /// checkpoints live; `None` disables persistence and checkpoints
+    /// (in-process dedup still applies).
     pub cache_dir: Option<PathBuf>,
     /// Fixed worker count; `None` = available parallelism.
     pub jobs: Option<usize>,
@@ -328,6 +329,9 @@ fn lock<'a, T>(m: &'a Mutex<T>, _what: &str) -> MutexGuard<'a, T> {
 /// runner for [`SimConfig`]s. See the module docs for the design.
 pub struct Sweep {
     fingerprint: String,
+    /// Where results, costs and the jobs' warmup checkpoints persist;
+    /// `None` disables all three.
+    cache_dir: Option<PathBuf>,
     jobs: Option<usize>,
     /// canonical config JSON → result (persisted hits + this process's
     /// completed runs).
@@ -354,6 +358,7 @@ impl Sweep {
         let fingerprint = engine_fingerprint();
         let mut sweep = Self {
             fingerprint: fingerprint.clone(),
+            cache_dir: options.cache_dir.clone(),
             jobs: options.jobs,
             results: Mutex::new(BTreeMap::new()),
             costs: Mutex::new(BTreeMap::new()),
@@ -574,8 +579,8 @@ impl Sweep {
             // measured phase. With checkpointing off (or warmup-free /
             // cache-less configs) every job leads and the schedule is
             // exactly the classic single wave.
-            let ckpt_grouping = crate::checkpoint::CkptRequest::from_env().enabled()
-                && SweepOptions::from_env().cache_dir.is_some();
+            let ckpt_grouping =
+                crate::checkpoint::CkptRequest::from_env().enabled() && self.cache_dir.is_some();
             let mut leaders: Vec<usize> = Vec::new();
             let mut followers: Vec<usize> = Vec::new();
             let mut lead_of: BTreeMap<String, usize> = BTreeMap::new();
@@ -618,15 +623,7 @@ impl Sweep {
                                 0
                             };
                             let t = Instant::now();
-                            let cfg = jobs[j].1;
-                            // The shared staged-trace store serves every
-                            // job of a workload tuple one materialized
-                            // zero-repack replay matrix; configs it
-                            // declines fall back to plain `run`.
-                            let r = crate::trace_store::staged_threads(cfg)
-                                .map(|threads| crate::simulator::run_with_generators(cfg, threads))
-                                .unwrap_or_else(|| run(cfg));
-                            let restored = crate::checkpoint::last_run_restored();
+                            let (r, restored) = run_in(jobs[j].1, self.cache_dir.as_deref());
                             let secs = t.elapsed().as_secs_f64();
                             self.counters.simulated.fetch_add(1, Ordering::Relaxed);
                             if restored {
@@ -905,5 +902,33 @@ mod tests {
         let json = |r: &SimResult| serde_json::to_string(r).expect("result serializes");
         assert_eq!(json(&first[0]), json(&first[1]));
         assert_eq!(json(&first[0]), json(&second[0]));
+    }
+
+    #[test]
+    fn checkpoints_live_in_the_sweeps_own_cache_dir() {
+        let dir = std::env::temp_dir().join(format!("csalt-sweep-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sweep = Sweep::new(SweepOptions {
+            cache_dir: Some(dir.clone()),
+            jobs: Some(1),
+        });
+        // Same warmup prefix, different measured phases: one job warms
+        // up and saves, the other restores.
+        let a = tiny(TranslationScheme::CsaltD);
+        let mut b = a.clone();
+        b.accesses_per_core += 500;
+        sweep.run_batch(vec![a, b]);
+        let images = std::fs::read_dir(&dir)
+            .expect("the sweep creates its cache dir")
+            .filter_map(Result::ok)
+            .filter(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                name.starts_with("ckpt-") && name.ends_with(".bin")
+            })
+            .count();
+        let restored = sweep.stats().restored;
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(images, 1, "the warmup image is saved in the sweep's dir");
+        assert_eq!(restored, 1, "the second job restores it");
     }
 }

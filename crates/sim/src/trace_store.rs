@@ -1,128 +1,28 @@
-//! Shared staged-trace store: materialize each workload tuple once,
-//! replay it everywhere.
-//!
-//! Every scheme in a figure grid drives the *same* access streams —
-//! the generators are seeded by `(workload, seed, scale)` and the
-//! matrix shape by `(cores, contexts_per_core)`; nothing else reaches
-//! them. Without the store, every job re-runs the generator math and
-//! per-access key packing. With it, the first job for a tuple records
-//! the streams into staged (v2) [`TraceFile`]s — in memory, and on
-//! disk under the sweep cache directory, scoped to the engine
-//! fingerprint — and every job for that tuple rides the zero-repack
-//! `StagedReplay` commit path instead.
-//!
-//! Replay is bit-identical to generation by construction: the records
-//! *are* the generator's output, recorded long enough that the replay
-//! cursor never wraps, and the staged keys are recomputed for the
-//! run's ASID assignment exactly as `execute` restages any trace.
-//!
-//! `CSALT_TRACE_STORE=off` disables the layer;
-//! `CSALT_TRACE_STORE_MAX_BYTES` bounds the in-memory store (default
-//! 512 MiB) — tuples past the cap simply run their generators inline,
-//! and the oldest resident tuple is evicted first.
+//! What is left of the shared staged-trace store: the workload-tuple
+//! key and two inert stubs. The store itself is gone — every sweep job
+//! drives its own generators — and `perfbench/` still calls these
+//! three items; they go with the benchmark's next change.
 
-use crate::simulator::{build_threads, SimConfig};
-use crate::sweep::{canonical_json, engine_fingerprint, SweepOptions};
+use crate::simulator::SimConfig;
+use crate::sweep::canonical_json;
 use csalt_types::ckpt::fnv1a_bytes;
-use csalt_types::Asid;
-use csalt_workloads::{AnyGenerator, TraceFile, TraceGenerator};
 use serde::Serialize;
-use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Whether the shared staged-trace store runs (the `CSALT_TRACE_STORE`
-/// env var). Both settings are bit-identical; the switch exists for
-/// the determinism gates and the bench's ablation rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceStoreRequest {
-    /// Every job drives its own generators.
-    Off,
-    /// Materialize each workload tuple once and replay it (default).
-    On,
-}
-
-impl TraceStoreRequest {
-    /// Parses a `CSALT_TRACE_STORE` value. `0`/`off`/`false` (any
-    /// case) disable; everything else — including unset — enables.
-    #[must_use]
-    pub fn parse(value: Option<&str>) -> Self {
-        match value.map(str::to_ascii_lowercase).as_deref() {
-            Some("0" | "off" | "false") => TraceStoreRequest::Off,
-            _ => TraceStoreRequest::On,
-        }
-    }
-
-    /// The request selected by the `CSALT_TRACE_STORE` env variable.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var("CSALT_TRACE_STORE").ok().as_deref())
-    }
-
-    /// Whether the store should be enabled.
-    #[must_use]
-    pub fn enabled(self) -> bool {
-        self == TraceStoreRequest::On
-    }
-}
-
-/// Default in-memory budget: 512 MiB of trace records.
-const DEFAULT_MAX_BYTES: u64 = 512 * 1024 * 1024;
-
-fn max_bytes() -> u64 {
-    std::env::var("CSALT_TRACE_STORE_MAX_BYTES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_MAX_BYTES)
-}
-
-/// Default on-disk persistence cap per tuple: 8 MiB. Regenerating a
-/// large tuple costs tens of milliseconds of generator math, while
-/// writing its streams costs tens of megabytes of disk — a losing
-/// trade past a few MiB, so big tuples stay memory-only and only small
-/// ones are persisted for other processes (`CSALT_TRACE_STORE_DISK_MAX_BYTES`).
-const DEFAULT_DISK_MAX_BYTES: u64 = 8 * 1024 * 1024;
-
-fn disk_max_bytes() -> u64 {
-    std::env::var("CSALT_TRACE_STORE_DISK_MAX_BYTES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_DISK_MAX_BYTES)
-}
-
-// ---------------------------------------------------------------------
-// Counters (mirroring the checkpoint module's).
-// ---------------------------------------------------------------------
-
-static MATERIALIZED: AtomicU64 = AtomicU64::new(0);
-static REPLAYS: AtomicU64 = AtomicU64::new(0);
-static DISK_LOADS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide staged-trace-store activity (monotonic counters).
+/// Zero counters returned by [`stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceStoreStats {
-    /// Tuples generated from scratch (the expensive path, once each).
+    /// Always zero: no tuple is ever materialized.
     pub materialized: u64,
-    /// Jobs served a staged replay matrix from the store.
-    pub replays: u64,
-    /// Tuples loaded back from the on-disk cache instead of generated.
-    pub disk_loads: u64,
 }
 
-/// Snapshot of the process-wide trace-store counters.
+/// Zeros; exists only for `perfbench/` and goes with the benchmark's next change.
 #[must_use]
 pub fn stats() -> TraceStoreStats {
-    TraceStoreStats {
-        materialized: MATERIALIZED.load(Ordering::Relaxed),
-        replays: REPLAYS.load(Ordering::Relaxed),
-        disk_loads: DISK_LOADS.load(Ordering::Relaxed),
-    }
+    TraceStoreStats::default()
 }
 
-// ---------------------------------------------------------------------
-// Tuple identity.
-// ---------------------------------------------------------------------
+/// Does nothing; exists only for `perfbench/` and goes with the benchmark's next change.
+pub fn clear_resident() {}
 
 /// Canonical JSON of the stream-determining subset of `cfg`: the
 /// workload pairing, seed, footprint scale, and the matrix shape
@@ -151,253 +51,12 @@ fn trace_tuple_json(cfg: &SimConfig) -> String {
 }
 
 /// The workload-tuple key: 16 hex digits of FNV-1a over
-/// [`trace_tuple_json`]. Configs with equal keys drive byte-identical
-/// generator streams, so they share one materialized trace matrix.
+/// [`trace_tuple_json`]; configs with equal keys drive byte-identical
+/// generator streams. Exists only for `perfbench/` and goes with the
+/// benchmark's next change.
 #[must_use]
 pub fn trace_key(cfg: &SimConfig) -> String {
     format!("{:016x}", fnv1a_bytes(trace_tuple_json(cfg).as_bytes()))
-}
-
-// ---------------------------------------------------------------------
-// The store.
-// ---------------------------------------------------------------------
-
-/// One resident tuple: the staged matrix plus bookkeeping for the
-/// byte-budget eviction.
-struct Resident {
-    matrix: Arc<Vec<Vec<TraceFile>>>,
-    /// Records per stream (every stream has the same length).
-    len: u64,
-    bytes: u64,
-    /// Insertion stamp: smallest evicts first.
-    stamp: u64,
-}
-
-struct Store {
-    tuples: BTreeMap<String, Resident>,
-    total_bytes: u64,
-    next_stamp: u64,
-}
-
-fn store() -> &'static Mutex<Store> {
-    static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
-    STORE.get_or_init(|| {
-        Mutex::new(Store {
-            tuples: BTreeMap::new(),
-            total_bytes: 0,
-            next_stamp: 0,
-        })
-    })
-}
-
-/// Empties the process-wide resident store (the monotonic counters are
-/// untouched). For benches and tests that measure multiple passes in
-/// one process: a pass advertised as cold must not inherit tuples a
-/// previous pass materialized.
-pub fn clear_resident() {
-    let mut s = store().lock().unwrap_or_else(PoisonError::into_inner);
-    s.tuples.clear();
-    s.total_bytes = 0;
-}
-
-/// Per-tuple materialization gates: when a whole scheduling wave
-/// misses the same tuple at once, one worker generates it while the
-/// rest block on the gate and then hit the resident fast path, instead
-/// of every worker redundantly running the generators.
-fn inflight(key: &str) -> Arc<Mutex<()>> {
-    static INFLIGHT: OnceLock<Mutex<BTreeMap<String, Arc<Mutex<()>>>>> = OnceLock::new();
-    let map = INFLIGHT.get_or_init(|| Mutex::new(BTreeMap::new()));
-    let mut g = map.lock().unwrap_or_else(PoisonError::into_inner);
-    Arc::clone(g.entry(key.to_string()).or_default())
-}
-
-/// 32 bytes per record, `cores × vms` streams.
-fn matrix_bytes(cfg: &SimConfig, len: u64) -> u64 {
-    len.saturating_mul(32)
-        .saturating_mul(u64::from(cfg.system.cores))
-        .saturating_mul(u64::from(cfg.system.contexts_per_core))
-}
-
-/// On-disk path of one `(vm, core)` stream of a tuple.
-fn stream_path(dir: &std::path::Path, key: &str, vm: usize, core: usize) -> PathBuf {
-    dir.join(format!(
-        "trace-{}-{key}-v{vm}c{core}.trace",
-        engine_fingerprint()
-    ))
-}
-
-/// Tries to load a complete tuple matrix (length ≥ `needed`) from the
-/// on-disk cache. Any missing, short or unreadable stream means the
-/// whole tuple regenerates — a torn file can never corrupt a run
-/// because `TraceFile::open` validates before the records are used.
-fn load_from_disk(cfg: &SimConfig, key: &str, needed: u64) -> Option<Vec<Vec<TraceFile>>> {
-    let dir = SweepOptions::from_env().cache_dir?;
-    let cores = cfg.system.cores as usize;
-    let vms = cfg.system.contexts_per_core as usize;
-    let mut matrix = Vec::with_capacity(vms);
-    for vm in 0..vms {
-        let mut row = Vec::with_capacity(cores);
-        for core in 0..cores {
-            let mut t = TraceFile::open(stream_path(&dir, key, vm, core)).ok()?;
-            if (t.len() as u64) < needed {
-                return None;
-            }
-            t.restage(Asid::new(vm as u16 + 1));
-            row.push(t);
-        }
-        matrix.push(row);
-    }
-    Some(matrix)
-}
-
-/// Records `len` accesses of every `(vm, core)` generator stream into
-/// staged traces, and (best-effort) persists them for other processes.
-fn generate(cfg: &SimConfig, key: &str, len: u64) -> Vec<Vec<TraceFile>> {
-    let dir = SweepOptions::from_env()
-        .cache_dir
-        .filter(|_| matrix_bytes(cfg, len) <= disk_max_bytes());
-    if let Some(d) = &dir {
-        let _ = std::fs::create_dir_all(d);
-    }
-    let mut threads = build_threads(cfg);
-    threads
-        .iter_mut()
-        .enumerate()
-        .map(|(vm, row)| {
-            row.iter_mut()
-                .enumerate()
-                .map(|(core, g)| {
-                    let records = (0..len).map(|_| g.next_access()).collect();
-                    let mut t = TraceFile::from_records(records);
-                    t.restage(Asid::new(vm as u16 + 1));
-                    if let Some(dir) = &dir {
-                        let _ = t.save_v2(stream_path(dir, key, vm, core));
-                    }
-                    t
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// The store's entry point: a staged generator matrix for `cfg`, or
-/// `None` when the store is off, the tuple is over budget, or the run
-/// consumes no accesses. The returned matrix clones cheaply out of the
-/// shared store; `run_with_generators` turns it into the zero-repack
-/// `StagedReplay` plan.
-pub(crate) fn staged_threads(cfg: &SimConfig) -> Option<Vec<Vec<AnyGenerator>>> {
-    if !TraceStoreRequest::from_env().enabled() {
-        return None;
-    }
-    // Longest prefix any single stream can be asked for: one core's
-    // whole access budget could come from one VM's stream.
-    let needed = cfg
-        .warmup_accesses_per_core
-        .checked_add(cfg.accesses_per_core)?;
-    if needed == 0 {
-        return None;
-    }
-    let budget = max_bytes();
-    if matrix_bytes(cfg, needed) > budget {
-        return None;
-    }
-    let key = trace_key(cfg);
-
-    // Fast path: an adequate matrix is already resident.
-    {
-        let mut s = store().lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(r) = s.tuples.get(&key) {
-            if r.len >= needed {
-                let m = Arc::clone(&r.matrix);
-                drop(s);
-                REPLAYS.fetch_add(1, Ordering::Relaxed);
-                return Some(to_generators(&m));
-            }
-            // Too short for this request: drop it, regenerate longer.
-            let r = s.tuples.remove(&key).expect("checked present");
-            s.total_bytes -= r.bytes;
-        }
-    }
-
-    // Slow path: disk, then generation. Run outside the store lock so
-    // distinct tuples materialize in parallel, but under a per-tuple
-    // gate so same-tuple workers block and then reuse the first
-    // worker's matrix rather than regenerating it.
-    let gate = inflight(&key);
-    let _gate = gate.lock().unwrap_or_else(PoisonError::into_inner);
-    {
-        let s = store().lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(r) = s.tuples.get(&key) {
-            if r.len >= needed {
-                let m = Arc::clone(&r.matrix);
-                drop(s);
-                REPLAYS.fetch_add(1, Ordering::Relaxed);
-                return Some(to_generators(&m));
-            }
-        }
-    }
-    let matrix = match load_from_disk(cfg, &key, needed) {
-        Some(m) => {
-            DISK_LOADS.fetch_add(1, Ordering::Relaxed);
-            m
-        }
-        None => {
-            MATERIALIZED.fetch_add(1, Ordering::Relaxed);
-            generate(cfg, &key, needed)
-        }
-    };
-    let len = matrix[0][0].len() as u64;
-    let bytes = matrix_bytes(cfg, len);
-    let matrix = Arc::new(matrix);
-
-    let mut s = store().lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(r) = s.tuples.get(&key) {
-        if r.len >= len {
-            // A concurrent materializer won; use its (adequate) copy.
-            let m = Arc::clone(&r.matrix);
-            drop(s);
-            REPLAYS.fetch_add(1, Ordering::Relaxed);
-            return Some(to_generators(&m));
-        }
-        let old = s.tuples.remove(&key).expect("checked present");
-        s.total_bytes -= old.bytes;
-    }
-    // Evict oldest-first until this tuple fits the byte budget.
-    while s.total_bytes.saturating_add(bytes) > budget && !s.tuples.is_empty() {
-        let oldest = s
-            .tuples
-            .iter()
-            .min_by_key(|(_, r)| r.stamp)
-            .map(|(k, _)| k.clone())
-            .expect("non-empty");
-        let r = s.tuples.remove(&oldest).expect("checked present");
-        s.total_bytes -= r.bytes;
-    }
-    let stamp = s.next_stamp;
-    s.next_stamp += 1;
-    s.total_bytes += bytes;
-    s.tuples.insert(
-        key,
-        Resident {
-            matrix: Arc::clone(&matrix),
-            len,
-            bytes,
-            stamp,
-        },
-    );
-    drop(s);
-    REPLAYS.fetch_add(1, Ordering::Relaxed);
-    Some(to_generators(&matrix))
-}
-
-/// Clones the shared matrix into the owned generator matrix one run
-/// consumes (replay advances per-stream cursors, so each run needs its
-/// own copy of the cursor — the record buffers are memcpy'd).
-fn to_generators(matrix: &Arc<Vec<Vec<TraceFile>>>) -> Vec<Vec<AnyGenerator>> {
-    matrix
-        .iter()
-        .map(|row| row.iter().map(|t| AnyGenerator::Trace(t.clone())).collect())
-        .collect()
 }
 
 #[cfg(test)]
@@ -415,16 +74,6 @@ mod tests {
         c.accesses_per_core = 1_000;
         c.warmup_accesses_per_core = 500;
         c
-    }
-
-    #[test]
-    fn parse_matches_l0_conventions() {
-        assert_eq!(TraceStoreRequest::parse(None), TraceStoreRequest::On);
-        assert_eq!(
-            TraceStoreRequest::parse(Some("off")),
-            TraceStoreRequest::Off
-        );
-        assert_eq!(TraceStoreRequest::parse(Some("1")), TraceStoreRequest::On);
     }
 
     #[test]
@@ -451,30 +100,5 @@ mod tests {
         let mut wl = base.clone();
         wl.workload = WorkloadSpec::homogeneous("gups2", csalt_workloads::BenchKind::Gups);
         assert_ne!(trace_key(&base), trace_key(&wl));
-    }
-
-    #[test]
-    fn replay_matrix_matches_generator_streams() {
-        // The store's matrix must reproduce the generators' streams
-        // record-for-record — the property every scheme's bit-identity
-        // rests on.
-        let c = cfg();
-        std::env::set_var("CSALT_NO_CACHE", "1");
-        let staged = staged_threads(&c);
-        std::env::remove_var("CSALT_NO_CACHE");
-        let mut staged = staged.expect("store enabled by default");
-        let mut reference = build_threads(&c);
-        for (vm, row) in reference.iter_mut().enumerate() {
-            for (core, g) in row.iter_mut().enumerate() {
-                let t = &mut staged[vm][core];
-                for i in 0..(c.warmup_accesses_per_core + c.accesses_per_core) {
-                    assert_eq!(
-                        t.next_access(),
-                        g.next_access(),
-                        "stream (vm {vm}, core {core}) diverged at record {i}"
-                    );
-                }
-            }
-        }
     }
 }

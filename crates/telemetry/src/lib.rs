@@ -31,8 +31,8 @@ pub mod report;
 
 pub use histogram::{Log2Histogram, BUCKETS};
 pub use record::{
-    l0_metrics, EpochRecord, HistogramRecord, InstrumentsRecord, ProvenanceRecord, ServedBy,
-    StageSample, TelemetryRecord, WalkStage, WalkTraceRecord, FORMAT_VERSION,
+    EpochRecord, HistogramRecord, InstrumentsRecord, ProvenanceRecord, ServedBy, StageSample,
+    TelemetryRecord, WalkStage, WalkTraceRecord, FORMAT_VERSION,
 };
 pub use recorder::{
     MemoryRecorder, NullRecorder, Recorder, SharedRecorder, StreamFormat, StreamRecorder,

@@ -281,20 +281,6 @@ impl HistogramRecord {
     }
 }
 
-/// Instrument names for the L0 hit-way memo in front of the TLB/cache
-/// set scans (they land in the stream's final [`InstrumentsRecord`]):
-/// how often the last-hit fast path fired and how often its entries
-/// were dropped by the invalidation discipline (inserts into the
-/// memoized set, flushes, repartitions, context switches).
-pub mod l0_metrics {
-    /// Counter: set scans skipped by a memo hit, summed over every
-    /// memoized component (SRAM TLBs, POM-TLB, TSB, caches, all cores).
-    pub const HITS: &str = "l0.hits";
-    /// Counter: live memo entries dropped by invalidation, summed the
-    /// same way.
-    pub const INVALIDATIONS: &str = "l0.invalidations";
-}
-
 /// End-of-stream integrity footer.
 ///
 /// Emitted by `StreamRecorder` only when the stream is incomplete —

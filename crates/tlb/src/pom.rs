@@ -17,8 +17,8 @@
 
 use crate::sram::{pack, size_code, size_from_code, TlbKey, EMPTY};
 use csalt_types::{
-    Asid, CkptError, CkptReader, CkptWriter, HitMissStats, L0Memo, L0Stats, LineAddr, PageSize,
-    PhysAddr, PhysFrame, PomTlbConfig, VirtPage,
+    Asid, CkptError, CkptReader, CkptWriter, HitMissStats, LineAddr, PageSize, PhysAddr, PhysFrame,
+    PomTlbConfig, VirtPage,
 };
 
 /// Result of a POM-TLB lookup: the translation (if resident) and the
@@ -48,12 +48,6 @@ pub struct PomTlb {
     /// Frame per slot, parallel to `keys` (garbage where empty).
     frames: Vec<PhysFrame>,
     stats: HitMissStats,
-    /// Last-hit memo. A POM hit always rotates the entry to way 0, so
-    /// the memo only ever records way 0 — where a repeat hit's rotation
-    /// is a 1-element no-op, making the replay trivially bit-identical.
-    /// Any *other* hit or insert in the same set shifts positions, so
-    /// both invalidate it.
-    l0: L0Memo<PhysFrame>,
 }
 
 impl PomTlb {
@@ -73,7 +67,6 @@ impl PomTlb {
             frames: vec![PhysFrame::from_pfn(0, PageSize::Size4K); slots],
             cfg,
             stats: HitMissStats::new(),
-            l0: L0Memo::new(),
         }
     }
 
@@ -90,23 +83,6 @@ impl PomTlb {
     /// Resets statistics; contents are preserved.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
-        self.l0.reset_stats();
-    }
-
-    /// Enables or disables the L0 hit-way memo (results are identical
-    /// either way; only the set scan is skipped on repeats).
-    pub fn set_l0_enabled(&mut self, enabled: bool) {
-        self.l0.set_enabled(enabled);
-    }
-
-    /// L0 memo hit/invalidation counters.
-    pub fn l0_stats(&self) -> L0Stats {
-        self.l0.stats()
-    }
-
-    /// Drops the L0 memo entry (context switch / ASID recycling hook).
-    pub fn l0_invalidate(&mut self) {
-        self.l0.invalidate();
     }
 
     /// Whether a physical address belongs to the POM-TLB aperture — the
@@ -163,16 +139,6 @@ impl PomTlb {
     /// keys ahead of the lookup; see [`csalt_types::pack_tlb_key`]).
     /// Identical semantics and statistics — `lookup` delegates here.
     pub fn lookup_prepacked(&mut self, packed: u64) -> PomLookup {
-        // L0 fast path: the memoized entry sits at way 0, so the hit
-        // arm's MRU rotation below would be a 1-element no-op — replay
-        // is just the hit count plus the remembered frame and line.
-        if let Some((set, _way, frame)) = self.l0.hit(packed) {
-            self.stats.record_hit();
-            return PomLookup {
-                frame: Some(frame),
-                line: self.line_of_set(set),
-            };
-        }
         let set = self.set_of_packed(packed);
         let line = self.line_of_set(set);
         let base = (set * u64::from(self.ways)) as usize;
@@ -186,11 +152,6 @@ impl PomTlb {
             self.keys[base..=base + way].rotate_right(1);
             self.frames[base..=base + way].rotate_right(1);
             self.stats.record_hit();
-            // The rotation shifted every way below `way`, so a memo for
-            // a *different* key in this set is stale; this key is now
-            // the set's way-0 entry.
-            self.l0.invalidate_set(set);
-            self.l0.remember(packed, set, 0, frame);
             return PomLookup {
                 frame: Some(frame),
                 line,
@@ -224,8 +185,6 @@ impl PomTlb {
         self.frames[base..=base + upto].rotate_right(1);
         self.keys[base] = packed;
         self.frames[base] = frame;
-        // The rotation + overwrite moved every entry in the set.
-        self.l0.invalidate_set(set);
         line
     }
 
@@ -247,8 +206,7 @@ impl PomTlb {
     }
 
     /// Serializes geometry guards, packed keys in positional (MRU-first)
-    /// order, frames and hit/miss counters. The L0 memo is not
-    /// serialized (restore invalidates it).
+    /// order, frames and hit/miss counters.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u64(self.sets);
         w.u32(self.ways);
@@ -267,7 +225,7 @@ impl PomTlb {
 
     /// Restores state written by [`PomTlb::ckpt_save`] into this
     /// (config-constructed) array; recency is positional, so restoring
-    /// the key order restores it exactly. The L0 memo is invalidated.
+    /// the key order restores it exactly.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         if r.u64()? != self.sets || r.u32()? != self.ways {
             return Err(CkptError::Mismatch("pom-tlb geometry"));
@@ -287,7 +245,6 @@ impl PomTlb {
         }
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
-        self.l0.invalidate();
         Ok(())
     }
 }
@@ -430,54 +387,5 @@ mod tests {
         let p = PomTlb::new(cfg());
         assert!(!p.owns(PhysAddr::new(0x1000)));
         assert!(p.owns(PhysAddr::new(p.config().base)));
-    }
-
-    #[test]
-    fn l0_memo_survives_mru_rotations_bit_identically() {
-        // Interleave repeat hits (memoized) with hits and inserts on
-        // *colliding* pages — the rotations that shift way positions —
-        // and require memo-on and memo-off to agree on every lookup
-        // result, line, stat and final MRU order.
-        let mut on = PomTlb::new(cfg());
-        let mut off = PomTlb::new(cfg());
-        off.set_l0_enabled(false);
-        let a = Asid::new(0);
-        let target = on.set_of(&TlbKey {
-            page: page(0),
-            asid: a,
-        });
-        let colliders: Vec<u64> = (0..200_000u64)
-            .filter(|&v| {
-                on.set_of(&TlbKey {
-                    page: page(v),
-                    asid: a,
-                }) == target
-            })
-            .take(5)
-            .collect();
-        assert_eq!(colliders.len(), 5, "need 5 colliding pages");
-        for t in [&mut on, &mut off] {
-            for (i, &v) in colliders.iter().take(4).enumerate() {
-                t.insert(page(v), a, frame(i as u64));
-            }
-        }
-        // Deterministic mixed schedule: repeats, rotating hits, one
-        // overflow insert that evicts the set's LRU.
-        let schedule = [0usize, 0, 1, 1, 0, 2, 2, 0, 3, 3];
-        for &i in &schedule {
-            let r_on = on.lookup(page(colliders[i]), a);
-            let r_off = off.lookup(page(colliders[i]), a);
-            assert_eq!(r_on, r_off);
-        }
-        for t in [&mut on, &mut off] {
-            t.insert(page(colliders[4]), a, frame(4));
-        }
-        for &v in &colliders {
-            assert_eq!(on.lookup(page(v), a), off.lookup(page(v), a));
-        }
-        assert_eq!(on.stats().hits, off.stats().hits);
-        assert_eq!(on.stats().misses, off.stats().misses);
-        assert!(on.l0_stats().hits > 0, "repeats should hit the memo");
-        assert!(on.l0_stats().invalidations > 0, "rotations must drop it");
     }
 }

@@ -4,8 +4,8 @@
 
 use csalt_cache::SetReplacement;
 use csalt_types::{
-    Asid, CkptError, CkptReader, CkptWriter, Cycle, HitMissStats, L0Memo, L0Stats, PageSize,
-    PhysFrame, ReplacementKind, TlbGeometry, VirtPage,
+    Asid, CkptError, CkptReader, CkptWriter, Cycle, HitMissStats, PageSize, PhysFrame,
+    ReplacementKind, TlbGeometry, VirtPage,
 };
 
 /// Encodes a page size as a one-byte checkpoint code.
@@ -68,10 +68,6 @@ pub struct SramTlb {
     frames: Vec<PhysFrame>,
     repl: Vec<SetReplacement>,
     stats: HitMissStats,
-    /// Last-hit `(packed key → set, way)` memo; payload is the hit frame.
-    /// On a repeat lookup the set scan is skipped and the hit path's
-    /// mutations (recency stamp, hit counter) are replayed verbatim.
-    l0: L0Memo<PhysFrame>,
 }
 
 impl SramTlb {
@@ -112,7 +108,6 @@ impl SramTlb {
                 .map(|_| SetReplacement::new(ReplacementKind::TrueLru, geom.ways))
                 .collect(),
             stats: HitMissStats::new(),
-            l0: L0Memo::new(),
         })
     }
 
@@ -134,23 +129,6 @@ impl SramTlb {
     /// Resets statistics; contents are preserved.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
-        self.l0.reset_stats();
-    }
-
-    /// Enables or disables the L0 hit-way memo (results are identical
-    /// either way; only the set scan is skipped on repeats).
-    pub fn set_l0_enabled(&mut self, enabled: bool) {
-        self.l0.set_enabled(enabled);
-    }
-
-    /// L0 memo hit/invalidation counters.
-    pub fn l0_stats(&self) -> L0Stats {
-        self.l0.stats()
-    }
-
-    /// Drops the L0 memo entry (context switch / ASID recycling hook).
-    pub fn l0_invalidate(&mut self) {
-        self.l0.invalidate();
     }
 
     #[inline]
@@ -186,14 +164,6 @@ impl SramTlb {
     /// keys ahead of the lookup; see [`csalt_types::pack_tlb_key`]).
     /// Identical semantics and statistics — `lookup` delegates here.
     pub fn lookup_prepacked(&mut self, packed: u64) -> Option<PhysFrame> {
-        // L0 fast path: a repeat of the last hit skips the way scan but
-        // replays exactly the mutations the scan's hit arm performs
-        // below (recency touch + hit count), so state is bit-identical.
-        if let Some((set, way, frame)) = self.l0.hit(packed) {
-            self.repl[set as usize].touch(way);
-            self.stats.record_hit();
-            return Some(frame);
-        }
         let set = self.set_of_packed(packed);
         let base = self.slot(set, 0);
         let set_keys = &self.keys[base..base + self.ways as usize];
@@ -201,7 +171,6 @@ impl SramTlb {
             let frame = self.frames[base + way];
             self.repl[set as usize].touch(way as u32);
             self.stats.record_hit();
-            self.l0.remember(packed, u64::from(set), way as u32, frame);
             return Some(frame);
         }
         self.stats.record_miss();
@@ -238,15 +207,11 @@ impl SramTlb {
         self.keys[slot] = packed;
         self.frames[slot] = frame;
         self.repl[set as usize].touch(way);
-        // Any write into the memoized set (refresh, fill or eviction) may
-        // have moved or replaced the remembered entry.
-        self.l0.invalidate_set(u64::from(set));
     }
 
     /// Invalidates every entry (a full TLB flush).
     pub fn flush(&mut self) {
         self.keys.fill(EMPTY);
-        self.l0.invalidate();
     }
 
     /// Invalidates all entries belonging to `asid`.
@@ -257,7 +222,6 @@ impl SramTlb {
                 *k = EMPTY;
             }
         }
-        self.l0.invalidate();
     }
 
     /// Number of currently valid entries (for tests and occupancy
@@ -273,8 +237,7 @@ impl SramTlb {
     }
 
     /// Serializes geometry guards, packed keys, frames (PFN + size
-    /// code), per-set replacement state and hit/miss counters. The L0
-    /// memo is not serialized (restore invalidates it).
+    /// code), per-set replacement state and hit/miss counters.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u32(self.sets);
         w.u32(self.ways);
@@ -291,7 +254,7 @@ impl SramTlb {
     }
 
     /// Restores state written by [`SramTlb::ckpt_save`] into this
-    /// (geometry-constructed) TLB; the L0 memo is invalidated.
+    /// (geometry-constructed) TLB.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         if r.u32()? != self.sets || r.u32()? != self.ways {
             return Err(CkptError::Mismatch("sram-tlb geometry"));
@@ -314,7 +277,6 @@ impl SramTlb {
         }
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
-        self.l0.invalidate();
         Ok(())
     }
 }
@@ -431,50 +393,5 @@ mod tests {
         let t = SramTlb::new(geom(64, 4));
         t.probe(page(1), Asid::new(0));
         assert_eq!(t.stats().accesses(), 0);
-    }
-
-    #[test]
-    fn l0_memo_is_behaviour_invisible() {
-        // Identical op sequence against a memo-on and a memo-off TLB must
-        // leave identical stats and identical eviction outcomes — the L0
-        // path may only skip scans, never change state transitions.
-        let mut on = SramTlb::new(geom(8, 2)); // 4 sets, 2 ways
-        let mut off = SramTlb::new(geom(8, 2));
-        off.set_l0_enabled(false);
-        let a = Asid::new(1);
-        for t in [&mut on, &mut off] {
-            t.insert(page(0), a, frame(1));
-            t.insert(page(4), a, frame(2));
-            // Repeat lookups: the second one hits the memo on `on`.
-            t.lookup(page(0), a);
-            t.lookup(page(0), a);
-            // Page 4 is LRU in set 0 despite the memoized repeats.
-            t.insert(page(8), a, frame(3));
-        }
-        assert!(on.l0_stats().hits > 0, "memo should have served a repeat");
-        assert_eq!(off.l0_stats().hits, 0);
-        assert_eq!(on.stats().hits, off.stats().hits);
-        assert_eq!(on.stats().misses, off.stats().misses);
-        for p in [0, 4, 8] {
-            assert_eq!(on.probe(page(p), a), off.probe(page(p), a));
-        }
-    }
-
-    #[test]
-    fn l0_memo_invalidated_by_set_insert_and_flush() {
-        let mut t = SramTlb::new(geom(8, 2)); // 4 sets, 2 ways
-        let a = Asid::new(1);
-        t.insert(page(0), a, frame(1));
-        t.lookup(page(0), a); // memoized
-        assert_eq!(t.l0_stats().invalidations, 0);
-        t.insert(page(4), a, frame(2)); // same set → memo dropped
-        assert_eq!(t.l0_stats().invalidations, 1);
-        t.lookup(page(0), a); // re-memoize via scan
-        t.flush_asid(Asid::new(2)); // flushes invalidate unconditionally
-        assert_eq!(t.l0_stats().invalidations, 2);
-        t.lookup(page(0), a);
-        t.flush();
-        assert_eq!(t.l0_stats().invalidations, 3);
-        assert!(t.lookup(page(0), a).is_none(), "no stale frame after flush");
     }
 }

@@ -21,10 +21,10 @@
 //! the access path (ASIDs are small integers; the old map-based layout
 //! hashed the ASID twice per access).
 
-use crate::sram::{pack, size_code, size_from_code, TlbKey};
+use crate::sram::{size_code, size_from_code};
 use csalt_types::{
-    Asid, CkptError, CkptReader, CkptWriter, HitMissStats, L0Memo, L0Stats, LineAddr, PageSize,
-    PhysAddr, PhysFrame, VirtPage,
+    Asid, CkptError, CkptReader, CkptWriter, HitMissStats, LineAddr, PageSize, PhysAddr, PhysFrame,
+    VirtPage,
 };
 use std::ops::Deref;
 
@@ -124,13 +124,6 @@ pub struct Tsb {
     asid_index: Vec<u32>,
     tables: Vec<AsidTable>,
     stats: HitMissStats,
-    /// Last-hit memo. The "set" is `(table << 32) | slot`; the payload
-    /// carries the hit frame *and* the dependent walk lines, which are a
-    /// pure function of `(page, table, tables.len())` — so the memo is
-    /// dropped whenever a new table materializes (the virtualized
-    /// descriptor region floats above all tables) or the slot is
-    /// rewritten.
-    l0: L0Memo<(PhysFrame, TsbAccesses)>,
 }
 
 impl Tsb {
@@ -156,7 +149,6 @@ impl Tsb {
             asid_index: Vec::new(),
             tables: Vec::new(),
             stats: HitMissStats::new(),
-            l0: L0Memo::new(),
         }
     }
 
@@ -168,23 +160,6 @@ impl Tsb {
     /// Resets statistics; contents are preserved.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
-        self.l0.reset_stats();
-    }
-
-    /// Enables or disables the L0 hit-way memo (results are identical
-    /// either way; only the indexed probe is skipped on repeats).
-    pub fn set_l0_enabled(&mut self, enabled: bool) {
-        self.l0.set_enabled(enabled);
-    }
-
-    /// L0 memo hit/invalidation counters.
-    pub fn l0_stats(&self) -> L0Stats {
-        self.l0.stats()
-    }
-
-    /// Drops the L0 memo entry (context switch / ASID recycling hook).
-    pub fn l0_invalidate(&mut self) {
-        self.l0.invalidate();
     }
 
     /// Bytes occupied by one per-ASID table.
@@ -206,9 +181,6 @@ impl Tsb {
             self.tables.push(AsidTable {
                 slots: vec![None; self.entries_per_table as usize].into_boxed_slice(),
             });
-            // The table count feeds the virtualized descriptor/locator
-            // addressing, so memoized walk lines may now be stale.
-            self.l0.invalidate();
         }
         self.asid_index[a] as usize
     }
@@ -256,47 +228,26 @@ impl Tsb {
 
     /// Performs a software TSB lookup.
     pub fn lookup(&mut self, page: VirtPage, asid: Asid) -> TsbLookup {
-        self.lookup_impl(pack(&TlbKey { page, asid }), page, asid)
-    }
-
-    /// [`Tsb::lookup`] with the key already packed (callers precompute
-    /// keys ahead of the lookup; see [`csalt_types::pack_tlb_key`]).
-    /// Identical semantics and statistics — `lookup` delegates to the
-    /// same implementation. The packing is lossless, so the page and
-    /// ASID are reconstructed exactly.
-    pub fn lookup_prepacked(&mut self, packed: u64) -> TsbLookup {
-        let page = VirtPage::from_vpn(
-            csalt_types::unpack_tlb_vpn(packed),
-            csalt_types::unpack_tlb_size(packed),
-        );
-        let asid = Asid::new((packed & 0xffff) as u16);
-        self.lookup_impl(packed, page, asid)
-    }
-
-    fn lookup_impl(&mut self, packed: u64, page: VirtPage, asid: Asid) -> TsbLookup {
-        // L0 fast path: a repeat of the last *hit* skips the table
-        // resolution and slot probe. A memo hit implies this ASID's
-        // table already exists, so no materialization is skipped, and
-        // the stored walk lines are valid because any table-count
-        // change or slot rewrite invalidated the memo.
-        if let Some((_set, _way, (frame, accesses))) = self.l0.hit(packed) {
-            self.stats.record(true);
-            return TsbLookup {
-                frame: Some(frame),
-                accesses,
-            };
-        }
         let table = self.table_id(asid);
         let accesses = self.walk_lines(page, table as u64);
         let slot = self.slot_of(page) as usize;
         let frame =
             self.tables[table].slots[slot].and_then(|s| (s.page == page).then_some(s.frame));
         self.stats.record(frame.is_some());
-        if let Some(f) = frame {
-            let set = ((table as u64) << 32) | self.slot_of(page);
-            self.l0.remember(packed, set, 0, (f, accesses));
-        }
         TsbLookup { frame, accesses }
+    }
+
+    /// [`Tsb::lookup`] with the key already packed (callers precompute
+    /// keys ahead of the lookup; see [`csalt_types::pack_tlb_key`]).
+    /// Identical semantics and statistics: the packing is lossless, so
+    /// the page and ASID are reconstructed exactly and `lookup` runs.
+    pub fn lookup_prepacked(&mut self, packed: u64) -> TsbLookup {
+        let page = VirtPage::from_vpn(
+            csalt_types::unpack_tlb_vpn(packed),
+            csalt_types::unpack_tlb_size(packed),
+        );
+        let asid = Asid::new((packed & 0xffff) as u16);
+        self.lookup(page, asid)
     }
 
     /// Installs a translation (software reload after a page walk),
@@ -306,8 +257,6 @@ impl Tsb {
         let line = self.entry_addr(page, table as u64).line();
         let slot = self.slot_of(page) as usize;
         self.tables[table].slots[slot] = Some(TsbSlot { page, frame });
-        // Direct-mapped: this write replaced whatever the slot held.
-        self.l0.invalidate_set(((table as u64) << 32) | slot as u64);
         line
     }
 
@@ -322,7 +271,7 @@ impl Tsb {
 
     /// Serializes config guards, the dense ASID index, every table in
     /// first-touch order (slot = flag + packed page + frame), and the
-    /// hit/miss counters. The L0 memo is not serialized.
+    /// hit/miss counters.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u64(self.entries_per_table);
         w.u64(self.entry_bytes);
@@ -357,7 +306,7 @@ impl Tsb {
 
     /// Restores state written by [`Tsb::ckpt_save`]; table positions
     /// (first-touch order) are restored exactly, so aperture offsets —
-    /// and thus every walk line — reproduce. The L0 memo is invalidated.
+    /// and thus every walk line — reproduce.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         if r.u64()? != self.entries_per_table
             || r.u64()? != self.entry_bytes
@@ -410,7 +359,6 @@ impl Tsb {
         self.tables = tables;
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
-        self.l0.invalidate();
         Ok(())
     }
 }
@@ -522,7 +470,6 @@ mod tests {
     fn prepacked_lookup_matches_unpacked() {
         let mut a = Tsb::new(1024, BASE, true);
         let mut b = Tsb::new(1024, BASE, true);
-        b.set_l0_enabled(false);
         for asid in [1u16, 2, 1] {
             for vpn in [3u64, 19, 3, 3] {
                 a.insert(page(vpn), Asid::new(asid), frame(vpn));
@@ -535,39 +482,11 @@ mod tests {
                 assert_eq!(
                     a.lookup_prepacked(packed),
                     b.lookup(page(vpn), Asid::new(asid)),
-                    "repeat (memoized on `a`) must agree too"
+                    "repeat lookups must agree too"
                 );
             }
         }
-        assert!(a.l0_stats().hits > 0);
         assert_eq!(a.stats().hits, b.stats().hits);
         assert_eq!(a.stats().misses, b.stats().misses);
-    }
-
-    #[test]
-    fn l0_memo_dropped_on_slot_rewrite_and_table_growth() {
-        let mut t = Tsb::new(16, BASE, true);
-        let a = Asid::new(1);
-        t.insert(page(1), a, frame(1));
-        assert!(t.lookup(page(1), a).frame.is_some()); // memoized
-        let inv0 = t.l0_stats().invalidations;
-        // Direct-mapped conflict rewrites the memoized slot.
-        t.insert(page(17), a, frame(2));
-        assert_eq!(t.l0_stats().invalidations, inv0 + 1);
-        assert!(t.lookup(page(1), a).frame.is_none(), "no stale hit");
-        t.insert(page(1), a, frame(1));
-        let before = t.lookup(page(1), a); // re-memoized
-                                           // A new ASID's first touch materializes a table, which moves the
-                                           // virtualized descriptor/locator region → memo must drop.
-        let inv1 = t.l0_stats().invalidations;
-        t.insert(page(9), Asid::new(7), frame(9));
-        assert_eq!(t.l0_stats().invalidations, inv1 + 1);
-        let after = t.lookup(page(1), a);
-        assert_eq!(before.frame, after.frame);
-        assert_eq!(
-            after.accesses,
-            t.lookup(page(1), a).accesses,
-            "replayed lines must match a fresh walk"
-        );
     }
 }

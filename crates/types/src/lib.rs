@@ -35,7 +35,6 @@ pub mod error;
 pub mod hint;
 pub mod ids;
 pub mod invariants;
-pub mod l0;
 pub mod request;
 pub mod stats;
 
@@ -49,6 +48,5 @@ pub use error::ConfigError;
 pub use hint::{pack_tlb_key, unpack_tlb_size, unpack_tlb_vpn, TranslationHint, PACKED_TLB_EMPTY};
 pub use ids::{Asid, ContextId, CoreId, Cycle};
 pub use invariants::{Severity, Violation};
-pub use l0::{L0Memo, L0Stats};
 pub use request::{AccessType, EntryKind, MemAccess};
 pub use stats::{geomean, HitMissStats};

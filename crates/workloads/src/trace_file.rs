@@ -73,10 +73,8 @@ const V2_RECORD_BYTES: usize = 32;
 pub struct TraceFile {
     /// Wire words per record: `vaddr`, `gap << 1 | is_write`, and (for
     /// staged traces) the two packed TLB keys. Shared behind an `Arc`
-    /// so cloning a trace for replay (the staged-trace store hands the
-    /// same recorded tuple to every scheme) is a cursor copy, not a
-    /// buffer copy; `restage` for a new ASID is the only
-    /// copy-on-write.
+    /// so cloning a trace for replay is a cursor copy, not a buffer
+    /// copy; `restage` for a new ASID is the only copy-on-write.
     records: std::sync::Arc<Vec<[u64; 4]>>,
     /// Whether words 2/3 hold valid packed keys (v2 traces, or after
     /// [`TraceFile::restage`]).

@@ -138,27 +138,6 @@ fn every_scheme_matches_its_pinned_fingerprint() {
     }
 }
 
-/// The L0 hit-way memo is a scan-skip, not a model change: the pinned
-/// table must hold byte-for-byte with the memo force-disabled and
-/// force-enabled. (Tests racing on the env var in parallel are
-/// unaffected for exactly the reason this test exists — both settings
-/// produce identical counters.)
-#[test]
-fn pinned_fingerprints_hold_with_l0_memo_off_and_on() {
-    for setting in ["off", "on"] {
-        std::env::set_var("CSALT_L0", setting);
-        for scheme in schemes() {
-            let r = run(&config(scheme));
-            assert_eq!(
-                fingerprint(&r),
-                expected(scheme),
-                "scheme {scheme:?} diverged from its pinned counters with CSALT_L0={setting}"
-            );
-        }
-    }
-    std::env::remove_var("CSALT_L0");
-}
-
 /// The pinned run on native (non-virtualized) translation — one-level
 /// walks, no nested dimension — so the checkpoint matrix below covers
 /// both walker shapes.
@@ -223,9 +202,9 @@ fn print_native_fingerprints() {
 /// per `CSALT_CKPT` setting — with checkpointing on, the first pass of
 /// a warmup prefix saves the snapshot and the second restores it, so
 /// both the save path and the restore path must reproduce the pinned
-/// tables byte-for-byte. (As with the L0 matrix above, env-var races
-/// between parallel tests are harmless precisely because both settings
-/// produce identical counters.)
+/// tables byte-for-byte. (Env-var races between parallel tests are
+/// harmless precisely because both settings produce identical
+/// counters.)
 #[test]
 fn pinned_fingerprints_hold_with_checkpointing_off_and_on() {
     for setting in ["off", "on"] {
