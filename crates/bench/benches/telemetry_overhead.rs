@@ -11,7 +11,7 @@
 //!
 //! `CSALT_SMOKE=1` shrinks the run for CI.
 
-use csalt_sim::{run, run_instrumented, Instrumentation, SimConfig};
+use csalt_sim::{run, run_instrumented, Instrumentation, SimConfig, SweepOptions};
 use csalt_telemetry::NullRecorder;
 use csalt_types::TranslationScheme;
 use csalt_workloads::{BenchKind, WorkloadSpec};
@@ -40,11 +40,15 @@ fn time_plain(cfg: &SimConfig) -> Duration {
 
 fn time_instrumented(cfg: &SimConfig) -> Duration {
     let mut rec = NullRecorder;
+    // The same checkpoint directory `run` uses, so both timed paths do
+    // identical work.
+    let cache_dir = SweepOptions::from_env().cache_dir;
     let mut inst = Instrumentation {
         recorder: &mut rec,
         sample_interval: 0,
         progress_every_epochs: 0,
         trace: None,
+        cache_dir: cache_dir.as_deref(),
     };
     let t = Instant::now();
     let r = run_instrumented(cfg, &mut inst);

@@ -13,7 +13,7 @@
 //!   per-kind statistics are possible; in hardware this classification is
 //!   by address range and costs no metadata.
 
-use crate::replacement::{way_range_mask, SetReplacement, WayMask};
+use crate::replacement::{way_range_mask, Policy, WayMask};
 use csalt_types::{
     CkptError, CkptReader, CkptWriter, EntryKind, HitMissStats, LineAddr, ReplacementKind,
 };
@@ -132,14 +132,24 @@ impl Occupancy {
 /// address space).
 const INVALID_TAG: u64 = u64::MAX;
 
+/// Offset, after a set block's tags, of the word whose bit *i* marks
+/// way *i* as holding a TLB line (clear: data).
+const KIND: usize = 0;
+/// Offset, after the tags, of the word whose bit *i* marks way *i* dirty.
+const DIRTY: usize = 1;
+/// Offset, after the tags, of the replacement policy's state words.
+const POLICY: usize = 2;
+
 /// A set-associative, write-back, write-allocate cache with optional way
 /// partitioning between data and TLB lines.
 ///
-/// Line metadata is struct-of-arrays: the tags sit in one flat `u64`
-/// array (with [`INVALID_TAG`] marking empty ways) so the per-set way
-/// scan — the hottest loop in the simulator — compares one word per way;
-/// kind and dirty bits live in parallel arrays touched only on hits and
-/// fills.
+/// State is set-major: one flat `u64` array of set blocks, each laid out
+/// as `[tag × W | kind mask | dirty mask | policy words]`. A lookup,
+/// fill or victim choice touches only its own set's block — a few
+/// adjacent cache lines — and no set owns a heap allocation. Tags use
+/// [`INVALID_TAG`] for empty ways, so the way scan — the hottest loop in
+/// the simulator — compares one word per way. Kind and dirty bits of
+/// invalid ways are clear.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: u64,
@@ -147,13 +157,11 @@ pub struct Cache {
     /// shift rather than a division on the hot lookup path.
     set_shift: u32,
     ways: u32,
-    /// Tag per slot; [`INVALID_TAG`] marks an invalid way.
-    tags: Vec<u64>,
-    /// Content classification per slot (garbage where invalid).
-    kinds: Vec<EntryKind>,
-    /// Dirty bit per slot (garbage where invalid).
-    dirty: Vec<bool>,
-    repl: Vec<SetReplacement>,
+    policy: Policy,
+    /// Words per set block: `ways + 2 + policy.words()`.
+    stride: usize,
+    /// Set blocks, set-major.
+    blocks: Vec<u64>,
     /// `Some(n)` ⇒ ways `0..n` belong to data, `n..K` to TLB entries.
     data_ways: Option<u32>,
     stats: CacheStats,
@@ -169,17 +177,17 @@ impl Cache {
     pub fn new(sets: u64, ways: u32, policy: ReplacementKind) -> Self {
         assert!(sets > 0 && sets.is_power_of_two(), "sets must be 2^k");
         assert!((1..=64).contains(&ways), "ways must be in 1..=64");
-        let slots = (sets * u64::from(ways)) as usize;
+        let policy = Policy::new(policy, ways);
+        let mut block = vec![INVALID_TAG; ways as usize];
+        block.extend([0, 0]);
+        block.extend(policy.initial_state());
         Self {
             sets,
             set_shift: sets.trailing_zeros(),
             ways,
-            tags: vec![INVALID_TAG; slots],
-            kinds: vec![EntryKind::Data; slots],
-            dirty: vec![false; slots],
-            repl: (0..sets)
-                .map(|_| SetReplacement::new(policy, ways))
-                .collect(),
+            policy,
+            stride: block.len(),
+            blocks: block.repeat(sets as usize),
             data_ways: None,
             stats: CacheStats::default(),
         }
@@ -268,15 +276,18 @@ impl Cache {
         tag
     }
 
+    /// The block of `set`: its tags, then its kind/dirty/policy words.
     #[inline]
-    fn slot(&self, set: u64, way: u32) -> usize {
-        (set * u64::from(self.ways) + u64::from(way)) as usize
+    fn block(&self, set: u64) -> (&[u64], &[u64]) {
+        let base = set as usize * self.stride;
+        self.blocks[base..base + self.stride].split_at(self.ways as usize)
     }
 
-    /// Reconstructs a line address from set + stored tag.
+    /// Mutable form of [`Cache::block`].
     #[inline]
-    fn line_addr(&self, set: u64, tag: u64) -> LineAddr {
-        LineAddr::from_line_number((tag << self.set_shift) + set)
+    fn block_mut(&mut self, set: u64) -> (&mut [u64], &mut [u64]) {
+        let base = set as usize * self.stride;
+        self.blocks[base..base + self.stride].split_at_mut(self.ways as usize)
     }
 
     /// The replacement candidate mask for an incoming line of `kind`.
@@ -291,10 +302,8 @@ impl Cache {
 
     /// Checks for presence without disturbing replacement state or stats.
     pub fn probe(&self, line: LineAddr) -> bool {
-        let set = self.set_index(line);
-        let tag = self.tag(line);
-        let base = self.slot(set, 0);
-        self.tags[base..base + self.ways as usize].contains(&tag)
+        let (tags, _) = self.block(self.set_index(line));
+        tags.contains(&self.tag(line))
     }
 
     /// Performs one access with conventional MRU insertion.
@@ -317,16 +326,13 @@ impl Cache {
     ) -> AccessOutcome {
         let set = self.set_index(line);
         let tag = self.tag(line);
-        let base = self.slot(set, 0);
-        let ways = self.ways as usize;
+        let policy = self.policy;
 
-        // Lookup: all K ways are scanned irrespective of partition. The
-        // set's tags are sliced once so the scan is a flat one-word-per-
-        // way compare — this is the hottest loop in the simulator.
-        let set_tags = &self.tags[base..base + ways];
-        if let Some(way) = set_tags.iter().position(|&t| t == tag) {
-            self.dirty[base + way] |= write;
-            self.repl[set as usize].touch(way as u32);
+        // Lookup: all K ways are scanned irrespective of partition.
+        let (tags, meta) = self.block_mut(set);
+        if let Some(way) = tags.iter().position(|&t| t == tag) {
+            meta[DIRTY] |= u64::from(write) << way;
+            policy.touch(&mut meta[POLICY..], way as u32);
             self.kind_stats_mut(kind).record_hit();
             return AccessOutcome {
                 hit: true,
@@ -335,45 +341,51 @@ impl Cache {
         }
         self.kind_stats_mut(kind).record_miss();
 
-        // Fill. Prefer an invalid way inside the partition range; else
-        // evict the policy's victim within the range.
+        // Fill. Prefer the lowest invalid way inside the partition range;
+        // else evict the policy's victim within the range.
         let mask = self.partition_mask(kind);
-        let invalid_way = (0..self.ways)
-            .filter(|&w| mask & (1u64 << w) != 0)
-            .find(|&w| self.tags[base + w as usize] == INVALID_TAG);
+        let set_shift = self.set_shift;
+        let (tags, meta) = self.block_mut(set);
+        let mut candidates = mask;
+        let mut invalid_way = None;
+        while candidates != 0 {
+            let w = candidates.trailing_zeros();
+            if tags[w as usize] == INVALID_TAG {
+                invalid_way = Some(w);
+                break;
+            }
+            candidates &= candidates - 1;
+        }
         let (way, evicted) = match invalid_way {
             Some(w) => (w, None),
             None => {
-                let w = self.repl[set as usize].victim(mask);
-                let slot = self.slot(set, w);
-                let old_tag = self.tags[slot];
+                let w = policy.victim(&mut meta[POLICY..], mask);
+                let old_tag = tags[w as usize];
                 debug_assert!(old_tag != INVALID_TAG);
-                let old_dirty = self.dirty[slot];
-                self.stats.evictions += 1;
-                if old_dirty {
-                    self.stats.writebacks += 1;
-                }
-                (
-                    w,
-                    Some(Evicted {
-                        line: self.line_addr(set, old_tag),
-                        kind: self.kinds[slot],
-                        dirty: old_dirty,
-                    }),
-                )
+                let bit = 1u64 << w;
+                let evicted = Evicted {
+                    line: LineAddr::from_line_number((old_tag << set_shift) + set),
+                    kind: kind_of(meta[KIND] & bit),
+                    dirty: meta[DIRTY] & bit != 0,
+                };
+                (w, Some(evicted))
             }
         };
 
-        let slot = self.slot(set, way);
-        self.tags[slot] = tag;
-        self.kinds[slot] = kind;
-        self.dirty[slot] = write;
-        self.stats.fills += 1;
+        tags[way as usize] = tag;
+        let bit = 1u64 << way;
+        meta[KIND] = (meta[KIND] & !bit) | (u64::from(kind == EntryKind::Tlb) << way);
+        meta[DIRTY] = (meta[DIRTY] & !bit) | (u64::from(write) << way);
         // Mru: make the fill most-recent (or RRIP's SRRIP long insert);
         // Lru: leave it the preferred victim (LIP/BIP; BRRIP for RRIP
         // storage).
-        self.repl[set as usize].on_fill(way, insert == InsertPos::Lru);
+        policy.on_fill(&mut meta[POLICY..], way, insert == InsertPos::Lru);
 
+        self.stats.fills += 1;
+        if let Some(ev) = evicted {
+            self.stats.evictions += 1;
+            self.stats.writebacks += u64::from(ev.dirty);
+        }
         AccessOutcome {
             hit: false,
             evicted,
@@ -385,18 +397,18 @@ impl Cache {
     pub fn invalidate(&mut self, line: LineAddr) -> Option<Evicted> {
         let set = self.set_index(line);
         let tag = self.tag(line);
-        for way in 0..self.ways {
-            let slot = self.slot(set, way);
-            if self.tags[slot] == tag {
-                self.tags[slot] = INVALID_TAG;
-                return Some(Evicted {
-                    line: self.line_addr(set, tag),
-                    kind: self.kinds[slot],
-                    dirty: self.dirty[slot],
-                });
-            }
-        }
-        None
+        let (tags, meta) = self.block_mut(set);
+        let way = tags.iter().position(|&t| t == tag)?;
+        tags[way] = INVALID_TAG;
+        let bit = 1u64 << way;
+        let evicted = Evicted {
+            line,
+            kind: kind_of(meta[KIND] & bit),
+            dirty: meta[DIRTY] & bit != 0,
+        };
+        meta[KIND] &= !bit;
+        meta[DIRTY] &= !bit;
+        Some(evicted)
     }
 
     /// Scans the array and reports per-kind occupancy (Figure 3's metric;
@@ -406,13 +418,14 @@ impl Cache {
             capacity_lines: self.sets * u64::from(self.ways),
             ..Occupancy::default()
         };
-        for (t, k) in self.tags.iter().zip(&self.kinds) {
-            if *t != INVALID_TAG {
-                match k {
-                    EntryKind::Data => occ.data_lines += 1,
-                    EntryKind::Tlb => occ.tlb_lines += 1,
-                }
-            }
+        for block in self.blocks.chunks_exact(self.stride) {
+            let (tags, meta) = block.split_at(self.ways as usize);
+            let valid = tags
+                .iter()
+                .enumerate()
+                .fold(0u64, |m, (w, &t)| m | (u64::from(t != INVALID_TAG) << w));
+            occ.tlb_lines += u64::from((valid & meta[KIND]).count_ones());
+            occ.data_lines += u64::from((valid & !meta[KIND]).count_ones());
         }
         occ
     }
@@ -421,11 +434,10 @@ impl Cache {
     /// if present (exact under True-LRU). Exposed for profiler coupling
     /// and tests.
     pub fn stack_position_of(&self, line: LineAddr) -> Option<u32> {
-        let set = self.set_index(line);
         let tag = self.tag(line);
-        (0..self.ways)
-            .find(|&w| self.tags[self.slot(set, w)] == tag)
-            .map(|w| self.repl[set as usize].stack_position(w))
+        let (tags, meta) = self.block(self.set_index(line));
+        let way = tags.iter().position(|&t| t == tag)?;
+        Some(self.policy.stack_position(&meta[POLICY..], way as u32))
     }
 
     #[inline]
@@ -436,24 +448,31 @@ impl Cache {
         }
     }
 
-    /// Serializes the full result-affecting cache state: geometry guard
-    /// words, tag/kind/dirty arrays, partition, per-kind statistics and
-    /// per-set replacement state.
+    /// Serializes the full result-affecting cache state: geometry and
+    /// policy guard words, the set blocks, partition and per-kind
+    /// statistics.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u64(self.sets);
         w.u32(self.ways);
-        // Tags are stored XOR [`INVALID_TAG`] so invalid lines (all of
+        w.u8(self.policy.ckpt_code());
+        // Tags are stored XOR [`INVALID_TAG`] so invalid ways (all of
         // them in a freshly-warmed large cache) serialize as zero and
         // the sparse streaming encode collapses them.
-        w.iter_u64(self.tags.len(), self.tags.iter().map(|&t| t ^ INVALID_TAG));
-        w.iter_u8(
-            self.kinds.len(),
-            self.kinds.iter().map(|k| match k {
-                EntryKind::Data => 0u8,
-                EntryKind::Tlb => 1u8,
+        let ways = self.ways as usize;
+        w.iter_u64(
+            self.blocks.len(),
+            self.blocks.chunks_exact(self.stride).flat_map(|block| {
+                block.iter().enumerate().map(
+                    move |(i, &word)| {
+                        if i < ways {
+                            word ^ INVALID_TAG
+                        } else {
+                            word
+                        }
+                    },
+                )
             }),
         );
-        w.iter_u8(self.dirty.len(), self.dirty.iter().map(|&d| u8::from(d)));
         match self.data_ways {
             Some(n) => {
                 w.bool(true);
@@ -471,44 +490,35 @@ impl Cache {
         w.u64(self.stats.fills);
         w.u64(self.stats.evictions);
         w.u64(self.stats.writebacks);
-        for set in &self.repl {
-            set.ckpt_save(w);
-        }
     }
 
     /// Restores state written by [`Cache::ckpt_save`] into this
-    /// (config-constructed) cache. Geometry must match.
+    /// (config-constructed) cache. Geometry and policy must match.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         if r.u64()? != self.sets || r.u32()? != self.ways {
             return Err(CkptError::Mismatch("cache geometry"));
         }
-        let tags: Vec<u64> = r.vec_u64()?.into_iter().map(|t| t ^ INVALID_TAG).collect();
-        if tags.len() != self.tags.len() {
-            return Err(CkptError::Mismatch("cache tag array length"));
+        if r.u8()? != self.policy.ckpt_code() {
+            return Err(CkptError::Mismatch("replacement policy"));
         }
-        let kinds = r.vec_u8()?;
-        if kinds.len() != self.kinds.len() {
-            return Err(CkptError::Mismatch("cache kind array length"));
+        let mut blocks = r.vec_u64()?;
+        if blocks.len() != self.blocks.len() {
+            return Err(CkptError::Mismatch("cache block array length"));
         }
-        let dirty = r.vec_u8()?;
-        if dirty.len() != self.dirty.len() {
-            return Err(CkptError::Mismatch("cache dirty array length"));
+        let ways = self.ways as usize;
+        let full = way_range_mask(0, self.ways);
+        for block in blocks.chunks_exact_mut(self.stride) {
+            let (tags, meta) = block.split_at_mut(ways);
+            let mut valid = 0u64;
+            for (w, t) in tags.iter_mut().enumerate() {
+                *t ^= INVALID_TAG;
+                valid |= u64::from(*t != INVALID_TAG) << w;
+            }
+            if (meta[KIND] | meta[DIRTY]) & !(valid & full) != 0 {
+                return Err(CkptError::Corrupt("kind/dirty bit on an invalid way"));
+            }
         }
-        self.tags = tags;
-        for (dst, &b) in self.kinds.iter_mut().zip(kinds.iter()) {
-            *dst = match b {
-                0 => EntryKind::Data,
-                1 => EntryKind::Tlb,
-                _ => return Err(CkptError::Corrupt("entry kind byte")),
-            };
-        }
-        for (dst, &b) in self.dirty.iter_mut().zip(dirty.iter()) {
-            *dst = match b {
-                0 => false,
-                1 => true,
-                _ => return Err(CkptError::Corrupt("dirty byte")),
-            };
-        }
+        self.blocks = blocks;
         let partitioned = r.bool()?;
         let n = r.u32()?;
         self.data_ways = if partitioned {
@@ -526,10 +536,17 @@ impl Cache {
         self.stats.fills = r.u64()?;
         self.stats.evictions = r.u64()?;
         self.stats.writebacks = r.u64()?;
-        for set in &mut self.repl {
-            set.ckpt_load(r)?;
-        }
         Ok(())
+    }
+}
+
+/// The entry kind a way's (isolated) kind-mask bit encodes.
+#[inline]
+fn kind_of(bit: u64) -> EntryKind {
+    if bit == 0 {
+        EntryKind::Data
+    } else {
+        EntryKind::Tlb
     }
 }
 

@@ -6,9 +6,12 @@
 //!   lines carry the Data/TLB classification, with **way partitioning**
 //!   enforced at replacement time exactly as §3.1 specifies (lookups scan
 //!   all ways; fills evict only within the partition's way range).
-//! * [`SetReplacement`] — True-LRU, NRU and binary-tree pseudo-LRU
-//!   replacement with partition-restricted victim selection and LRU
-//!   stack-position estimation (§3.4).
+//!   Its state is set-major: one flat array of per-set blocks holding the
+//!   tags, kind and dirty masks and replacement state side by side.
+//! * [`Policy`] — True-LRU, NRU, binary-tree pseudo-LRU and RRIP
+//!   replacement over a set's borrowed state words, with
+//!   partition-restricted victim selection and LRU stack-position
+//!   estimation (§3.4).
 //! * [`DipController`] — the set-dueling Dynamic Insertion Policy baseline
 //!   the paper compares against (§5.2).
 //!
@@ -35,4 +38,4 @@ mod replacement;
 
 pub use cache::{AccessOutcome, Cache, CacheStats, Evicted, InsertPos, Occupancy};
 pub use dip::{DipController, DuelRole};
-pub use replacement::{way_range_mask, SetReplacement, WayMask};
+pub use replacement::{way_range_mask, Policy, WayMask};

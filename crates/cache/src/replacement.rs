@@ -1,4 +1,5 @@
-//! Per-set replacement state: True-LRU, NRU and binary-tree pseudo-LRU.
+//! Replacement policies over flat per-set state: True-LRU, NRU,
+//! binary-tree pseudo-LRU and RRIP.
 //!
 //! CSALT's partitioning algorithms need two things from the replacement
 //! policy (§3.1, §3.4 of the paper):
@@ -10,10 +11,20 @@
 //!    for NRU and BT-PLRU the paper leverages Kędzierski et al. (IPDPS'10)
 //!    to estimate it, at a small accuracy cost.
 //!
-//! [`SetReplacement`] provides both operations behind one interface so the
-//! cache proper is policy-agnostic.
+//! [`Policy`] provides both operations for one structure. It owns no
+//! per-set data: each call borrows the set's state words (`&mut [u64]`,
+//! [`Policy::words`] long), so a structure keeps every set's state in one
+//! flat array — next to the set's tags — and no set owns a heap
+//! allocation. The state words per set are:
+//!
+//! | policy   | words      | layout                                    |
+//! |----------|------------|-------------------------------------------|
+//! | True-LRU | `1 + ways` | touch clock, then one stamp per way       |
+//! | NRU      | 1          | not-recently-used bits                    |
+//! | BT-PLRU  | 1          | internal-node direction bits, heap order  |
+//! | RRIP     | `ways`     | one re-reference prediction value per way |
 
-use csalt_types::{CkptError, CkptReader, CkptWriter, ReplacementKind};
+use csalt_types::ReplacementKind;
 
 /// Bitmask of candidate ways (bit *i* set ⇒ way *i* may be chosen).
 pub type WayMask = u64;
@@ -37,55 +48,27 @@ pub fn way_range_mask(lo: u32, hi: u32) -> WayMask {
     }
 }
 
-/// Replacement metadata for one cache set.
+/// One structure's replacement policy: the [`ReplacementKind`] and the
+/// associativity, chosen once at construction.
 ///
-/// All variants support the same three operations: [`touch`] (on hit or
-/// fill), [`victim`] (choose a way to evict from a candidate mask) and
-/// [`stack_position`] (exact or estimated LRU stack depth of a way).
+/// Every operation takes the set's state words, laid out as the module
+/// docs describe and initialized by [`Policy::initial_state`]:
+/// [`touch`] (on hit), [`on_fill`] (on fill), [`victim`] (choose a way
+/// to evict from a candidate mask) and [`stack_position`] (exact or
+/// estimated LRU stack depth of a way).
 ///
-/// [`touch`]: SetReplacement::touch
-/// [`victim`]: SetReplacement::victim
-/// [`stack_position`]: SetReplacement::stack_position
-#[derive(Debug, Clone)]
-pub enum SetReplacement {
-    /// Exact recency via monotonic stamps: a touch writes one stamp, the
-    /// victim is the minimum-stamp way. Stamps are always distinct, so
-    /// the order is total — identical semantics to an MRU list without
-    /// moving elements on every touch.
-    TrueLru {
-        /// Last-touch stamp per way; larger = more recent.
-        stamps: Vec<u64>,
-        /// Monotonic touch counter.
-        clock: u64,
-    },
-    /// One "not recently used" bit per way (1 = not recently used).
-    Nru {
-        /// NRU bits; bit *i* set means way *i* has not been used recently.
-        bits: WayMask,
-        /// Number of ways.
-        ways: u32,
-    },
-    /// Binary-tree pseudo-LRU. `tree` holds `ways - 1` internal-node bits
-    /// in heap order; a 0 bit points left (lower half), 1 points right.
-    BtPlru {
-        /// Internal-node direction bits, heap-ordered, bit 1 = root.
-        tree: u64,
-        /// Number of ways (must be a power of two).
-        ways: u32,
-    },
-    /// 2-bit Re-Reference Interval Prediction (Jaleel et al., ISCA'10).
-    /// RRPV 0 = near-immediate re-reference, 3 = distant (victim).
-    /// Combined with set dueling over insertion position this realizes
-    /// DRRIP, one of the replacement baselines the paper's related work
-    /// (§6) discusses.
-    Rrip {
-        /// Per-way 2-bit re-reference prediction values.
-        rrpv: Vec<u8>,
-    },
+/// [`touch`]: Policy::touch
+/// [`on_fill`]: Policy::on_fill
+/// [`victim`]: Policy::victim
+/// [`stack_position`]: Policy::stack_position
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Policy {
+    kind: ReplacementKind,
+    ways: u32,
 }
 
-impl SetReplacement {
-    /// Creates fresh state for a `ways`-way set under the given policy.
+impl Policy {
+    /// The policy `kind` over `ways`-way sets.
     ///
     /// # Panics
     ///
@@ -93,69 +76,77 @@ impl SetReplacement {
     /// of two.
     pub fn new(kind: ReplacementKind, ways: u32) -> Self {
         assert!((1..=64).contains(&ways), "ways must be in 1..=64");
-        match kind {
-            ReplacementKind::TrueLru => SetReplacement::TrueLru {
-                // Initial order: way 0 is MRU ... way K-1 is LRU; with an
-                // empty set, victims come from the high ways first.
-                stamps: (0..u64::from(ways)).rev().map(|s| s + 1).collect(),
-                clock: u64::from(ways),
-            },
-            ReplacementKind::Nru => SetReplacement::Nru {
-                bits: way_range_mask(0, ways),
-                ways,
-            },
-            ReplacementKind::BtPlru => {
-                assert!(
-                    ways.is_power_of_two(),
-                    "BT-PLRU requires power-of-two associativity"
-                );
-                SetReplacement::BtPlru { tree: 0, ways }
-            }
-            ReplacementKind::Rrip => SetReplacement::Rrip {
-                // Everything starts distant, so cold ways are victims.
-                rrpv: vec![3; ways as usize],
-            },
+        if kind == ReplacementKind::BtPlru {
+            assert!(
+                ways.is_power_of_two(),
+                "BT-PLRU requires power-of-two associativity"
+            );
+        }
+        Self { kind, ways }
+    }
+
+    /// State words per set.
+    pub fn words(self) -> usize {
+        match self.kind {
+            ReplacementKind::TrueLru => 1 + self.ways as usize,
+            ReplacementKind::Nru | ReplacementKind::BtPlru => 1,
+            ReplacementKind::Rrip => self.ways as usize,
         }
     }
 
-    /// Number of ways this state covers.
-    pub fn ways(&self) -> u32 {
-        match self {
-            SetReplacement::TrueLru { stamps, .. } => stamps.len() as u32,
-            SetReplacement::Nru { ways, .. } | SetReplacement::BtPlru { ways, .. } => *ways,
-            SetReplacement::Rrip { rrpv } => rrpv.len() as u32,
+    /// A one-byte code for the kind, written into checkpoints as a guard.
+    pub fn ckpt_code(self) -> u8 {
+        match self.kind {
+            ReplacementKind::TrueLru => 0,
+            ReplacementKind::Nru => 1,
+            ReplacementKind::BtPlru => 2,
+            ReplacementKind::Rrip => 3,
         }
     }
 
-    /// Marks `way` most-recently-used (called on every hit and fill).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `way` is out of range.
-    pub fn touch(&mut self, way: u32) {
-        assert!(way < self.ways(), "way {way} out of range");
-        match self {
-            SetReplacement::TrueLru { stamps, clock } => {
-                *clock += 1;
-                stamps[way as usize] = *clock;
+    /// The state words of a fresh set.
+    pub fn initial_state(self) -> Vec<u64> {
+        let ways = u64::from(self.ways);
+        match self.kind {
+            // Initial order: way 0 is MRU ... way K-1 is LRU; with an
+            // empty set, victims come from the high ways first.
+            ReplacementKind::TrueLru => std::iter::once(ways).chain((1..=ways).rev()).collect(),
+            ReplacementKind::Nru => vec![way_range_mask(0, self.ways)],
+            ReplacementKind::BtPlru => vec![0],
+            // Everything starts distant, so cold ways are victims.
+            ReplacementKind::Rrip => vec![3; self.ways as usize],
+        }
+    }
+
+    /// Marks `way` most-recently-used (called on every hit).
+    #[inline]
+    pub fn touch(self, state: &mut [u64], way: u32) {
+        debug_assert!(way < self.ways, "way {way} out of range");
+        match self.kind {
+            ReplacementKind::TrueLru => {
+                // Exact recency via monotonic stamps: a touch writes one
+                // stamp, the victim is the minimum-stamp way. Stamps are
+                // always distinct, so the order is total — the semantics
+                // of an MRU list without moving elements on every touch.
+                state[0] += 1;
+                state[1 + way as usize] = state[0];
             }
-            SetReplacement::Nru { bits, ways } => {
+            ReplacementKind::Nru => {
+                let bits = &mut state[0];
                 *bits &= !(1u64 << way);
                 // When every way becomes recently-used, reset all other
                 // bits, keeping this way marked used (standard NRU).
                 if *bits == 0 {
-                    *bits = way_range_mask(0, *ways) & !(1u64 << way);
+                    *bits = way_range_mask(0, self.ways) & !(1u64 << way);
                 }
             }
-            SetReplacement::BtPlru { tree, ways } => {
+            ReplacementKind::BtPlru => {
                 // Walk root → leaf, setting each node to point *away*
                 // from the touched way.
-                let levels = ways.trailing_zeros();
+                let tree = &mut state[0];
                 let mut node = 1u32; // heap index, root = 1
-                for level in (0..levels).rev() {
+                for level in (0..self.ways.trailing_zeros()).rev() {
                     let bit = (way >> level) & 1;
-                    // Point away: store the complement of the direction
-                    // taken.
                     if bit == 0 {
                         *tree |= 1u64 << node; // we went left; point right
                     } else {
@@ -164,9 +155,9 @@ impl SetReplacement {
                     node = node * 2 + bit;
                 }
             }
-            SetReplacement::Rrip { rrpv } => {
+            ReplacementKind::Rrip => {
                 // Hit promotion: predict near-immediate re-reference.
-                rrpv[way as usize] = 0;
+                state[way as usize] = 0;
             }
         }
     }
@@ -174,18 +165,14 @@ impl SetReplacement {
     /// Fill hook: establishes the inserted way's replacement state.
     /// For recency policies, `distant` leaves the way at its inherited
     /// (victim) recency — the LIP/BIP realization — while a normal fill
-    /// touches it to MRU. For RRIP storage, `distant` is BRRIP's RRPV-3
+    /// touches it to MRU. For RRIP, `distant` is BRRIP's RRPV-3
     /// insertion and normal is SRRIP's RRPV-2 long insertion.
-    pub fn on_fill(&mut self, way: u32, distant: bool) {
-        match self {
-            SetReplacement::Rrip { rrpv } => {
-                rrpv[way as usize] = if distant { 3 } else { 2 };
-            }
-            _ => {
-                if !distant {
-                    self.touch(way);
-                }
-            }
+    #[inline]
+    pub fn on_fill(self, state: &mut [u64], way: u32, distant: bool) {
+        if self.kind == ReplacementKind::Rrip {
+            state[way as usize] = if distant { 3 } else { 2 };
+        } else if !distant {
+            self.touch(state, way);
         }
     }
 
@@ -195,44 +182,55 @@ impl SetReplacement {
     /// the lowest allowed way with its NRU bit set (resetting allowed bits
     /// if none is set — the partition-local variant of NRU's global reset).
     /// For BT-PLRU, the tree is walked toward the pointed-to half whenever
-    /// that half still contains an allowed way.
+    /// that half still contains an allowed way. For RRIP, the lowest
+    /// allowed way predicted distant, aging the allowed ways until one is.
     ///
     /// # Panics
     ///
     /// Panics if `mask` selects no way within range.
-    pub fn victim(&mut self, mask: WayMask) -> u32 {
-        let full = way_range_mask(0, self.ways());
-        let mask = mask & full;
+    #[inline]
+    pub fn victim(self, state: &mut [u64], mask: WayMask) -> u32 {
+        let mask = mask & way_range_mask(0, self.ways);
         assert!(mask != 0, "victim mask selects no way");
-        match self {
-            SetReplacement::TrueLru { stamps, .. } => stamps
-                .iter()
-                .enumerate()
-                .filter(|(w, _)| mask & (1u64 << w) != 0)
-                .min_by_key(|(_, &s)| s)
-                .map(|(w, _)| w as u32)
-                .expect("mask verified nonempty"),
-            SetReplacement::Nru { bits, .. } => {
+        match self.kind {
+            ReplacementKind::TrueLru => {
+                // The lowest allowed way with the minimum stamp.
+                let stamps = &state[1..];
+                let mut rest = mask;
+                let mut best = rest.trailing_zeros();
+                let mut best_stamp = stamps[best as usize];
+                rest &= rest - 1;
+                while rest != 0 {
+                    let w = rest.trailing_zeros();
+                    let s = stamps[w as usize];
+                    if s < best_stamp {
+                        best = w;
+                        best_stamp = s;
+                    }
+                    rest &= rest - 1;
+                }
+                best
+            }
+            ReplacementKind::Nru => {
+                let bits = &mut state[0];
                 if *bits & mask == 0 {
                     // All allowed ways recently used: age them.
                     *bits |= mask;
                 }
                 (*bits & mask).trailing_zeros()
             }
-            SetReplacement::BtPlru { tree, ways } => {
-                let levels = ways.trailing_zeros();
+            ReplacementKind::BtPlru => {
+                let tree = state[0];
                 let mut node = 1u32;
                 let mut way = 0u32;
-                for level in (0..levels).rev() {
-                    let point_right = (*tree >> node) & 1 == 1;
+                for level in (0..self.ways.trailing_zeros()).rev() {
+                    let point_right = (tree >> node) & 1 == 1;
                     let half = 1u32 << level;
-                    let left_mask = subtree_mask(way, half);
-                    let right_mask = subtree_mask(way + half, half);
                     let go_right = if point_right {
-                        mask & right_mask != 0
+                        mask & way_range_mask(way + half, way + 2 * half) != 0
                     } else {
                         // Pointed left, but only if an allowed way exists.
-                        mask & left_mask == 0
+                        mask & way_range_mask(way, way + half) == 0
                     };
                     if go_right {
                         way += half;
@@ -244,160 +242,84 @@ impl SetReplacement {
                 debug_assert!(mask & (1u64 << way) != 0);
                 way
             }
-            SetReplacement::Rrip { rrpv } => {
-                // Find the first allowed way predicted "distant" (RRPV
-                // 3); age the allowed ways until one appears.
+            ReplacementKind::Rrip => {
+                let rrpv = &mut state[..self.ways as usize];
                 loop {
-                    if let Some(w) = (0..rrpv.len() as u32)
-                        .find(|&w| mask & (1u64 << w) != 0 && rrpv[w as usize] >= 3)
-                    {
-                        return w;
-                    }
-                    for (w, v) in rrpv.iter_mut().enumerate() {
-                        if mask & (1u64 << w) != 0 {
-                            *v += 1;
+                    let mut rest = mask;
+                    while rest != 0 {
+                        let w = rest.trailing_zeros();
+                        if rrpv[w as usize] >= 3 {
+                            return w;
                         }
+                        rest &= rest - 1;
+                    }
+                    let mut rest = mask;
+                    while rest != 0 {
+                        rrpv[rest.trailing_zeros() as usize] += 1;
+                        rest &= rest - 1;
                     }
                 }
             }
         }
     }
 
-    /// Exact (True-LRU) or estimated (NRU / BT-PLRU, per Kędzierski et
-    /// al.) LRU stack position of `way`; 0 is MRU, `ways-1` is LRU.
+    /// Exact (True-LRU) or estimated (NRU / BT-PLRU / RRIP, per
+    /// Kędzierski et al.) LRU stack position of `way`; 0 is MRU,
+    /// `ways-1` is LRU.
     ///
     /// # Panics
     ///
     /// Panics if `way` is out of range.
-    pub fn stack_position(&self, way: u32) -> u32 {
-        assert!(way < self.ways(), "way {way} out of range");
-        match self {
-            SetReplacement::TrueLru { stamps, .. } => {
+    pub fn stack_position(self, state: &[u64], way: u32) -> u32 {
+        assert!(way < self.ways, "way {way} out of range");
+        match self.kind {
+            ReplacementKind::TrueLru => {
                 // Exact depth: the number of ways touched more recently.
+                let stamps = &state[1..=self.ways as usize];
                 let s = stamps[way as usize];
                 stamps.iter().filter(|&&o| o > s).count() as u32
             }
-            SetReplacement::Nru { bits, ways } => {
+            ReplacementKind::Nru => {
                 // Recently-used ways are estimated to occupy the upper
                 // (MRU) half of the stack, others the lower half; within a
                 // half, order by way index for determinism.
-                let used_mask = way_range_mask(0, *ways) & !*bits;
-                let is_used = bits & (1u64 << way) == 0;
-                if is_used {
+                let bits = state[0];
+                let used_mask = way_range_mask(0, self.ways) & !bits;
+                if bits & (1u64 << way) == 0 {
                     rank_within(used_mask, way)
                 } else {
-                    used_mask.count_ones() + rank_within(*bits, way)
+                    used_mask.count_ones() + rank_within(bits, way)
                 }
             }
-            SetReplacement::BtPlru { tree, ways } => {
+            ReplacementKind::BtPlru => {
                 // Identifier-based estimate: each tree node on the path
-                // that points *away* from this way counts as evidence of
-                // recency; accumulate binary weights to place the way in
-                // the stack (Kędzierski et al. §IV-B).
-                let levels = ways.trailing_zeros();
+                // that points *toward* this way's half counts as evidence
+                // the way is closer to being the victim; accumulate
+                // binary weights to place it in the stack (Kędzierski et
+                // al. §IV-B).
+                let tree = state[0];
                 let mut node = 1u32;
                 let mut position = 0u32;
-                for level in (0..levels).rev() {
+                for level in (0..self.ways.trailing_zeros()).rev() {
                     let bit = (way >> level) & 1;
-                    let points_right = (*tree >> node) & 1 == 1;
-                    // If the node points toward this way's half, the way
-                    // is closer to being the victim: add that level's
-                    // weight.
-                    let toward = (bit == 1) == points_right;
-                    if toward {
+                    let points_right = (tree >> node) & 1 == 1;
+                    if (bit == 1) == points_right {
                         position += 1u32 << level;
                     }
                     node = node * 2 + bit;
                 }
                 position
             }
-            SetReplacement::Rrip { rrpv } => {
+            ReplacementKind::Rrip => {
                 // Estimate: quarter of the stack per RRPV step, ranked
                 // by way index within a step for determinism.
-                let k = rrpv.len() as u32;
-                let v = u32::from(rrpv[way as usize]);
-                let rank = (0..way)
-                    .filter(|&w| u32::from(rrpv[w as usize]) == v)
-                    .count() as u32;
-                (v * k / 4 + rank).min(k - 1)
+                let rrpv = &state[..self.ways as usize];
+                let v = rrpv[way as usize];
+                let rank = rrpv[..way as usize].iter().filter(|&&o| o == v).count() as u32;
+                (v as u32 * self.ways / 4 + rank).min(self.ways - 1)
             }
         }
     }
-    /// Serializes this set's replacement state: a one-byte variant tag
-    /// followed by the variant's fields, fixed-width.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        match self {
-            SetReplacement::TrueLru { stamps, clock } => {
-                w.u8(0);
-                w.slice_u64(stamps);
-                w.u64(*clock);
-            }
-            SetReplacement::Nru { bits, ways } => {
-                w.u8(1);
-                w.u64(*bits);
-                w.u32(*ways);
-            }
-            SetReplacement::BtPlru { tree, ways } => {
-                w.u8(2);
-                w.u64(*tree);
-                w.u32(*ways);
-            }
-            SetReplacement::Rrip { rrpv } => {
-                w.u8(3);
-                w.bytes(rrpv);
-            }
-        }
-    }
-
-    /// Restores state written by [`SetReplacement::ckpt_save`] into this
-    /// (config-constructed) instance. The stored variant and way count
-    /// must match the receiver's.
-    pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let tag = r.u8()?;
-        match (tag, &mut *self) {
-            (0, SetReplacement::TrueLru { stamps, clock }) => {
-                let got = r.vec_u64()?;
-                if got.len() != stamps.len() {
-                    return Err(CkptError::Mismatch("true-lru way count"));
-                }
-                *stamps = got;
-                *clock = r.u64()?;
-            }
-            (1, SetReplacement::Nru { bits, ways }) => {
-                let b = r.u64()?;
-                let k = r.u32()?;
-                if k != *ways {
-                    return Err(CkptError::Mismatch("nru way count"));
-                }
-                *bits = b;
-                *ways = k;
-            }
-            (2, SetReplacement::BtPlru { tree, ways }) => {
-                let t = r.u64()?;
-                let k = r.u32()?;
-                if k != *ways {
-                    return Err(CkptError::Mismatch("bt-plru way count"));
-                }
-                *tree = t;
-                *ways = k;
-            }
-            (3, SetReplacement::Rrip { rrpv }) => {
-                let got = r.bytes()?;
-                if got.len() != rrpv.len() {
-                    return Err(CkptError::Mismatch("rrip way count"));
-                }
-                rrpv.copy_from_slice(got);
-            }
-            _ => return Err(CkptError::Mismatch("replacement policy variant")),
-        }
-        Ok(())
-    }
-}
-
-/// Mask covering `count` ways starting at `start`.
-#[inline]
-fn subtree_mask(start: u32, count: u32) -> WayMask {
-    way_range_mask(start, start + count)
 }
 
 /// Rank (0-based) of `way` among the set bits of `mask`.
@@ -409,6 +331,38 @@ fn rank_within(mask: WayMask, way: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A policy plus one set's state, for driving the policy directly.
+    struct Set {
+        policy: Policy,
+        state: Vec<u64>,
+    }
+
+    impl Set {
+        fn new(kind: ReplacementKind, ways: u32) -> Self {
+            let policy = Policy::new(kind, ways);
+            Self {
+                policy,
+                state: policy.initial_state(),
+            }
+        }
+
+        fn touch(&mut self, way: u32) {
+            self.policy.touch(&mut self.state, way);
+        }
+
+        fn on_fill(&mut self, way: u32, distant: bool) {
+            self.policy.on_fill(&mut self.state, way, distant);
+        }
+
+        fn victim(&mut self, mask: WayMask) -> u32 {
+            self.policy.victim(&mut self.state, mask)
+        }
+
+        fn stack_position(&self, way: u32) -> u32 {
+            self.policy.stack_position(&self.state, way)
+        }
+    }
 
     #[test]
     fn way_range_mask_basics() {
@@ -425,8 +379,26 @@ mod tests {
     }
 
     #[test]
+    fn state_words_match_the_layout() {
+        for (kind, words) in [
+            (ReplacementKind::TrueLru, 9),
+            (ReplacementKind::Nru, 1),
+            (ReplacementKind::BtPlru, 1),
+            (ReplacementKind::Rrip, 8),
+        ] {
+            let p = Policy::new(kind, 8);
+            assert_eq!(p.words(), words, "{kind:?}");
+            assert_eq!(p.initial_state().len(), words, "{kind:?}");
+        }
+        assert_eq!(
+            Policy::new(ReplacementKind::TrueLru, 4).initial_state(),
+            vec![4, 4, 3, 2, 1]
+        );
+    }
+
+    #[test]
     fn true_lru_exact_order() {
-        let mut r = SetReplacement::new(ReplacementKind::TrueLru, 4);
+        let mut r = Set::new(ReplacementKind::TrueLru, 4);
         r.touch(2); // order: 2 0 1 3
         r.touch(1); // order: 1 2 0 3
         assert_eq!(r.stack_position(1), 0);
@@ -440,7 +412,7 @@ mod tests {
 
     #[test]
     fn true_lru_victim_respects_partition() {
-        let mut r = SetReplacement::new(ReplacementKind::TrueLru, 8);
+        let mut r = Set::new(ReplacementKind::TrueLru, 8);
         for w in [7, 6, 5, 4, 3, 2, 1, 0] {
             r.touch(w); // 0 is now MRU, 7 LRU
         }
@@ -452,7 +424,7 @@ mod tests {
 
     #[test]
     fn nru_victims_prefer_unused() {
-        let mut r = SetReplacement::new(ReplacementKind::Nru, 4);
+        let mut r = Set::new(ReplacementKind::Nru, 4);
         r.touch(0);
         r.touch(1);
         // Ways 2,3 still "not recently used".
@@ -465,7 +437,7 @@ mod tests {
 
     #[test]
     fn nru_partition_local_reset() {
-        let mut r = SetReplacement::new(ReplacementKind::Nru, 4);
+        let mut r = Set::new(ReplacementKind::Nru, 4);
         for w in 0..4 {
             r.touch(w);
         }
@@ -476,7 +448,7 @@ mod tests {
 
     #[test]
     fn nru_stack_positions_rank_used_before_unused() {
-        let mut r = SetReplacement::new(ReplacementKind::Nru, 4);
+        let mut r = Set::new(ReplacementKind::Nru, 4);
         r.touch(3);
         // Used way 3 must rank above (closer to MRU than) unused ways.
         let p3 = r.stack_position(3);
@@ -487,7 +459,7 @@ mod tests {
 
     #[test]
     fn btplru_touch_protects_way() {
-        let mut r = SetReplacement::new(ReplacementKind::BtPlru, 8);
+        let mut r = Set::new(ReplacementKind::BtPlru, 8);
         r.touch(5);
         let v = r.victim(way_range_mask(0, 8));
         assert_ne!(v, 5, "just-touched way must not be the victim");
@@ -495,7 +467,7 @@ mod tests {
 
     #[test]
     fn btplru_victim_respects_partition() {
-        let mut r = SetReplacement::new(ReplacementKind::BtPlru, 8);
+        let mut r = Set::new(ReplacementKind::BtPlru, 8);
         for w in 0..8 {
             r.touch(w);
         }
@@ -508,7 +480,7 @@ mod tests {
 
     #[test]
     fn btplru_stack_position_monotone_for_fresh_touch() {
-        let mut r = SetReplacement::new(ReplacementKind::BtPlru, 8);
+        let mut r = Set::new(ReplacementKind::BtPlru, 8);
         r.touch(4);
         assert_eq!(r.stack_position(4), 0, "touched way estimated MRU");
         // The PLRU victim should have the maximal estimate.
@@ -522,7 +494,7 @@ mod tests {
     #[test]
     fn victim_cycle_covers_all_ways_true_lru() {
         // Repeatedly evicting + touching the victim must cycle fairly.
-        let mut r = SetReplacement::new(ReplacementKind::TrueLru, 4);
+        let mut r = Set::new(ReplacementKind::TrueLru, 4);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..4 {
             let v = r.victim(way_range_mask(0, 4));
@@ -535,19 +507,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "victim mask selects no way")]
     fn empty_mask_panics() {
-        let mut r = SetReplacement::new(ReplacementKind::TrueLru, 4);
+        let mut r = Set::new(ReplacementKind::TrueLru, 4);
         r.victim(0);
     }
 
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn btplru_rejects_non_power_of_two() {
-        SetReplacement::new(ReplacementKind::BtPlru, 12);
+        Policy::new(ReplacementKind::BtPlru, 12);
     }
 
     #[test]
     fn rrip_victims_prefer_distant_ways() {
-        let mut r = SetReplacement::new(ReplacementKind::Rrip, 4);
+        let mut r = Set::new(ReplacementKind::Rrip, 4);
         // Fill all 4 ways with long (SRRIP) insertions.
         for w in 0..4 {
             let v = r.victim(way_range_mask(0, 4));
@@ -563,7 +535,7 @@ mod tests {
 
     #[test]
     fn rrip_distant_insertion_is_next_victim() {
-        let mut r = SetReplacement::new(ReplacementKind::Rrip, 4);
+        let mut r = Set::new(ReplacementKind::Rrip, 4);
         for w in 0..4 {
             r.on_fill(w, false); // RRPV 2
         }
@@ -573,7 +545,7 @@ mod tests {
 
     #[test]
     fn rrip_respects_partition_mask() {
-        let mut r = SetReplacement::new(ReplacementKind::Rrip, 8);
+        let mut r = Set::new(ReplacementKind::Rrip, 8);
         for w in 0..8 {
             r.on_fill(w, false);
             r.touch(w); // everything near-immediate
@@ -587,7 +559,7 @@ mod tests {
 
     #[test]
     fn rrip_stack_positions_rank_by_rrpv() {
-        let mut r = SetReplacement::new(ReplacementKind::Rrip, 8);
+        let mut r = Set::new(ReplacementKind::Rrip, 8);
         for w in 0..8 {
             r.on_fill(w, false);
         }
@@ -598,7 +570,7 @@ mod tests {
     #[test]
     fn twelve_way_nru_works() {
         // The paper's L2 TLB is 12-way; NRU must handle non-power-of-two.
-        let mut r = SetReplacement::new(ReplacementKind::Nru, 12);
+        let mut r = Set::new(ReplacementKind::Nru, 12);
         for w in 0..12 {
             r.touch(w);
         }

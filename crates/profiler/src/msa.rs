@@ -15,6 +15,10 @@
 use csalt_types::{CkptError, CkptReader, CkptWriter, EntryKind};
 use serde::{Deserialize, Serialize};
 
+/// Sentinel for an empty shadow-stack slot (no real tag reaches
+/// all-ones; see the cache's invalid-tag sentinel).
+const EMPTY: u64 = u64::MAX;
+
 /// Stack-distance profiler for one cache: two shadow LRU tag directories
 /// (data and TLB) plus their `K+1` hit counters.
 #[derive(Debug, Clone)]
@@ -22,8 +26,9 @@ pub struct StackDistanceProfiler {
     ways: u32,
     sets: u64,
     interval: u64,
-    /// Shadow tags: `shadow[kind][sampled_set]` is an MRU-first tag list.
-    shadow: [Vec<Vec<u64>>; 2],
+    /// Shadow tags, one flat array per kind: sampled set `i` owns slots
+    /// `i*K .. (i+1)*K`, an MRU-first tag list padded with [`EMPTY`].
+    shadow: [Vec<u64>; 2],
     counters: [Vec<u64>; 2],
 }
 
@@ -91,12 +96,12 @@ impl StackDistanceProfiler {
     pub fn new(sets: u64, ways: u32, interval: u64) -> Self {
         assert!(sets > 0 && ways > 0 && interval > 0, "zero dimension");
         assert!(interval <= sets, "interval exceeds set count");
-        let sampled = sets.div_ceil(interval) as usize;
+        let slots = sets.div_ceil(interval) as usize * ways as usize;
         Self {
             ways,
             sets,
             interval,
-            shadow: [vec![Vec::new(); sampled], vec![Vec::new(); sampled]],
+            shadow: [vec![EMPTY; slots], vec![EMPTY; slots]],
             counters: [vec![0; ways as usize + 1], vec![0; ways as usize + 1]],
         }
     }
@@ -124,22 +129,22 @@ impl StackDistanceProfiler {
             }
             (set / self.interval) as usize
         };
-        let stack = &mut self.shadow[kind.index()][idx];
-        let depth = match stack.iter().position(|&t| t == tag) {
-            Some(pos) => {
+        let ways = self.ways as usize;
+        let stack = &mut self.shadow[kind.index()][idx * ways..(idx + 1) * ways];
+        // Tags fill a stack front to back, so the scan stops at the
+        // first empty slot.
+        let depth = match stack.iter().position(|&t| t == tag || t == EMPTY) {
+            Some(pos) if stack[pos] == tag => {
                 // Move-to-front as one rotation instead of remove+insert.
                 stack[..=pos].rotate_right(1);
                 pos as u32
             }
-            None => {
-                if stack.len() >= self.ways as usize {
-                    // Full stack: the rotated-in last element is the LRU
-                    // casualty; overwrite it with the new MRU tag.
-                    stack.rotate_right(1);
-                    stack[0] = tag;
-                } else {
-                    stack.insert(0, tag);
-                }
+            end => {
+                // Miss: the first empty slot — or, in a full stack, the
+                // LRU casualty — rotates to the front and takes the new
+                // MRU tag.
+                stack[..=end.unwrap_or(ways - 1)].rotate_right(1);
+                stack[0] = tag;
                 self.ways
             }
         };
@@ -180,12 +185,10 @@ impl StackDistanceProfiler {
         w.u32(self.ways);
         w.u64(self.sets);
         w.u64(self.interval);
+        // Slots are stored XOR [`EMPTY`] so empty slots serialize as
+        // zero and the sparse encode collapses them.
         for kind in &self.shadow {
-            w.len64(kind.len());
-            for stack in kind {
-                w.len64(stack.len());
-                w.slice_u64(stack);
-            }
+            w.iter_u64(kind.len(), kind.iter().map(|&t| t ^ EMPTY));
         }
         for counters in &self.counters {
             w.slice_u64(counters);
@@ -199,19 +202,19 @@ impl StackDistanceProfiler {
             return Err(CkptError::Mismatch("stack profiler geometry"));
         }
         for kind in &mut self.shadow {
-            if r.len64()? != kind.len() {
+            let slots = r.vec_u64()?;
+            if slots.len() != kind.len() {
                 return Err(CkptError::Mismatch("stack profiler sampled sets"));
             }
-            for stack in kind.iter_mut() {
-                let len = r.len64()?;
-                if len > self.ways as usize {
-                    return Err(CkptError::Corrupt("shadow stack deeper than ways"));
-                }
-                let tags = r.vec_u64()?;
-                if tags.len() != len {
-                    return Err(CkptError::Corrupt("shadow stack length"));
-                }
-                *stack = tags;
+            kind.iter_mut()
+                .zip(slots)
+                .for_each(|(dst, t)| *dst = t ^ EMPTY);
+            // A stack fills front to back: no tag may follow an empty slot.
+            if kind
+                .chunks_exact(self.ways as usize)
+                .any(|stack| stack.windows(2).any(|p| p[0] == EMPTY && p[1] != EMPTY))
+            {
+                return Err(CkptError::Corrupt("shadow stack has a gap"));
             }
         }
         for counters in &mut self.counters {

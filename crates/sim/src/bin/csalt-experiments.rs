@@ -262,11 +262,13 @@ fn run_single(args: &[String]) {
         None => &mut null,
     };
     let mut trace_buf = trace_path.as_ref().map(|_| TraceBuffer::new());
+    let cache_dir = SweepOptions::from_env().cache_dir;
     let mut inst = Instrumentation {
         recorder,
         sample_interval,
         progress_every_epochs: progress,
         trace: trace_buf.as_mut(),
+        cache_dir: cache_dir.as_deref(),
     };
     let result = run_instrumented(&cfg, &mut inst);
 

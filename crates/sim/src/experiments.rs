@@ -985,8 +985,10 @@ mod tests {
         assert!(c.virtualized);
     }
 
+    /// The batch path behind [`run_parallel`], on a sweep without a
+    /// cache directory so the test leaves no files.
     #[test]
-    fn run_parallel_preserves_order() {
+    fn run_batch_preserves_order() {
         let mk = |scheme| {
             let mut c = SimConfig::new(WorkloadSpec::homogeneous("gups", BenchKind::Gups), scheme);
             c.system.cores = 1;
@@ -994,7 +996,8 @@ mod tests {
             c.scale = 0.05;
             c
         };
-        let results = run_parallel(vec![
+        let sweep = crate::sweep::Sweep::new(crate::sweep::SweepOptions::default());
+        let results = sweep.run_batch(vec![
             mk(TranslationScheme::Conventional),
             mk(TranslationScheme::PomTlb),
             mk(TranslationScheme::CsaltCd),

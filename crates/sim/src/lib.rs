@@ -3,14 +3,15 @@
 //! the paper's evaluation.
 //!
 //! * [`SimConfig`] / [`run`] — simulate one (workload, scheme)
-//!   configuration on the 8-core machine of Table 2.
+//!   configuration on the 8-core machine of Table 2; [`run_in`] picks
+//!   the warmup-checkpoint directory (or none).
 //! * [`experiments`] — the per-figure harnesses (`fig01` … `fig16`,
 //!   `tab01`), each returning a printable [`experiments::Table`].
 //!
 //! # Example
 //!
 //! ```
-//! use csalt_sim::{run, SimConfig};
+//! use csalt_sim::{run_in, SimConfig};
 //! use csalt_types::TranslationScheme;
 //! use csalt_workloads::{BenchKind, WorkloadSpec};
 //!
@@ -21,7 +22,7 @@
 //! cfg.system.cores = 1;          // keep the doctest fast
 //! cfg.accesses_per_core = 5_000;
 //! cfg.scale = 0.05;
-//! let result = run(&cfg);
+//! let (result, _restored) = run_in(&cfg, None); // no warmup checkpoints
 //! assert!(result.ipc() > 0.0);
 //! ```
 
@@ -37,7 +38,8 @@ pub mod trace_store;
 
 pub use checkpoint::{CkptRequest, CkptStats};
 pub use simulator::{
-    build_threads, run, run_with_generators, OccupancySample, SimConfig, SimResult, WarmupMode,
+    build_threads, run, run_in, run_with_generators, run_with_generators_in, OccupancySample,
+    SimConfig, SimResult, WarmupMode,
 };
 pub use sweep::{Sweep, SweepOptions, SweepStats};
 

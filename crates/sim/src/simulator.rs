@@ -505,8 +505,13 @@ pub fn run(cfg: &SimConfig) -> SimResult {
 /// [`run`] with warmup checkpoints under `cache_dir` (`None`: no
 /// checkpoints), also reporting whether the warmup was restored. The
 /// sweep's workers run every job through here, so a sweep keeps its
-/// checkpoints in its own cache directory.
-pub(crate) fn run_in(cfg: &SimConfig, cache_dir: Option<&Path>) -> (SimResult, bool) {
+/// checkpoints in its own cache directory; callers that must leave no
+/// files behind pass `None`.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid (zero cores, bad geometry…).
+pub fn run_in(cfg: &SimConfig, cache_dir: Option<&Path>) -> (SimResult, bool) {
     execute(cfg, build_threads(cfg), &mut NoHooks, cache_dir)
 }
 
@@ -520,6 +525,22 @@ pub(crate) fn run_in(cfg: &SimConfig, cache_dir: Option<&Path>) -> (SimResult, b
 /// Panics if the configuration is invalid or the generator matrix does
 /// not match its shape.
 pub fn run_with_generators(cfg: &SimConfig, threads: Vec<Vec<AnyGenerator>>) -> SimResult {
+    run_with_generators_in(cfg, threads, default_cache_dir().as_deref()).0
+}
+
+/// [`run_with_generators`] with warmup checkpoints under `cache_dir`
+/// (`None`: no checkpoints), also reporting whether the warmup was
+/// restored — the generator-matrix form of [`run_in`].
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid or the generator matrix does
+/// not match its shape.
+pub fn run_with_generators_in(
+    cfg: &SimConfig,
+    threads: Vec<Vec<AnyGenerator>>,
+    cache_dir: Option<&Path>,
+) -> (SimResult, bool) {
     assert_eq!(
         threads.len(),
         cfg.system.contexts_per_core as usize,
@@ -531,7 +552,7 @@ pub fn run_with_generators(cfg: &SimConfig, threads: Vec<Vec<AnyGenerator>>) -> 
             .all(|row| row.len() == cfg.system.cores as usize),
         "one generator per core in every VM row"
     );
-    execute(cfg, threads, &mut NoHooks, default_cache_dir().as_deref()).0
+    execute(cfg, threads, &mut NoHooks, cache_dir)
 }
 
 /// One timed scheduling phase: run every core up to `total_per_core`
@@ -1044,6 +1065,9 @@ pub struct Instrumentation<'a> {
     /// cycles clock, infrastructure events on the wall clock. `None`
     /// (the default) keeps the uninstrumented fast path.
     pub trace: Option<&'a mut TraceBuffer>,
+    /// Warmup-checkpoint directory, as for [`run_in`] (`None`: no
+    /// checkpoints).
+    pub cache_dir: Option<&'a Path>,
 }
 
 /// Runs one configuration with telemetry: a provenance header, one
@@ -1064,7 +1088,7 @@ pub fn run_instrumented(cfg: &SimConfig, inst: &mut Instrumentation<'_>) -> SimR
     // no-op path as `run` — this is what keeps a telemetry-capable build
     // free when telemetry is not requested.
     if !inst.recorder.is_enabled() && inst.progress_every_epochs == 0 && inst.trace.is_none() {
-        return run(cfg);
+        return run_in(cfg, inst.cache_dir).0;
     }
     let cores = cfg.system.cores as usize;
     let wall_start = if let Some(t) = inst.trace.as_deref_mut() {
@@ -1112,12 +1136,8 @@ pub fn run_instrumented(cfg: &SimConfig, inst: &mut Instrumentation<'_>) -> SimR
         l3_decisions_seen: 0,
         last_commit_wall: wall_start.unwrap_or(0),
     };
-    let (result, _) = execute(
-        cfg,
-        build_threads(cfg),
-        &mut hooks,
-        default_cache_dir().as_deref(),
-    );
+    let cache_dir = hooks.inst.cache_dir;
+    let (result, _) = execute(cfg, build_threads(cfg), &mut hooks, cache_dir);
     hooks.finish();
     result
 }
@@ -1500,6 +1520,11 @@ impl PhaseHooks for LiveHooks<'_, '_> {
 mod tests {
     use super::*;
     use csalt_workloads::{BenchKind, WorkloadSpec};
+
+    /// Runs `cfg` without warmup checkpoints, so tests leave no files.
+    fn run(cfg: &SimConfig) -> SimResult {
+        run_in(cfg, None).0
+    }
 
     fn quick(scheme: TranslationScheme) -> SimConfig {
         let mut cfg = SimConfig::new(WorkloadSpec::homogeneous("gups", BenchKind::Gups), scheme);

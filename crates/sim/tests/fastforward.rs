@@ -3,10 +3,15 @@
 //! with timed warmup on timing-independent configurations, and the
 //! sampled-window accounting contract.
 
-use csalt_sim::{build_threads, run, SimConfig, WarmupMode};
+use csalt_sim::{build_threads, run_in, run_with_generators_in, SimConfig, SimResult, WarmupMode};
 use csalt_types::TranslationScheme;
 use csalt_workloads::BenchKind;
 use csalt_workloads::{AnyGenerator, TraceFile, TraceGenerator, WorkloadSpec};
+
+/// Runs `cfg` without warmup checkpoints, so the tests leave no files.
+fn run(cfg: &SimConfig) -> SimResult {
+    run_in(cfg, None).0
+}
 
 /// Every scheme the engine supports, including one static partition.
 const SCHEMES: [TranslationScheme; 9] = [
@@ -180,8 +185,8 @@ fn staged_replay_matches_unstaged_replay_bit_for_bit() {
             .collect()
     };
 
-    let unstaged = csalt_sim::run_with_generators(&cfg, matrix(false));
-    let staged = csalt_sim::run_with_generators(&cfg, matrix(true));
+    let (unstaged, _) = run_with_generators_in(&cfg, matrix(false), None);
+    let (staged, _) = run_with_generators_in(&cfg, matrix(true), None);
     assert_eq!(json(&unstaged), json(&staged));
 
     // And both match the generated run they were recorded from.

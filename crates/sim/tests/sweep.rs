@@ -4,7 +4,7 @@
 //! never to wrong results.
 
 use csalt_sim::sweep::config_key;
-use csalt_sim::{run, SimConfig, SimResult, Sweep, SweepOptions};
+use csalt_sim::{run_in, SimConfig, SimResult, Sweep, SweepOptions};
 use csalt_types::TranslationScheme;
 use csalt_workloads::{BenchKind, WorkloadSpec};
 use std::path::PathBuf;
@@ -117,7 +117,7 @@ fn cached_deduped_and_fresh_paths_agree() {
     let other = small(TranslationScheme::Dip);
 
     // Fresh: the plain sequential path every figure is pinned against.
-    let fresh = json(&run(&cfg));
+    let fresh = json(&run_in(&cfg, None).0);
 
     // Deduped: three copies interleaved with another config, one batch.
     let sweep = Sweep::new(SweepOptions::with_dir(&tmp.0));

@@ -3,7 +3,7 @@
 //! cycle attribution, and behavioral equivalence with the plain `run`.
 #![cfg(feature = "telemetry")]
 
-use csalt_sim::{run, run_instrumented, Instrumentation, SimConfig};
+use csalt_sim::{run_in, run_instrumented, Instrumentation, SimConfig};
 use csalt_telemetry::{summarize_stream, MemoryRecorder, StreamRecorder, TelemetryRecord};
 use csalt_types::TranslationScheme;
 use csalt_workloads::{BenchKind, WorkloadSpec};
@@ -26,6 +26,7 @@ fn instrumented(cfg: &SimConfig, sample_interval: u64) -> (csalt_sim::SimResult,
         sample_interval,
         progress_every_epochs: 0,
         trace: None,
+        cache_dir: None,
     };
     let result = run_instrumented(cfg, &mut inst);
     (result, rec)
@@ -157,7 +158,7 @@ fn instrumented_run_is_behaviorally_identical_to_plain_run() {
         TranslationScheme::Tsb,
     ] {
         let cfg = small_cfg(scheme);
-        let plain = run(&cfg);
+        let (plain, _) = run_in(&cfg, None);
         let (inst, _) = instrumented(&cfg, 250);
         assert_eq!(
             plain.snapshot, inst.snapshot,
@@ -182,6 +183,7 @@ fn jsonl_stream_parses_back_clean() {
             sample_interval: 1_000,
             progress_every_epochs: 0,
             trace: None,
+            cache_dir: None,
         };
         run_instrumented(&cfg, &mut inst);
         assert_eq!(rec.records_skipped(), 0);

@@ -6,7 +6,7 @@
 //! epoch boundary for a CSALT scheme, context switches, sampled walks).
 #![cfg(feature = "telemetry")]
 
-use csalt_sim::{run, run_instrumented, Instrumentation, SimConfig};
+use csalt_sim::{run_in, run_instrumented, Instrumentation, SimConfig};
 use csalt_telemetry::MemoryRecorder;
 use csalt_trace::{reader, write_chrome, Domain, TraceBuffer};
 use csalt_types::TranslationScheme;
@@ -40,6 +40,7 @@ fn traced_run(cfg: &SimConfig, sample_interval: u64) -> (csalt_sim::SimResult, T
         sample_interval,
         progress_every_epochs: 0,
         trace: Some(&mut buf),
+        cache_dir: None,
     };
     let result = run_instrumented(cfg, &mut inst);
     (result, buf)
@@ -54,7 +55,7 @@ fn export(buf: &TraceBuffer) -> String {
 #[test]
 fn tracing_does_not_perturb_results() {
     let cfg = traced_cfg();
-    let plain = run(&cfg);
+    let (plain, _) = run_in(&cfg, None);
     let (traced, buf) = traced_run(&cfg, 500);
     assert!(!buf.is_empty(), "trace buffer captured events");
     assert_eq!(

@@ -2,7 +2,7 @@
 //! levels of the paper's Table 2, ASID-tagged so context switches do not
 //! flush them (§1).
 
-use csalt_cache::SetReplacement;
+use csalt_cache::{way_range_mask, Policy};
 use csalt_types::{
     Asid, CkptError, CkptReader, CkptWriter, Cycle, HitMissStats, PageSize, PhysFrame,
     ReplacementKind, TlbGeometry, VirtPage,
@@ -56,7 +56,8 @@ pub(crate) fn pack(key: &TlbKey) -> u64 {
 /// TLB (entries of both sizes coexist; the set index mixes the page size
 /// so 4 KiB and 2 MiB entries of the same region do not collide).
 /// Storage is struct-of-arrays: packed keys in one flat `u64` array
-/// (scanned on the hot path) with frames alongside.
+/// (scanned on the hot path) with frames alongside, and the True-LRU
+/// state of every set in one flat array of [`Policy`] state words.
 #[derive(Debug, Clone)]
 pub struct SramTlb {
     sets: u32,
@@ -66,7 +67,9 @@ pub struct SramTlb {
     keys: Vec<u64>,
     /// Frame per slot, parallel to `keys` (garbage where empty).
     frames: Vec<PhysFrame>,
-    repl: Vec<SetReplacement>,
+    policy: Policy,
+    /// Replacement state, `policy.words()` words per set.
+    repl: Vec<u64>,
     stats: HitMissStats,
 }
 
@@ -98,15 +101,15 @@ impl SramTlb {
             )));
         }
         let slots = (sets * geom.ways) as usize;
+        let policy = Policy::new(ReplacementKind::TrueLru, geom.ways);
         Ok(Self {
             sets,
             ways: geom.ways,
             latency: geom.latency,
             keys: vec![EMPTY; slots],
             frames: vec![PhysFrame::from_pfn(0, PageSize::Size4K); slots],
-            repl: (0..sets)
-                .map(|_| SetReplacement::new(ReplacementKind::TrueLru, geom.ways))
-                .collect(),
+            policy,
+            repl: policy.initial_state().repeat(sets as usize),
             stats: HitMissStats::new(),
         })
     }
@@ -155,6 +158,14 @@ impl SramTlb {
         (set * self.ways + way) as usize
     }
 
+    /// The replacement state words of `set`.
+    #[inline]
+    fn repl_mut(&mut self, set: u32) -> &mut [u64] {
+        let words = self.policy.words();
+        let base = set as usize * words;
+        &mut self.repl[base..base + words]
+    }
+
     /// Looks up a translation, updating recency and statistics.
     pub fn lookup(&mut self, page: VirtPage, asid: Asid) -> Option<PhysFrame> {
         self.lookup_prepacked(pack(&TlbKey { page, asid }))
@@ -169,7 +180,8 @@ impl SramTlb {
         let set_keys = &self.keys[base..base + self.ways as usize];
         if let Some(way) = set_keys.iter().position(|&k| k == packed) {
             let frame = self.frames[base + way];
-            self.repl[set as usize].touch(way as u32);
+            let policy = self.policy;
+            policy.touch(self.repl_mut(set), way as u32);
             self.stats.record_hit();
             return Some(frame);
         }
@@ -200,13 +212,17 @@ impl SramTlb {
             Some(w) => w as u32,
             None => match set_keys.iter().position(|&k| k == EMPTY) {
                 Some(w) => w as u32,
-                None => self.repl[set as usize].victim(csalt_cache::way_range_mask(0, self.ways)),
+                None => {
+                    let (policy, full) = (self.policy, way_range_mask(0, self.ways));
+                    policy.victim(self.repl_mut(set), full)
+                }
             },
         };
         let slot = base + way as usize;
         self.keys[slot] = packed;
         self.frames[slot] = frame;
-        self.repl[set as usize].touch(way);
+        let policy = self.policy;
+        policy.touch(self.repl_mut(set), way);
     }
 
     /// Invalidates every entry (a full TLB flush).
@@ -237,7 +253,7 @@ impl SramTlb {
     }
 
     /// Serializes geometry guards, packed keys, frames (PFN + size
-    /// code), per-set replacement state and hit/miss counters.
+    /// code), replacement state and hit/miss counters.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u32(self.sets);
         w.u32(self.ways);
@@ -246,9 +262,7 @@ impl SramTlb {
         w.slice_u64(&pfns);
         let sizes: Vec<u8> = self.frames.iter().map(|f| size_code(f.size())).collect();
         w.slice_u8(&sizes);
-        for set in &self.repl {
-            set.ckpt_save(w);
-        }
+        w.slice_u64(&self.repl);
         w.u64(self.stats.hits);
         w.u64(self.stats.misses);
     }
@@ -272,9 +286,11 @@ impl SramTlb {
         for (dst, (pfn, &code)) in self.frames.iter_mut().zip(pfns.iter().zip(sizes.iter())) {
             *dst = PhysFrame::from_pfn(*pfn, size_from_code(code)?);
         }
-        for set in &mut self.repl {
-            set.ckpt_load(r)?;
+        let repl = r.vec_u64()?;
+        if repl.len() != self.repl.len() {
+            return Err(CkptError::Mismatch("sram-tlb replacement state"));
         }
+        self.repl = repl;
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
         Ok(())

@@ -32,7 +32,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use csalt::sim::{run, SimConfig};
+//! use csalt::sim::{run_in, SimConfig};
 //! use csalt::types::TranslationScheme;
 //! use csalt::workloads::{BenchKind, WorkloadSpec};
 //!
@@ -44,7 +44,7 @@
 //! cfg.accesses_per_core = 5_000;
 //! cfg.warmup_accesses_per_core = 5_000;
 //! cfg.scale = 0.05;
-//! let result = run(&cfg);
+//! let (result, _restored) = run_in(&cfg, None); // no warmup checkpoints
 //! println!("IPC = {:.3}", result.ipc());
 //! # assert!(result.ipc() > 0.0);
 //! ```

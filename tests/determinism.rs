@@ -14,9 +14,15 @@
 //! `cargo test --test determinism -- --nocapture print_fingerprints`
 //! and say so in the commit message.
 
-use csalt::sim::{run, SimConfig, SimResult, WarmupMode};
+use csalt::sim::{run_in, SimConfig, SimResult, WarmupMode};
 use csalt::types::TranslationScheme;
 use csalt::workloads::{BenchKind, WorkloadSpec};
+use std::path::{Path, PathBuf};
+
+/// Runs `cfg` without warmup checkpoints, so the tests leave no files.
+fn run(cfg: &SimConfig) -> SimResult {
+    run_in(cfg, None).0
+}
 
 /// The schemes under pinning, with stable labels for the table.
 fn schemes() -> Vec<TranslationScheme> {
@@ -197,36 +203,66 @@ fn print_native_fingerprints() {
     }
 }
 
+/// A fresh directory under the system temp dir, removed on drop (also
+/// when an assertion fails first).
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("csalt-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        Self(dir)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// The checkpointed-warmup contract: restored runs are bit-identical to
 /// straight-through runs. Every scheme × virtualized/native runs twice
-/// per `CSALT_CKPT` setting — with checkpointing on, the first pass of
-/// a warmup prefix saves the snapshot and the second restores it, so
-/// both the save path and the restore path must reproduce the pinned
-/// tables byte-for-byte. (Env-var races between parallel tests are
-/// harmless precisely because both settings produce identical
-/// counters.)
+/// without a checkpoint directory and twice with a fresh one — there
+/// the first pass of a warmup prefix saves the snapshot and the second
+/// restores it, so both the save path and the restore path must
+/// reproduce the pinned tables byte-for-byte.
 #[test]
 fn pinned_fingerprints_hold_with_checkpointing_off_and_on() {
-    for setting in ["off", "on"] {
-        std::env::set_var("CSALT_CKPT", setting);
+    let tmp = TempDir::new("determinism-ckpt");
+    for dir in [None, Some(tmp.path())] {
         for scheme in schemes() {
             for pass in 0..2 {
-                let r = run(&config(scheme));
+                let (r, restored) = run_in(&config(scheme), dir);
                 assert_eq!(
                     fingerprint(&r),
                     expected(scheme),
-                    "scheme {scheme:?} diverged with CSALT_CKPT={setting} (pass {pass})"
+                    "scheme {scheme:?} diverged with checkpoint dir {dir:?} (pass {pass})"
                 );
-                let r = run(&native_config(scheme));
+                assert_eq!(
+                    restored,
+                    dir.is_some() && pass == 1,
+                    "scheme {scheme:?}: restore state with dir {dir:?} (pass {pass})"
+                );
+                let (r, restored) = run_in(&native_config(scheme), dir);
                 assert_eq!(
                     fingerprint(&r),
                     expected_native(scheme),
-                    "native {scheme:?} diverged with CSALT_CKPT={setting} (pass {pass})"
+                    "native {scheme:?} diverged with checkpoint dir {dir:?} (pass {pass})"
+                );
+                assert_eq!(
+                    restored,
+                    dir.is_some() && pass == 1,
+                    "native {scheme:?}: restore state with dir {dir:?} (pass {pass})"
                 );
             }
         }
     }
-    std::env::remove_var("CSALT_CKPT");
 }
 
 /// The same fixed-seed run with functional (state-only) warmup and

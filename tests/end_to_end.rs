@@ -2,9 +2,14 @@
 //! public API the way the experiment harness does, checking the
 //! paper's qualitative claims hold end to end.
 
-use csalt::sim::{run, SimConfig};
+use csalt::sim::{run_in, SimConfig, SimResult};
 use csalt::types::TranslationScheme;
 use csalt::workloads::{paper_workloads, BenchKind, WorkloadSpec};
+
+/// Runs `cfg` without warmup checkpoints, so the tests leave no files.
+fn run(cfg: &SimConfig) -> SimResult {
+    run_in(cfg, None).0
+}
 
 /// A fast configuration: 2 cores, small windows, scaled-down quantum,
 /// and a footprint shrunk into the reuse regime so short runs reach

@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests (proptest) on the invariants the
 //! simulator's correctness rests on.
 
-use csalt::cache::{way_range_mask, Cache, SetReplacement};
+use csalt::cache::{way_range_mask, Cache, Policy};
 use csalt::profiler::{choose_partition, StackDistanceProfiler, Weights};
 use csalt::ptw::{FrameAllocator, HugePagePolicy, NativeWalker, RadixPageTable};
 use csalt::tlb::{PomTlb, SramTlb};
@@ -57,13 +57,19 @@ proptest! {
         len in 1u32..8,
     ) {
         let hi = (lo + len).min(8);
-        for kind in [ReplacementKind::TrueLru, ReplacementKind::Nru, ReplacementKind::BtPlru] {
-            let mut r = SetReplacement::new(kind, 8);
+        for kind in [
+            ReplacementKind::TrueLru,
+            ReplacementKind::Nru,
+            ReplacementKind::BtPlru,
+            ReplacementKind::Rrip,
+        ] {
+            let policy = Policy::new(kind, 8);
+            let mut state = policy.initial_state();
             for &t in &touches {
-                r.touch(t);
+                policy.touch(&mut state, t);
             }
             let mask = way_range_mask(lo, hi);
-            let v = r.victim(mask);
+            let v = policy.victim(&mut state, mask);
             prop_assert!(mask & (1u64 << v) != 0, "{kind:?}: victim {v} outside {lo}..{hi}");
         }
     }
@@ -222,7 +228,7 @@ proptest! {
         accesses in 2_000u64..6_000,
     ) {
         use csalt::audit::conservation;
-        use csalt::sim::{run, SimConfig};
+        use csalt::sim::{run_in, SimConfig};
         use csalt::types::TranslationScheme;
         use csalt::workloads::{BenchKind, WorkloadSpec};
 
@@ -250,7 +256,7 @@ proptest! {
         cfg.scale = 0.05;
         cfg.accesses_per_core = accesses;
         cfg.warmup_accesses_per_core = 1_000;
-        let r = run(&cfg);
+        let (r, _) = run_in(&cfg, None);
 
         let diags = conservation::audit_snapshot(&r.workload, &r.snapshot, &scheme);
         prop_assert!(diags.is_empty(), "conservation violated: {diags:?}");
