@@ -24,8 +24,8 @@
 #      and reproduce byte-identical results, and cross-figure duplicate
 #      configs must be simulated exactly once
 #   6d. checkpoint gate: a smoke suite whose configs share warmup
-#      prefixes runs with checkpointed warmup off and then on, both
-#      into fresh caches — the enabled pass must
+#      prefixes runs on a sweep without a cache directory (no
+#      checkpoints) and then into a fresh one — the checkpointed pass must
 #      be byte-identical to the disabled one and restore at least one
 #      warmup snapshot (the fork-from-snapshot path provably ran)
 #   6b. functional fast-forward smoke: a `--warmup-mode functional`
@@ -73,15 +73,17 @@ cargo build -q -p csalt-sim --no-default-features
 step "telemetry stream round-trip (csalt-experiments run -> csalt-report --check)"
 tmp_stream="$(mktemp -t csalt-telemetry-XXXXXX.jsonl)"
 trap 'rm -f "$tmp_stream"' EXIT
-CSALT_WARMUP=2000 CSALT_SCALE=0.05 cargo run -q -p csalt-sim --bin csalt-experiments -- \
-    run gups csalt-cd --telemetry "$tmp_stream" --telemetry-sample 200 --accesses 8000
+cargo run -q -p csalt-sim --bin csalt-experiments -- \
+    run gups csalt-cd --telemetry "$tmp_stream" --telemetry-sample 200 --accesses 8000 \
+    --warmup 2000 --scale 0.05
 cargo run -q -p csalt-sim --bin csalt-report -- --telemetry "$tmp_stream" --check > /dev/null
 
 step "trace export round-trip (--trace -> csalt-report trace --check)"
 tmp_trace="$(mktemp -t csalt-trace-XXXXXX.json)"
 trap 'rm -f "$tmp_stream" "$tmp_trace"' EXIT
-CSALT_WARMUP=2000 CSALT_SCALE=0.05 cargo run -q -p csalt-sim --bin csalt-experiments -- \
-    run gups csalt-cd --trace "$tmp_trace" --telemetry-sample 200 --accesses 8000
+cargo run -q -p csalt-sim --bin csalt-experiments -- \
+    run gups csalt-cd --trace "$tmp_trace" --telemetry-sample 200 --accesses 8000 \
+    --warmup 2000 --scale 0.05
 cargo run -q -p csalt-sim --bin csalt-report -- \
     trace "$tmp_trace" --check --expect-repartitions 1 > /dev/null
 
@@ -101,10 +103,9 @@ tmp_v1="$(mktemp -t csalt-v1-XXXXXX.trace)"
 tmp_v2="$(mktemp -t csalt-v2-XXXXXX.trace)"
 trap 'rm -f "$tmp_stream" "$tmp_trace" "$tmp_ff_a" "$tmp_ff_b" "$tmp_v1" "$tmp_v2"' EXIT
 ff_smoke() {
-    CSALT_SCALE=0.05 CSALT_WARMUP=4000 \
-        cargo run -q -p csalt-sim --features audit --bin csalt-experiments -- \
-        run graph500_gups csalt-cd --accesses 12000 --warmup-mode functional \
-        --sample-windows 2 --window-accesses 3000
+    cargo run -q -p csalt-sim --features audit --bin csalt-experiments -- \
+        run graph500_gups csalt-cd --accesses 12000 --warmup 4000 --scale 0.05 \
+        --warmup-mode functional --sample-windows 2 --window-accesses 3000
 }
 ff_smoke > "$tmp_ff_a"
 ff_smoke > "$tmp_ff_b"

@@ -34,6 +34,10 @@ pub struct Fixture {
 /// Every embedded fixture, in deterministic (alphabetical) order.
 pub const FIXTURES: &[Fixture] = &[
     Fixture {
+        name: "env_read",
+        text: include_str!("../fixtures/env_read.rs"),
+    },
+    Fixture {
         name: "f32_anywhere",
         text: include_str!("../fixtures/f32_anywhere.rs"),
     },

@@ -16,11 +16,12 @@
 //!   checked on a [`HierarchySnapshot`] after runs and at epoch
 //!   boundaries when `csalt-sim` is built with its `audit` feature.
 //!
-//! * **Source lints** (`CSALT-S000`–`S006`, [`srclint`]) — a hand-rolled
+//! * **Source lints** (`CSALT-S000`–`S009`, [`srclint`]) — a hand-rolled
 //!   lexical analysis over every `crates/*/src` file that enforces the
 //!   determinism contract at the source level: no hash-order iteration in
 //!   result-affecting crates, no wall-clock reads outside timing modules,
-//!   `// SAFETY:` on every unsafe block, and integer-only counters.
+//!   `// SAFETY:` on every unsafe block, integer-only counters, and no
+//!   environment variables in library code.
 //!
 //! The `csalt-audit` binary (`cargo run -p csalt-audit -- --all-presets`)
 //! drives the static layer and exits non-zero on any error-severity

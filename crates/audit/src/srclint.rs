@@ -1,5 +1,5 @@
 //! Source-level determinism lints (`csalt-audit srclint`, rules
-//! `S000`–`S006`).
+//! `S000`–`S009`).
 //!
 //! The repo's value proposition is bit-identical reproduction, and the
 //! failure modes that silently break it are *source* patterns: a
@@ -16,6 +16,7 @@
 //! | S003 | every `unsafe` carries a `// SAFETY:` comment |
 //! | S005 | no float arithmetic in counter/cycle-accounting modules |
 //! | S006 | no `f32` anywhere (f64-only policy where floats are legal) |
+//! | S009 | no environment-variable reads or writes in library code |
 //! | S000 | waiver hygiene (reasonless or stale `audit-waive` markers) |
 //!
 //! Codes S004, S007 and S008 are retired. Unsafe code is covered by the
@@ -73,6 +74,12 @@ pub fn srclint_rules() -> &'static [crate::Rule] {
             name: "no-f32",
             summary: "no f32 anywhere in crate sources (f64-only float policy)",
         },
+        crate::Rule {
+            code: "S009",
+            name: "env-read",
+            summary:
+                "no std::env variable reads or writes in library code (binaries, benches only)",
+        },
     ]
 }
 
@@ -89,6 +96,9 @@ pub struct Manifest {
     pub clock_allow: Vec<String>,
     /// S005 scope: path prefixes that must stay float-free.
     pub float_deny: Vec<String>,
+    /// S009 exemptions: path prefixes allowed to touch environment
+    /// variables; denied everywhere else.
+    pub env_allow: Vec<String>,
 }
 
 impl Manifest {
@@ -108,6 +118,7 @@ impl Manifest {
                 "hash-deny" => m.hash_deny.push(arg),
                 "clock-allow" => m.clock_allow.push(arg),
                 "float-deny" => m.float_deny.push(arg),
+                "env-allow" => m.env_allow.push(arg),
                 other => {
                     return Err(format!(
                         "manifest line {}: unknown directive {other:?}",
@@ -132,10 +143,17 @@ impl Manifest {
     }
 }
 
+/// Whether `path` is one of `prefixes` or lies under one. A `*`
+/// segment in a prefix matches any single path segment.
 fn under(path: &str, prefixes: &[String]) -> bool {
-    prefixes
-        .iter()
-        .any(|p| path == p || path.starts_with(&format!("{p}/")))
+    prefixes.iter().any(|p| {
+        let mut segments = path.split('/');
+        p.split('/').all(|want| {
+            segments
+                .next()
+                .is_some_and(|got| want == "*" || want == got)
+        })
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -382,6 +400,7 @@ fn per_file_rules(fa: &FileAnalysis, m: &Manifest) -> Vec<SrcViolation> {
     let hash_scope = under(path, &m.hash_deny);
     let clock_denied = !under(path, &m.clock_allow);
     let float_denied = under(path, &m.float_deny);
+    let env_denied = !under(path, &m.env_allow);
 
     for (i, t) in fa.tokens.iter().enumerate() {
         if fa.skip[i] {
@@ -445,6 +464,20 @@ fn per_file_rules(fa: &FileAnalysis, m: &Manifest) -> Vec<SrcViolation> {
                         ));
                     }
                 }
+                "env" if env_denied => {
+                    if let Some(name) = env_variable_access(fa, i) {
+                        out.push(violation(
+                            "S009",
+                            fa,
+                            t.line,
+                            format!(
+                                "std::env::{name} in library code: a run must depend only \
+                                 on its arguments; read the environment in a binary and \
+                                 pass the value in"
+                            ),
+                        ));
+                    }
+                }
                 "f64" if float_denied => out.push(violation(
                     "S005",
                     fa,
@@ -486,6 +519,28 @@ fn ident_seq(fa: &FileAnalysis, i: usize, seq: &[&str]) -> bool {
         }
     }
     true
+}
+
+/// The first environment-variable function named by the path at token
+/// `i` (`env :: var`, or any name inside `env :: { … }`). The
+/// `std::env` functions that read or write variables are exactly those
+/// whose name contains `var`; `args`, `temp_dir` and the rest do not.
+fn env_variable_access(fa: &FileAnalysis, i: usize) -> Option<String> {
+    let tok = |k: usize| fa.tokens.get(k).map(|t| &t.tok);
+    if tok(i + 1) != Some(&Tok::Punct(':')) || tok(i + 2) != Some(&Tok::Punct(':')) {
+        return None;
+    }
+    let names = match tok(i + 3)? {
+        Tok::Punct('{') => {
+            let end = match_group(&fa.tokens, i + 3, '{', '}')?;
+            &fa.tokens[i + 4..end]
+        }
+        _ => &fa.tokens[i + 3..i + 4],
+    };
+    names.iter().find_map(|t| match &t.tok {
+        Tok::Ident(name) if name.contains("var") => Some(name.clone()),
+        _ => None,
+    })
 }
 
 /// Whether a `// SAFETY:` comment sits on `line` or within 3 lines

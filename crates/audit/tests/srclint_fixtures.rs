@@ -18,7 +18,7 @@ fn workspace_root() -> &'static Path {
 fn every_fixture_trips_exactly_its_rules() {
     let outcomes = fixtures::check_all();
     assert!(
-        outcomes.len() >= 7,
+        outcomes.len() >= 8,
         "fixture corpus shrank: {}",
         outcomes.len()
     );
@@ -47,6 +47,41 @@ fn every_srclint_rule_has_a_fixture() {
             rule.name
         );
     }
+}
+
+fn unwaived_codes(path: &str, src: &str) -> Vec<&'static str> {
+    let mut codes: Vec<&'static str> = lint_source(path, src)
+        .into_iter()
+        .filter(|v| !v.waived)
+        .map(|v| v.rule)
+        .collect();
+    codes.dedup();
+    codes
+}
+
+#[test]
+fn env_variables_are_denied_only_in_library_code() {
+    let read = "fn f() -> bool { std::env::var_os(\"X\").is_some() }\n";
+    assert_eq!(unwaived_codes("crates/sim/src/x.rs", read), vec!["S009"]);
+    assert_eq!(
+        unwaived_codes("crates/types/src/a/b.rs", read),
+        vec!["S009"]
+    );
+    assert!(unwaived_codes("crates/sim/src/bin/tool.rs", read).is_empty());
+    assert!(unwaived_codes("crates/bench/src/lib.rs", read).is_empty());
+    assert!(unwaived_codes("crates/bench/benches/x.rs", read).is_empty());
+
+    let grouped = "use std::env::{args, vars};\n";
+    assert_eq!(
+        unwaived_codes("crates/core/src/x.rs", grouped),
+        vec!["S009"]
+    );
+
+    // Arguments, directories and the compile-time `env!` are not
+    // environment variables.
+    let fine =
+        "fn f() { let _ = (std::env::args(), std::env::temp_dir(), env!(\"CARGO_PKG_NAME\")); }\n";
+    assert!(unwaived_codes("crates/sim/src/x.rs", fine).is_empty());
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Ablation — pseudo-LRU replacement under CSALT (§3.4).
 
 fn main() {
-    let table = csalt_sim::experiments::ablation_replacement();
+    let table = csalt_sim::experiments::ablation_replacement(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

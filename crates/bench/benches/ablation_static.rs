@@ -1,7 +1,7 @@
 //! Ablation — static partitions vs dynamic CSALT (footnote 6).
 
 fn main() {
-    let table = csalt_sim::experiments::ablation_static();
+    let table = csalt_sim::experiments::ablation_static(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

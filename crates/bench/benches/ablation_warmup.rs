@@ -2,7 +2,7 @@
 //! methodology: SMARTS-style sampled simulation).
 
 fn main() {
-    let table = csalt_sim::experiments::ablation_warmup();
+    let table = csalt_sim::experiments::ablation_warmup(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

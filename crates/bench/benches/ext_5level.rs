@@ -1,7 +1,7 @@
 //! Extension — 5-level paging should widen CSALT's advantage over the conventional walker (the paper's intro argument).
 
 fn main() {
-    let table = csalt_sim::experiments::ext_5level();
+    let table = csalt_sim::experiments::ext_5level(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

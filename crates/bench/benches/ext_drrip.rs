@@ -1,7 +1,7 @@
 //! Extension — DRRIP replacement baseline from the related work (§6).
 
 fn main() {
-    let table = csalt_sim::experiments::ext_drrip();
+    let table = csalt_sim::experiments::ext_drrip(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

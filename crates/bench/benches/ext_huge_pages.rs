@@ -1,7 +1,7 @@
 //! Extension — THP sensitivity of CSALT-CD's gain.
 
 fn main() {
-    let table = csalt_sim::experiments::ext_huge_pages();
+    let table = csalt_sim::experiments::ext_huge_pages(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

@@ -1,7 +1,7 @@
 //! Extension — CSALT partitioning layered over the TSB.
 
 fn main() {
-    let table = csalt_sim::experiments::ext_tsb_csalt();
+    let table = csalt_sim::experiments::ext_tsb_csalt(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

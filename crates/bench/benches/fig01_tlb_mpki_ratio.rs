@@ -2,7 +2,7 @@
 //! switching (2 contexts/core vs 1).
 
 fn main() {
-    let table = csalt_sim::experiments::fig01();
+    let table = csalt_sim::experiments::fig01(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

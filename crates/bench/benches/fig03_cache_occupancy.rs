@@ -2,7 +2,7 @@
 //! by translation entries under POM-TLB.
 
 fn main() {
-    let table = csalt_sim::experiments::fig03();
+    let table = csalt_sim::experiments::fig03(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

@@ -2,7 +2,7 @@
 //! CSALT-D / CSALT-CD, normalized to POM-TLB.
 
 fn main() {
-    let cmp = csalt_sim::experiments::main_comparison();
+    let cmp = csalt_sim::experiments::main_comparison(&csalt_bench::harness());
     csalt_bench::report(
         &cmp.fig07(),
         &csalt_bench::PaperReference {

@@ -1,7 +1,7 @@
 //! Regenerates Figure 8: fraction of page walks the POM-TLB eliminates.
 
 fn main() {
-    let cmp = csalt_sim::experiments::main_comparison();
+    let cmp = csalt_sim::experiments::main_comparison(&csalt_bench::harness());
     csalt_bench::report(
         &cmp.fig08(),
         &csalt_bench::PaperReference {

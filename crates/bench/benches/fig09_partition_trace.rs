@@ -2,7 +2,7 @@
 //! time for connected component under CSALT-CD.
 
 fn main() {
-    let trace = csalt_sim::experiments::fig09();
+    let trace = csalt_sim::experiments::fig09(&csalt_bench::harness());
     println!("== Figure 9: fraction of cache ways allocated to TLB entries over time (ccomp, CSALT-CD) ==");
     println!(
         "{:<12}{:>16}{:>16}",

@@ -1,7 +1,7 @@
 //! Regenerates Figure 10: relative L2 data-cache MPKI vs POM-TLB.
 
 fn main() {
-    let cmp = csalt_sim::experiments::main_comparison();
+    let cmp = csalt_sim::experiments::main_comparison(&csalt_bench::harness());
     csalt_bench::report(
         &cmp.fig10(),
         &csalt_bench::PaperReference {

@@ -2,7 +2,7 @@
 //! context, normalized to POM-TLB.
 
 fn main() {
-    let table = csalt_sim::experiments::fig12();
+    let table = csalt_sim::experiments::fig12(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

@@ -1,7 +1,7 @@
 //! Regenerates Figure 13: comparison against TSB and DIP.
 
 fn main() {
-    let table = csalt_sim::experiments::fig13();
+    let table = csalt_sim::experiments::fig13(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

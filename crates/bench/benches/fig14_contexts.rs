@@ -1,7 +1,7 @@
 //! Regenerates Figure 14: sensitivity to the number of VM contexts.
 
 fn main() {
-    let table = csalt_sim::experiments::fig14();
+    let table = csalt_sim::experiments::fig14(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

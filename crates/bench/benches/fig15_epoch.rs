@@ -1,7 +1,7 @@
 //! Regenerates Figure 15: sensitivity to the repartitioning epoch length.
 
 fn main() {
-    let table = csalt_sim::experiments::fig15();
+    let table = csalt_sim::experiments::fig15(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

@@ -1,7 +1,7 @@
 //! Regenerates Figure 16: sensitivity to the context-switch interval.
 
 fn main() {
-    let table = csalt_sim::experiments::fig16();
+    let table = csalt_sim::experiments::fig16(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

@@ -12,9 +12,9 @@
 //! are what gets recorded.
 //!
 //! The checkpoint speedup is judged on alternating pairs of cold passes
-//! (checkpointing off, then on, each into a fresh directory), so a slow
-//! or fast host window lands on both sides of a pair; the verdict is the
-//! median pair ratio.
+//! (a sweep without a cache directory, so no checkpoints, then one over
+//! a fresh directory), so a slow or fast host window lands on both
+//! sides of a pair; the verdict is the median pair ratio.
 //!
 //! Modes:
 //!
@@ -81,7 +81,7 @@ fn repo_root() -> PathBuf {
 /// harnesses — per-config measured-phase variants (an occupancy-scan
 /// figure, a half-length zoom and a quarter-length convergence row)
 /// that share the base config's warmup prefix exactly. Warmup equals
-/// the measured length, matching `experiments::default_config`.
+/// the measured length, matching `experiments::Harness::default_config`.
 ///
 /// Full mode runs the real per-figure system parameters
 /// (`scaled::QUANTUM_10MS` / `scaled::EPOCH_256K` / full scale) so the
@@ -148,11 +148,15 @@ fn json(results: &[SimResult]) -> String {
     serde_json::to_string(results).expect("results serialize")
 }
 
-/// One pass of the suite through a new sweep over `dir`: wall seconds,
-/// the results as JSON and the sweep's counters.
-fn suite_pass(dir: &Path, configs: &[SimConfig]) -> (f64, String, SweepStats) {
+/// One pass of the suite through a new sweep over `dir` (`None`: no
+/// persistence and no checkpoints): wall seconds, the results as JSON
+/// and the sweep's counters.
+fn suite_pass(dir: Option<&Path>, configs: &[SimConfig]) -> (f64, String, SweepStats) {
     let t = Instant::now();
-    let sweep = Sweep::new(SweepOptions::with_dir(dir.to_path_buf()));
+    let sweep = Sweep::new(SweepOptions {
+        cache_dir: dir.map(Path::to_path_buf),
+        jobs: None,
+    });
     let results = sweep.run_batch(configs.to_vec());
     let secs = t.elapsed().as_secs_f64();
     (secs, json(&results), sweep.stats())
@@ -210,10 +214,10 @@ fn main() {
         .collect::<std::collections::HashSet<_>>()
         .len();
 
-    // Alternating cold pairs, each pass into a fresh cache directory:
-    // first with checkpointing disabled (every unique config simulated
-    // straight through — the pre-checkpoint baseline), then with
-    // checkpointed warmup on, which must reproduce the baseline
+    // Alternating cold pairs: first a sweep without a cache directory
+    // (every unique config simulated straight through — the
+    // pre-checkpoint baseline), then one over a fresh directory with
+    // checkpointed warmup, which must reproduce the baseline
     // byte-for-byte and actually fork from snapshots.
     let pairs = if smoke { 1 } else { 3 };
     let dir = std::env::temp_dir().join(format!("csalt-bench-sweep-{}", std::process::id()));
@@ -223,9 +227,7 @@ fn main() {
     let mut baseline: Option<String> = None;
     let (mut cold, mut cold_ckpt) = (SweepStats::default(), SweepStats::default());
     for pair in 0..pairs {
-        let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("CSALT_CKPT", "off");
-        let (cold_secs, results, stats) = suite_pass(&dir, &configs);
+        let (cold_secs, results, stats) = suite_pass(None, &configs);
         assert_eq!(
             stats.simulated as usize, unique,
             "cold pass must simulate each unique config exactly once"
@@ -239,8 +241,7 @@ fn main() {
         cold = stats;
 
         let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("CSALT_CKPT", "on");
-        let (ckpt_secs, results, stats) = suite_pass(&dir, &configs);
+        let (ckpt_secs, results, stats) = suite_pass(Some(&dir), &configs);
         assert_eq!(
             stats.simulated as usize, unique,
             "checkpointed cold pass must still simulate each unique config"
@@ -269,11 +270,10 @@ fn main() {
     let ckpt_speedup = median(&pair_speedups);
 
     // Warm: same cache as the last checkpointed pass, zero simulations.
-    let (warm_secs, warm_json, warm) = suite_pass(&dir, &configs);
+    let (warm_secs, warm_json, warm) = suite_pass(Some(&dir), &configs);
     assert_eq!(warm.simulated, 0, "warm pass must not simulate");
     assert_eq!(cold_json, warm_json, "warm results must be byte-identical");
     let _ = std::fs::remove_dir_all(&dir);
-    std::env::remove_var("CSALT_CKPT");
 
     let record = SweepRecord {
         git_rev: git_rev(),

@@ -1,7 +1,7 @@
 //! Regenerates Table 1: average page-walk cycles, native vs virtualized.
 
 fn main() {
-    let table = csalt_sim::experiments::tab01();
+    let table = csalt_sim::experiments::tab01(&csalt_bench::harness());
     csalt_bench::report(
         &table,
         &csalt_bench::PaperReference {

@@ -11,10 +11,11 @@
 //!
 //! `CSALT_SMOKE=1` shrinks the run for CI.
 
-use csalt_sim::{run, run_instrumented, Instrumentation, SimConfig, SweepOptions};
+use csalt_sim::{run_in, run_instrumented, Instrumentation, SimConfig};
 use csalt_telemetry::NullRecorder;
 use csalt_types::TranslationScheme;
 use csalt_workloads::{BenchKind, WorkloadSpec};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 const MAX_OVERHEAD: f64 = 0.02;
@@ -31,24 +32,23 @@ fn config(accesses: u64) -> SimConfig {
     cfg
 }
 
-fn time_plain(cfg: &SimConfig) -> Duration {
+fn time_plain(cfg: &SimConfig, cache_dir: &Path) -> Duration {
     let t = Instant::now();
-    let r = run(cfg);
+    let (r, _) = run_in(cfg, Some(cache_dir));
     assert!(r.instructions > 0);
     t.elapsed()
 }
 
-fn time_instrumented(cfg: &SimConfig) -> Duration {
+fn time_instrumented(cfg: &SimConfig, cache_dir: &Path) -> Duration {
     let mut rec = NullRecorder;
-    // The same checkpoint directory `run` uses, so both timed paths do
-    // identical work.
-    let cache_dir = SweepOptions::from_env().cache_dir;
+    // The same checkpoint directory as the plain path, so both timed
+    // paths do identical work.
     let mut inst = Instrumentation {
         recorder: &mut rec,
         sample_interval: 0,
         progress_every_epochs: 0,
         trace: None,
-        cache_dir: cache_dir.as_deref(),
+        cache_dir: Some(cache_dir),
     };
     let t = Instant::now();
     let r = run_instrumented(cfg, &mut inst);
@@ -60,10 +60,12 @@ fn main() {
     let smoke = std::env::var("CSALT_SMOKE").is_ok();
     let (accesses, rounds) = if smoke { (15_000, 9) } else { (100_000, 11) };
     let cfg = config(accesses);
+    let dir = std::env::temp_dir().join(format!("csalt-telemetry-overhead-{}", std::process::id()));
 
-    // One untimed round of each path warms allocator and caches.
-    time_plain(&cfg);
-    time_instrumented(&cfg);
+    // One untimed round of each path warms allocator and caches (and
+    // saves the warmup checkpoint every timed round restores).
+    time_plain(&cfg, &dir);
+    time_instrumented(&cfg, &dir);
 
     // Alternate measurement order each round so slow drift (thermal,
     // co-tenant load) cancels instead of biasing one side.
@@ -71,12 +73,12 @@ fn main() {
     let mut best_inst = Duration::MAX;
     for round in 0..rounds {
         let (p, i) = if round % 2 == 0 {
-            let p = time_plain(&cfg);
-            let i = time_instrumented(&cfg);
+            let p = time_plain(&cfg, &dir);
+            let i = time_instrumented(&cfg, &dir);
             (p, i)
         } else {
-            let i = time_instrumented(&cfg);
-            let p = time_plain(&cfg);
+            let i = time_instrumented(&cfg, &dir);
+            let p = time_plain(&cfg, &dir);
             (p, i)
         };
         best_plain = best_plain.min(p);
@@ -90,13 +92,15 @@ fn main() {
     let overhead = |p: Duration, i: Duration| i.as_secs_f64() / p.as_secs_f64() - 1.0;
     let mut extra = 0;
     while overhead(best_plain, best_inst) > MAX_OVERHEAD && extra < 4 * rounds {
-        best_inst = best_inst.min(time_instrumented(&cfg));
-        best_plain = best_plain.min(time_plain(&cfg));
+        best_inst = best_inst.min(time_instrumented(&cfg, &dir));
+        best_plain = best_plain.min(time_plain(&cfg, &dir));
         extra += 1;
     }
     if extra > 0 {
         println!("took {extra} extra rounds to separate noise from regression");
     }
+
+    let _ = std::fs::remove_dir_all(&dir);
 
     let overhead = overhead(best_plain, best_inst);
     println!(

@@ -28,8 +28,9 @@
 //! The throughput metric counts every simulated access (warmup +
 //! measured phase — both run the identical hot path) divided by the
 //! run's wall time, minimized over rounds to reject scheduler noise.
-//! Every round is cold: checkpointed warmup is switched off, so no
-//! round restores a warmup image another round saved.
+//! Every round is cold: `run` takes no cache directory and never
+//! checkpoints, so no round restores a warmup image another round
+//! saved.
 
 use csalt_sim::{experiments, run, SimConfig, WarmupMode};
 use csalt_types::{Asid, TranslationHint, TranslationScheme};
@@ -104,8 +105,8 @@ fn git_rev() -> String {
     csalt_sim::sweep::git_rev()
 }
 
-/// The fig07-style configuration: `default_config` knobs without the
-/// env overrides, so the recorded number is reproducible.
+/// The fig07-style configuration: `Harness::default_config` knobs with
+/// this bench's own run sizes, so the recorded number is reproducible.
 fn config(scheme: TranslationScheme, accesses: u64, warmup: u64) -> SimConfig {
     let mut cfg = SimConfig::new(
         WorkloadSpec::pair("graph500_gups", BenchKind::Graph500, BenchKind::Gups),
@@ -340,10 +341,6 @@ fn refuse_dirty_overwrite(path: &Path, rev: &str, dirty: bool) {
 }
 
 fn main() {
-    // Time cold runs only: with checkpointing on, a round after the
-    // first would restore the warmup image the first one saved.
-    std::env::set_var("CSALT_CKPT", "off");
-
     let path = repo_root().join("BENCH_throughput.json");
     if std::env::var("CSALT_SMOKE").is_ok() {
         run_smoke_gate(&path);

@@ -2,15 +2,57 @@
 //!
 //! Every `cargo bench --bench figNN_*` target regenerates one table or
 //! figure of the paper: it runs the corresponding experiment from
-//! `csalt_sim::experiments`, prints the paper-style rows to stdout, and
-//! appends the machine-readable result to `target/csalt-results/`.
+//! `csalt_sim::experiments` on the [`harness`], prints the paper-style
+//! rows to stdout, and appends the machine-readable result to
+//! `target/csalt-results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use csalt_sim::experiments::Table;
+use csalt_sim::experiments::{Harness, Table};
+use csalt_sim::{Sweep, SweepOptions};
 use std::io::Write;
 use std::path::PathBuf;
+
+/// The figure harness for a bench target, from the environment (a
+/// bench binary takes no arguments of its own):
+///
+/// * `CSALT_CACHE_DIR` — result and checkpoint directory (default
+///   `target/csalt-cache/`); `CSALT_NO_CACHE` set — none;
+/// * `CSALT_JOBS` — sweep workers (default: all CPUs);
+/// * `CSALT_ACCESSES` — per-core measured accesses;
+/// * `CSALT_WARMUP` — per-core warmup accesses (default: the access
+///   count);
+/// * `CSALT_SCALE` — workload footprint multiplier.
+///
+/// Unset or unparsable values keep the paper-scaled defaults.
+#[must_use]
+pub fn harness() -> Harness {
+    fn env<T: std::str::FromStr>(key: &str) -> Option<T> {
+        std::env::var(key).ok()?.parse().ok()
+    }
+    let cache_dir = if std::env::var_os("CSALT_NO_CACHE").is_some() {
+        None
+    } else {
+        Some(
+            std::env::var_os("CSALT_CACHE_DIR")
+                .map_or_else(SweepOptions::default_cache_dir, PathBuf::from),
+        )
+    };
+    let jobs = env::<usize>("CSALT_JOBS").filter(|&n| n > 0);
+    let mut h = Harness::new(Sweep::new(SweepOptions { cache_dir, jobs }));
+    if let Some(n) = env("CSALT_ACCESSES") {
+        h.accesses_per_core = n;
+        h.warmup_accesses_per_core = n;
+    }
+    if let Some(n) = env("CSALT_WARMUP") {
+        h.warmup_accesses_per_core = n;
+    }
+    if let Some(x) = env("CSALT_SCALE") {
+        h.scale = x;
+    }
+    h
+}
 
 /// Paper-reported reference values for one experiment, printed next to
 /// the measured rows so divergence is visible at a glance.

@@ -9,12 +9,13 @@
 //! csalt-experiments cache-gate
 //! ```
 //!
-//! Honors the same environment knobs as the bench harness
-//! (`CSALT_ACCESSES`, `CSALT_WARMUP`, `CSALT_SCALE`), plus the sweep
-//! engine's: `--jobs N` / `CSALT_JOBS` bounds worker parallelism,
-//! `--cache-dir <path>` / `CSALT_CACHE_DIR` relocates the persisted
-//! result cache (default `target/csalt-cache/`), and `--no-cache` /
-//! `CSALT_NO_CACHE` disables persistence (in-process dedup remains).
+//! Flags taken in any position and applied to every subcommand:
+//! `--accesses N` (per-core measured accesses), `--warmup N` (per-core
+//! warmup accesses, default: the access count), `--scale F` (footprint
+//! multiplier), `--jobs N` (sweep workers), `--cache-dir <path>` (where
+//! results and warmup checkpoints persist, default
+//! `target/csalt-cache/`) and `--no-cache` (no persistence and no
+//! checkpoints; in-process dedup remains). The environment is not read.
 
 use csalt_sim::experiments as exp;
 #[cfg(feature = "telemetry")]
@@ -33,7 +34,7 @@ use std::path::PathBuf;
 struct Entry {
     name: &'static str,
     about: &'static str,
-    run: fn() -> Option<exp::Table>,
+    run: fn(&exp::Harness) -> Option<exp::Table>,
 }
 
 fn registry() -> Vec<Entry> {
@@ -41,33 +42,33 @@ fn registry() -> Vec<Entry> {
         Entry {
             name: "fig01",
             about: "L2 TLB MPKI ratio, context-switch vs not",
-            run: || Some(exp::fig01()),
+            run: |h| Some(exp::fig01(h)),
         },
         Entry {
             name: "tab01",
             about: "page-walk cycles, native vs virtualized",
-            run: || Some(exp::tab01()),
+            run: |h| Some(exp::tab01(h)),
         },
         Entry {
             name: "fig03",
             about: "TLB entries' share of cache capacity",
-            run: || Some(exp::fig03()),
+            run: |h| Some(exp::fig03(h)),
         },
         Entry {
             name: "fig07",
             about: "main comparison, normalized to POM-TLB",
-            run: || Some(exp::main_comparison().fig07()),
+            run: |h| Some(exp::main_comparison(h).fig07()),
         },
         Entry {
             name: "fig08",
             about: "page walks eliminated by POM-TLB",
-            run: || Some(exp::main_comparison().fig08()),
+            run: |h| Some(exp::main_comparison(h).fig08()),
         },
         Entry {
             name: "fig09",
             about: "partition allocation over time (ccomp)",
-            run: || {
-                let t = exp::fig09();
+            run: |h| {
+                let t = exp::fig09(h);
                 println!("L3 trace: {:?}", t.l3);
                 println!("L2 trace: {:?}", t.l2);
                 None
@@ -76,72 +77,72 @@ fn registry() -> Vec<Entry> {
         Entry {
             name: "fig10",
             about: "relative L2 data-cache MPKI",
-            run: || Some(exp::main_comparison().fig10()),
+            run: |h| Some(exp::main_comparison(h).fig10()),
         },
         Entry {
             name: "fig11",
             about: "relative L3 data-cache MPKI",
-            run: || Some(exp::main_comparison().fig11()),
+            run: |h| Some(exp::main_comparison(h).fig11()),
         },
         Entry {
             name: "fig12",
             about: "native-mode CSALT-CD",
-            run: || Some(exp::fig12()),
+            run: |h| Some(exp::fig12(h)),
         },
         Entry {
             name: "fig13",
             about: "TSB vs DIP vs CSALT-CD",
-            run: || Some(exp::fig13()),
+            run: |h| Some(exp::fig13(h)),
         },
         Entry {
             name: "fig14",
             about: "context-count sensitivity",
-            run: || Some(exp::fig14()),
+            run: |h| Some(exp::fig14(h)),
         },
         Entry {
             name: "fig15",
             about: "epoch-length sensitivity",
-            run: || Some(exp::fig15()),
+            run: |h| Some(exp::fig15(h)),
         },
         Entry {
             name: "fig16",
             about: "context-switch-interval sensitivity",
-            run: || Some(exp::fig16()),
+            run: |h| Some(exp::fig16(h)),
         },
         Entry {
             name: "ext_5level",
             about: "extension: 5-level (LA57) paging",
-            run: || Some(exp::ext_5level()),
+            run: |h| Some(exp::ext_5level(h)),
         },
         Entry {
             name: "ext_tsb_csalt",
             about: "extension: CSALT partitioning over the TSB",
-            run: || Some(exp::ext_tsb_csalt()),
+            run: |h| Some(exp::ext_tsb_csalt(h)),
         },
         Entry {
             name: "ext_huge_pages",
             about: "extension: THP sensitivity",
-            run: || Some(exp::ext_huge_pages()),
+            run: |h| Some(exp::ext_huge_pages(h)),
         },
         Entry {
             name: "ext_drrip",
             about: "extension: DRRIP replacement baseline",
-            run: || Some(exp::ext_drrip()),
+            run: |h| Some(exp::ext_drrip(h)),
         },
         Entry {
             name: "ablation_replacement",
             about: "ablation: pseudo-LRU replacement under CSALT",
-            run: || Some(exp::ablation_replacement()),
+            run: |h| Some(exp::ablation_replacement(h)),
         },
         Entry {
             name: "ablation_static",
             about: "ablation: static partitions vs dynamic",
-            run: || Some(exp::ablation_static()),
+            run: |h| Some(exp::ablation_static(h)),
         },
         Entry {
             name: "ablation_warmup",
             about: "ablation: functional vs timed warmup drift",
-            run: || Some(exp::ablation_warmup()),
+            run: |h| Some(exp::ablation_warmup(h)),
         },
     ]
 }
@@ -154,17 +155,16 @@ fn registry() -> Vec<Entry> {
 /// `--telemetry-sample <N>` (trace every Nth translation; 0 = off),
 /// `--trace <path>` (span trace in Chrome Trace Event JSON — open in
 /// Perfetto/`chrome://tracing`, or inspect with `csalt-report trace`),
-/// `--progress <N>` (heartbeat every N epochs on stderr),
-/// `--accesses <N>` (per-core access budget override).
+/// `--progress <N>` (heartbeat every N epochs on stderr), plus the
+/// warmup and sampling flags below.
 #[cfg(feature = "telemetry")]
-fn run_single(args: &[String]) {
+fn run_single(args: &[String], flags: &GlobalFlags) {
     let mut workload_name: Option<&str> = None;
     let mut scheme = TranslationScheme::CsaltCd;
     let mut telemetry_path: Option<PathBuf> = None;
     let mut trace_path: Option<PathBuf> = None;
     let mut sample_interval: u64 = 0;
     let mut progress: u64 = 0;
-    let mut accesses: Option<u64> = None;
     let mut warmup_mode: Option<csalt_sim::WarmupMode> = None;
     let mut sample_windows: Option<u64> = None;
     let mut window_accesses: Option<u64> = None;
@@ -184,7 +184,6 @@ fn run_single(args: &[String]) {
                 sample_interval = parse_or_die(value("--telemetry-sample"), "--telemetry-sample");
             }
             "--progress" => progress = parse_or_die(value("--progress"), "--progress"),
-            "--accesses" => accesses = Some(parse_or_die(value("--accesses"), "--accesses")),
             "--warmup-mode" => {
                 let v = value("--warmup-mode");
                 warmup_mode = Some(csalt_sim::WarmupMode::parse(v).unwrap_or_else(|| {
@@ -215,7 +214,7 @@ fn run_single(args: &[String]) {
     }
 
     let Some(name) = workload_name else {
-        eprintln!("usage: csalt-experiments run <workload> [scheme] [--telemetry <path>] [--telemetry-sample <N>] [--trace <path>] [--progress <N>] [--accesses <N>]");
+        eprintln!("usage: csalt-experiments run <workload> [scheme] [--telemetry <path>] [--telemetry-sample <N>] [--trace <path>] [--progress <N>] [--accesses <N>] [--warmup <N>] [--scale <F>]");
         std::process::exit(2);
     };
     let workload = paper_workloads()
@@ -227,10 +226,10 @@ fn run_single(args: &[String]) {
             std::process::exit(2);
         });
 
-    let mut cfg = exp::default_config(workload, scheme);
-    if let Some(n) = accesses {
-        cfg.accesses_per_core = n;
-    }
+    // One run needs the harness's configuration, not its sweep.
+    let mut cfg = flags
+        .harness(SweepOptions::default())
+        .default_config(workload, scheme);
     if let Some(m) = warmup_mode {
         cfg.warmup_mode = m;
     }
@@ -262,13 +261,12 @@ fn run_single(args: &[String]) {
         None => &mut null,
     };
     let mut trace_buf = trace_path.as_ref().map(|_| TraceBuffer::new());
-    let cache_dir = SweepOptions::from_env().cache_dir;
     let mut inst = Instrumentation {
         recorder,
         sample_interval,
         progress_every_epochs: progress,
         trace: trace_buf.as_mut(),
-        cache_dir: cache_dir.as_deref(),
+        cache_dir: flags.sweep.cache_dir.as_deref(),
     };
     let result = run_instrumented(&cfg, &mut inst);
 
@@ -321,15 +319,14 @@ fn parse_or_die(text: &str, flag: &str) -> u64 {
 /// default; `--v1` writes the legacy 13-byte format).
 ///
 /// Flags: `--count <N>` records (default 1,000,000), `--seed <N>`,
-/// `--scale <F>` footprint multiplier, `--asid <N>` the ASID the v2
-/// packed keys are staged for (default 1 — what a single-VM replay run
-/// assigns), `--v1`.
-fn trace_record(args: &[String]) {
+/// `--asid <N>` the ASID the v2 packed keys are staged for (default 1 —
+/// what a single-VM replay run assigns), `--v1`. The global `--scale`
+/// sets the footprint multiplier.
+fn trace_record(args: &[String], scale: f64) {
     let mut bench: Option<BenchKind> = None;
     let mut out: Option<PathBuf> = None;
     let mut count: u64 = 1_000_000;
     let mut seed: u64 = 0xC5A1_7000;
-    let mut scale: f64 = 1.0;
     let mut asid: u64 = 1;
     let mut v1 = false;
 
@@ -346,13 +343,6 @@ fn trace_record(args: &[String]) {
             "--seed" => seed = parse_or_die(value("--seed"), "--seed"),
             "--asid" => asid = parse_or_die(value("--asid"), "--asid"),
             "--v1" => v1 = true,
-            "--scale" => {
-                let v = value("--scale");
-                scale = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--scale: '{v}' is not a number");
-                    std::process::exit(2);
-                });
-            }
             name if bench.is_none() => {
                 bench = Some(
                     BenchKind::ALL
@@ -484,39 +474,100 @@ fn trace_convert(args: &[String]) {
     );
 }
 
-/// Removes the sweep-engine flags from `args`, exporting them as the
-/// environment knobs the process-global sweep reads on first touch.
-fn extract_sweep_flags(args: &mut Vec<String>) {
-    let mut i = 0;
-    while i < args.len() {
-        let take_value = |args: &mut Vec<String>, flag: &str| {
-            args.remove(i);
-            if i < args.len() {
-                args.remove(i)
-            } else {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            }
+/// The flags every subcommand takes, in any position.
+struct GlobalFlags {
+    /// `--cache-dir` (default [`SweepOptions::default_cache_dir`]),
+    /// `None` under `--no-cache`; `--jobs`.
+    sweep: SweepOptions,
+    /// `--accesses`: per-core measured accesses.
+    accesses: Option<u64>,
+    /// `--warmup`: per-core warmup accesses (default: the access count).
+    warmup: Option<u64>,
+    /// `--scale`: workload footprint multiplier.
+    scale: Option<f64>,
+}
+
+impl GlobalFlags {
+    /// Removes the global flags from `args` and parses them.
+    fn extract(args: &mut Vec<String>) -> Self {
+        let mut flags = GlobalFlags {
+            sweep: SweepOptions::with_dir(SweepOptions::default_cache_dir()),
+            accesses: None,
+            warmup: None,
+            scale: None,
         };
-        match args[i].as_str() {
-            "--jobs" => {
-                let v = take_value(args, "--jobs");
-                if v.parse::<usize>().map(|n| n > 0) != Ok(true) {
-                    eprintln!("--jobs: '{v}' is not a positive integer");
+        let mut no_cache = false;
+        let mut i = 0;
+        while i < args.len() {
+            let take_value = |args: &mut Vec<String>, flag: &str| {
+                args.remove(i);
+                if i < args.len() {
+                    args.remove(i)
+                } else {
+                    eprintln!("{flag} needs a value");
                     std::process::exit(2);
                 }
-                std::env::set_var("CSALT_JOBS", v);
+            };
+            match args[i].as_str() {
+                "--jobs" => {
+                    let v = take_value(args, "--jobs");
+                    match v.parse::<usize>() {
+                        Ok(n) if n > 0 => flags.sweep.jobs = Some(n),
+                        _ => {
+                            eprintln!("--jobs: '{v}' is not a positive integer");
+                            std::process::exit(2);
+                        }
+                    }
+                }
+                "--cache-dir" => {
+                    flags.sweep.cache_dir = Some(PathBuf::from(take_value(args, "--cache-dir")));
+                }
+                "--no-cache" => {
+                    args.remove(i);
+                    no_cache = true;
+                }
+                "--accesses" => {
+                    let v = take_value(args, "--accesses");
+                    flags.accesses = Some(parse_or_die(&v, "--accesses"));
+                }
+                "--warmup" => {
+                    let v = take_value(args, "--warmup");
+                    flags.warmup = Some(parse_or_die(&v, "--warmup"));
+                }
+                "--scale" => {
+                    let v = take_value(args, "--scale");
+                    match v.parse::<f64>() {
+                        Ok(x) if x.is_finite() && x > 0.0 => flags.scale = Some(x),
+                        _ => {
+                            eprintln!("--scale: '{v}' is not a positive number");
+                            std::process::exit(2);
+                        }
+                    }
+                }
+                _ => i += 1,
             }
-            "--cache-dir" => {
-                let v = take_value(args, "--cache-dir");
-                std::env::set_var("CSALT_CACHE_DIR", v);
-            }
-            "--no-cache" => {
-                args.remove(i);
-                std::env::set_var("CSALT_NO_CACHE", "1");
-            }
-            _ => i += 1,
         }
+        if no_cache {
+            flags.sweep.cache_dir = None;
+        }
+        flags
+    }
+
+    /// The figure harness these flags describe, over a sweep built
+    /// from `sweep`.
+    fn harness(&self, sweep: SweepOptions) -> exp::Harness {
+        let mut h = exp::Harness::new(Sweep::new(sweep));
+        if let Some(n) = self.accesses {
+            h.accesses_per_core = n;
+            h.warmup_accesses_per_core = n;
+        }
+        if let Some(n) = self.warmup {
+            h.warmup_accesses_per_core = n;
+        }
+        if let Some(x) = self.scale {
+            h.scale = x;
+        }
+        h
     }
 }
 
@@ -619,10 +670,11 @@ fn cache_gate() {
 }
 
 /// `csalt-experiments ckpt-gate`: proof of the fork-from-snapshot
-/// contract. Runs a suite whose configs share warmup prefixes twice
-/// into fresh cache directories — once with checkpointing disabled,
-/// once enabled — and fails (exit 1) unless the enabled pass produced
-/// byte-identical results AND restored at least one checkpoint.
+/// contract. Runs a suite whose configs share warmup prefixes twice —
+/// once on a sweep without a cache directory (no checkpoints), once
+/// into a fresh one — and fails (exit 1) unless the checkpointed pass
+/// produced byte-identical results AND restored at least one
+/// checkpoint.
 fn ckpt_gate() {
     // Base suite plus, per unique config, a variant that differs only
     // in measured-phase length — same warmup prefix, different config
@@ -649,28 +701,32 @@ fn ckpt_gate() {
         eprintln!("ckpt gate FAILED: {msg}");
         std::process::exit(1);
     };
-    let pass = |tag: &str, ckpt: &str| -> (String, f64, csalt_sim::SweepStats) {
-        let dir =
-            std::env::temp_dir().join(format!("csalt-ckpt-gate-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("CSALT_CKPT", ckpt);
+    let pass = |cache_dir: Option<PathBuf>| -> (String, f64, csalt_sim::SweepStats) {
+        if let Some(dir) = &cache_dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
         let t = std::time::Instant::now();
-        let sweep = Sweep::new(SweepOptions::with_dir(dir.clone()));
+        let sweep = Sweep::new(SweepOptions {
+            cache_dir: cache_dir.clone(),
+            jobs: None,
+        });
         let results = sweep.run_batch(configs.clone());
         let secs = t.elapsed().as_secs_f64();
         let stats = sweep.stats();
-        let _ = std::fs::remove_dir_all(&dir);
+        if let Some(dir) = &cache_dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
         (json(&results), secs, stats)
     };
 
-    let (off_json, off_secs, off_stats) = pass("off", "off");
+    let (off_json, off_secs, off_stats) = pass(None);
     if off_stats.restored != 0 {
         fail("disabled pass restored a checkpoint");
     }
     let before = csalt_sim::checkpoint::stats();
-    let (on_json, on_secs, on_stats) = pass("on", "on");
+    let dir = std::env::temp_dir().join(format!("csalt-ckpt-gate-{}", std::process::id()));
+    let (on_json, on_secs, on_stats) = pass(Some(dir));
     let after = csalt_sim::checkpoint::stats();
-    std::env::remove_var("CSALT_CKPT");
 
     if on_json != off_json {
         fail("checkpointed results are not byte-identical to the disabled run");
@@ -717,7 +773,7 @@ fn cache_artifacts(dir: &std::path::Path) -> Vec<(PathBuf, u64, std::time::Syste
 /// directory's artifact footprint by deleting oldest-modified files
 /// first until the total fits (default cap 1 GiB). Everything removed
 /// is regenerable — at worst the next sweep re-simulates or re-warms.
-fn cache_gc(args: &[String]) {
+fn cache_gc(args: &[String], cache_dir: Option<&std::path::Path>) {
     let mut cap: u64 = 1 << 30;
     let mut i = 0;
     while i < args.len() {
@@ -735,11 +791,11 @@ fn cache_gc(args: &[String]) {
             std::process::exit(2);
         }
     }
-    let Some(dir) = SweepOptions::from_env().cache_dir else {
-        println!("cache-gc: caching disabled (CSALT_NO_CACHE), nothing to do");
+    let Some(dir) = cache_dir else {
+        println!("cache-gc: caching disabled (--no-cache), nothing to do");
         return;
     };
-    let mut files = cache_artifacts(&dir);
+    let mut files = cache_artifacts(dir);
     let mut total: u64 = files.iter().map(|(_, len, _)| len).sum();
     if total <= cap {
         println!(
@@ -767,12 +823,12 @@ fn cache_gc(args: &[String]) {
 /// `csalt-experiments cache-stats`: what the cache directory holds —
 /// per-artifact-class counts and sizes, plus the cost model's line
 /// count — so `cache-gc` caps can be chosen from facts.
-fn cache_stats() {
-    let Some(dir) = SweepOptions::from_env().cache_dir else {
-        println!("cache-stats: caching disabled (CSALT_NO_CACHE)");
+fn cache_stats(cache_dir: Option<&std::path::Path>) {
+    let Some(dir) = cache_dir else {
+        println!("cache-stats: caching disabled (--no-cache)");
         return;
     };
-    let files = cache_artifacts(&dir);
+    let files = cache_artifacts(dir);
     let class = |prefix: &str| -> (usize, u64) {
         files
             .iter()
@@ -785,13 +841,15 @@ fn cache_stats() {
     };
     let (res_n, res_b) = class("results-");
     let (ckpt_n, ckpt_b) = class("ckpt-");
-    let costs = std::fs::metadata(dir.join("costs.jsonl"))
-        .map(|m| m.len())
-        .unwrap_or(0);
+    let (costs_n, costs_b) =
+        std::fs::metadata(dir.join("costs.jsonl")).map_or((0, 0), |m| (1, m.len()));
     println!("cache dir: {}", dir.display());
     println!("  results:     {res_n:>5} files  {res_b:>12} bytes");
     println!("  checkpoints: {ckpt_n:>5} files  {ckpt_b:>12} bytes");
-    println!("  cost model:  {:>5} file   {costs:>12} bytes", 1);
+    println!(
+        "  cost model:  {costs_n:>5} {}  {costs_b:>12} bytes",
+        if costs_n == 1 { "file " } else { "files" }
+    );
     println!(
         "  total:       {:>5} files  {:>12} bytes (gc-eligible)",
         res_n + ckpt_n,
@@ -802,7 +860,7 @@ fn cache_stats() {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    extract_sweep_flags(&mut args);
+    let flags = GlobalFlags::extract(&mut args);
     let registry = registry();
     if args.is_empty() || args[0] == "list" || args[0] == "--help" {
         println!("usage: csalt-experiments <name>... | all | list | cache-gate | ckpt-gate | cache-gc [--max-bytes N] | cache-stats | run <workload> [scheme] [--telemetry <path>] | trace-record <bench> <out> | trace-convert <in> <out>\n");
@@ -838,7 +896,10 @@ fn main() {
             "  {:<22} upgrade a v1 trace to v2 and verify the round-trip",
             "trace-convert"
         );
-        println!("\nsweep flags (any position): --jobs <N>, --cache-dir <path>, --no-cache");
+        println!(
+            "\nflags (any position): --accesses <N>, --warmup <N>, --scale <F>, --jobs <N>, \
+             --cache-dir <path>, --no-cache"
+        );
         return;
     }
     if args[0] == "cache-gate" {
@@ -850,15 +911,15 @@ fn main() {
         return;
     }
     if args[0] == "cache-gc" {
-        cache_gc(&args[1..]);
+        cache_gc(&args[1..], flags.sweep.cache_dir.as_deref());
         return;
     }
     if args[0] == "cache-stats" {
-        cache_stats();
+        cache_stats(flags.sweep.cache_dir.as_deref());
         return;
     }
     if args[0] == "trace-record" {
-        trace_record(&args[1..]);
+        trace_record(&args[1..], flags.scale.unwrap_or(exp::scaled::SCALE));
         return;
     }
     if args[0] == "trace-convert" {
@@ -868,7 +929,7 @@ fn main() {
     if args[0] == "run" {
         #[cfg(feature = "telemetry")]
         {
-            run_single(&args[1..]);
+            run_single(&args[1..], &flags);
             return;
         }
         #[cfg(not(feature = "telemetry"))]
@@ -877,7 +938,7 @@ fn main() {
             std::process::exit(2);
         }
     }
-    // Figure suites run through the global sweep engine; `--trace`
+    // Figure suites run through the harness's sweep; `--trace`
     // installs a wall-domain sink there (per-job simulate spans,
     // cache-hit/dedup instants) and exports it when the suite is done.
     let trace_path = args.iter().position(|a| a == "--trace").map(|i| {
@@ -889,8 +950,9 @@ fn main() {
             std::process::exit(2);
         }
     });
+    let harness = flags.harness(flags.sweep.clone());
     if trace_path.is_some() {
-        csalt_sim::Sweep::global().set_trace(csalt_trace::TraceBuffer::new());
+        harness.sweep.set_trace(csalt_trace::TraceBuffer::new());
     }
     let wanted: Vec<&Entry> = if args.iter().any(|a| a == "all") {
         registry.iter().collect()
@@ -909,12 +971,12 @@ fn main() {
     };
     for e in wanted {
         eprintln!("running {} ({})...", e.name, e.about);
-        if let Some(table) = (e.run)() {
+        if let Some(table) = (e.run)(&harness) {
             println!("{}", table.render());
         }
     }
     if let Some(path) = trace_path {
-        let Some(buf) = csalt_sim::Sweep::global().take_trace() else {
+        let Some(buf) = harness.sweep.take_trace() else {
             return;
         };
         let write = std::fs::File::create(&path).and_then(|f| {

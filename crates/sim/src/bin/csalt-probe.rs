@@ -4,8 +4,8 @@
 //! Usage: `csalt-probe [workload] [accesses_per_core]`
 //! where `workload` is one of the Figure 7 labels (default `gups`).
 
-use csalt_sim::experiments::default_config;
-use csalt_sim::run;
+use csalt_sim::experiments::Harness;
+use csalt_sim::{run, Sweep, SweepOptions};
 use csalt_types::TranslationScheme;
 use csalt_workloads::paper_workloads;
 
@@ -22,6 +22,8 @@ fn main() {
             std::process::exit(1);
         });
 
+    // Only the harness's default configuration is used, not its sweep.
+    let harness = Harness::new(Sweep::new(SweepOptions::default()));
     println!(
         "{:<14}{:>8}{:>10}{:>10}{:>10}{:>10}{:>10}{:>9}{:>9}{:>10}",
         "scheme",
@@ -43,7 +45,7 @@ fn main() {
         TranslationScheme::Dip,
         TranslationScheme::Tsb,
     ] {
-        let mut cfg = default_config(workload.clone(), scheme);
+        let mut cfg = harness.default_config(workload.clone(), scheme);
         cfg.accesses_per_core = accesses;
         cfg.occupancy_scan_interval = accesses / 16;
         let r = run(&cfg);

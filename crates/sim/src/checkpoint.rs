@@ -8,10 +8,12 @@
 //! one to run can serialize the whole simulator ([`HierarchyCheckpoint`])
 //! and every sibling can restore it and run only its measured phase.
 //!
-//! Images live in the run's cache directory — a sweep's own
-//! `SweepOptions::cache_dir` for its jobs, else the process default
-//! (`target/csalt-cache/`, `CSALT_CACHE_DIR`, disabled by
-//! `CSALT_NO_CACHE`) — named `ckpt-<engine-fingerprint>-<warmup-key>.bin`
+//! A run checkpoints exactly when its caller gives it a cache
+//! directory: a sweep's `SweepOptions::cache_dir` for its jobs,
+//! `run_in`'s `cache_dir` or `Instrumentation::cache_dir` for one run.
+//! `run` and `run_with_generators` take none and never checkpoint (a
+//! caller-supplied generator matrix is not what the warmup key hashes).
+//! Images are named `ckpt-<engine-fingerprint>-<warmup-key>.bin`
 //! and framed by the [`csalt_types::ckpt`] envelope: magic, version,
 //! fingerprint, length-validated payload, trailing checksum. A torn,
 //! stale or corrupt image is *never* an error — the run falls back to a
@@ -20,8 +22,7 @@
 //! The hard contract — a restored run is bit-identical to a
 //! straight-through run — is pinned by `tests/determinism.rs` across
 //! every scheme and both virtualization modes, and re-proven by the
-//! `ckpt-gate` CI step. `CSALT_CKPT=off` is
-//! the escape hatch that disables the whole layer.
+//! `ckpt-gate` CI step.
 //!
 //! This module is integer-only (the envelope stores `f64` state as bit
 //! patterns) and never reads a clock; `srclint` pins both properties.
@@ -34,42 +35,6 @@ use csalt_types::{CkptError, CkptReader, CkptWriter};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Whether checkpointed warmup runs (the `CSALT_CKPT` env var). The
-/// restore path is bit-identical to a cold run by contract, so it
-/// defaults on; the switch exists for the determinism gates and the
-/// bench's ablation rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CkptRequest {
-    /// Never save or restore warmup checkpoints.
-    Off,
-    /// Save after a cold warmup, restore when an image exists (default).
-    On,
-}
-
-impl CkptRequest {
-    /// Parses a `CSALT_CKPT` value. `0`/`off`/`false` (any case)
-    /// disable; everything else — including unset — enables.
-    #[must_use]
-    pub fn parse(value: Option<&str>) -> Self {
-        match value.map(str::to_ascii_lowercase).as_deref() {
-            Some("0" | "off" | "false") => CkptRequest::Off,
-            _ => CkptRequest::On,
-        }
-    }
-
-    /// The request selected by the `CSALT_CKPT` environment variable.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var("CSALT_CKPT").ok().as_deref())
-    }
-
-    /// Whether checkpointing should be enabled.
-    #[must_use]
-    pub fn enabled(self) -> bool {
-        self == CkptRequest::On
-    }
-}
 
 // ---------------------------------------------------------------------
 // Telemetry counters.
@@ -248,14 +213,11 @@ pub(crate) struct CkptPlan {
     fingerprint: String,
 }
 
-/// Decides whether (and where) this run checkpoints: requires
-/// `CSALT_CKPT` on, a cache directory, and a nonzero warmup (a
-/// zero-warmup checkpoint would save nothing).
+/// Decides whether (and where) this run checkpoints: requires a cache
+/// directory and a nonzero warmup (a zero-warmup checkpoint would save
+/// nothing).
 pub(crate) fn plan(cfg: &SimConfig, cache_dir: Option<&Path>) -> Option<CkptPlan> {
-    if !CkptRequest::from_env().enabled() || cfg.warmup_accesses_per_core == 0 {
-        return None;
-    }
-    let dir = cache_dir?;
+    let dir = cache_dir.filter(|_| cfg.warmup_accesses_per_core > 0)?;
     let fingerprint = engine_fingerprint();
     let path = dir.join(format!("ckpt-{}-{}.bin", fingerprint, warmup_key(cfg)));
     Some(CkptPlan { path, fingerprint })
@@ -329,16 +291,6 @@ mod tests {
         c.accesses_per_core = 4_000;
         c.warmup_accesses_per_core = 2_000;
         c
-    }
-
-    #[test]
-    fn parse_accepts_every_off_spelling() {
-        assert_eq!(CkptRequest::parse(None), CkptRequest::On);
-        assert_eq!(CkptRequest::parse(Some("off")), CkptRequest::Off);
-        assert_eq!(CkptRequest::parse(Some("0")), CkptRequest::Off);
-        assert_eq!(CkptRequest::parse(Some("FALSE")), CkptRequest::Off);
-        assert_eq!(CkptRequest::parse(Some("on")), CkptRequest::On);
-        assert_eq!(CkptRequest::parse(Some("1")), CkptRequest::On);
     }
 
     #[test]

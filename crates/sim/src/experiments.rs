@@ -23,16 +23,15 @@
 //! wins, by roughly what factor, where the crossovers sit — is the
 //! reproduction target (see EXPERIMENTS.md for paper-vs-measured).
 //!
-//! Environment knobs: `CSALT_ACCESSES` overrides the per-core access
-//! count (e.g. `CSALT_ACCESSES=50000` for a smoke run), `CSALT_WARMUP`
-//! the warmup length, and `CSALT_SCALE` the footprint multiplier.
-//! `CSALT_WARMUP_MODE` (`timed` | `functional`) selects the warmup
-//! execution path, and `CSALT_SAMPLE_WINDOWS` / `CSALT_WINDOW_ACCESSES`
-//! turn on SMARTS-style sampled measurement: N timed windows of M
-//! accesses each, functionally fast-forwarded in between — the figure
-//! suite's lever for 10×+ longer access streams at similar wall clock.
+//! Every runner takes a [`Harness`]: the [`Sweep`] its configs run
+//! through (result cache, dedup, scheduling, warmup checkpoints) plus
+//! the per-core access count, warmup length and footprint multiplier
+//! of [`Harness::default_config`]. Nothing is read from the
+//! environment; `csalt-experiments` builds the harness from its flags
+//! and the bench targets from `csalt_bench::harness`.
 
-use crate::simulator::{run, SimConfig, SimResult, WarmupMode};
+use crate::simulator::{SimConfig, SimResult, WarmupMode};
+use crate::sweep::Sweep;
 use csalt_types::{geomean, Cycle, TranslationScheme};
 use csalt_workloads::{paper_workloads, BenchKind, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -65,48 +64,49 @@ pub mod scaled {
     pub const EPOCH_512K: u64 = 64_000;
 }
 
-/// The experiment harness's default configuration for one (workload,
-/// scheme) pair: virtualized, 2 contexts/core, scaled quantum and epoch.
-pub fn default_config(workload: WorkloadSpec, scheme: TranslationScheme) -> SimConfig {
-    let mut cfg = SimConfig::new(workload, scheme);
-    cfg.accesses_per_core = env_u64("CSALT_ACCESSES").unwrap_or(scaled::ACCESSES_PER_CORE);
-    cfg.warmup_accesses_per_core = env_u64("CSALT_WARMUP").unwrap_or(cfg.accesses_per_core);
-    cfg.scale = env_f64("CSALT_SCALE").unwrap_or(scaled::SCALE);
-    cfg.system.cs_interval_cycles = scaled::QUANTUM_10MS;
-    cfg.system.epoch_accesses = scaled::EPOCH_256K;
-    if let Some(mode) = std::env::var("CSALT_WARMUP_MODE")
-        .ok()
-        .as_deref()
-        .and_then(WarmupMode::parse)
-    {
-        cfg.warmup_mode = mode;
+/// What every figure runner takes from its caller: the sweep its
+/// configs run through and the run-size knobs of
+/// [`Harness::default_config`].
+pub struct Harness {
+    /// Runs every figure's batch: cached and duplicate configs are
+    /// never re-simulated, the rest are scheduled longest-first over
+    /// its workers. Results are bit-identical to sequential execution —
+    /// see `crates/sim/tests/sweep.rs` and `tests/determinism.rs`.
+    pub sweep: Sweep,
+    /// Per-core measured accesses of every config.
+    pub accesses_per_core: u64,
+    /// Per-core warmup accesses of every config.
+    pub warmup_accesses_per_core: u64,
+    /// Workload footprint multiplier.
+    pub scale: f64,
+}
+
+impl Harness {
+    /// The paper-scaled run sizes ([`scaled::ACCESSES_PER_CORE`], a
+    /// warmup of the same length, [`scaled::SCALE`]) over `sweep`.
+    #[must_use]
+    pub fn new(sweep: Sweep) -> Self {
+        Self {
+            sweep,
+            accesses_per_core: scaled::ACCESSES_PER_CORE,
+            warmup_accesses_per_core: scaled::ACCESSES_PER_CORE,
+            scale: scaled::SCALE,
+        }
     }
-    cfg.sample_windows = env_u64("CSALT_SAMPLE_WINDOWS").unwrap_or(0);
-    cfg.window_accesses = env_u64("CSALT_WINDOW_ACCESSES").unwrap_or(0);
-    cfg
-}
 
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.parse().ok()
-}
-
-fn env_f64(key: &str) -> Option<f64> {
-    std::env::var(key).ok()?.parse().ok()
-}
-
-/// Runs configurations in parallel, returning one result per config in
-/// submission order.
-///
-/// Routes through the process-global [`crate::sweep::Sweep`]: cached
-/// results (persisted under `CSALT_CACHE_DIR`, default
-/// `target/csalt-cache/`, keyed by content hash + engine fingerprint)
-/// and configs already simulated earlier in this process are never
-/// re-simulated; the rest are claimed longest-job-first by an atomic
-/// index over `CSALT_JOBS` workers writing into disjoint slots.
-/// Results are bit-identical to sequential execution — see
-/// `crates/sim/tests/sweep.rs` and `tests/determinism.rs`.
-pub fn run_parallel(configs: Vec<SimConfig>) -> Vec<SimResult> {
-    crate::sweep::Sweep::global().run_batch(configs)
+    /// The default configuration for one (workload, scheme) pair:
+    /// virtualized, 2 contexts/core, scaled quantum and epoch, and this
+    /// harness's run sizes.
+    #[must_use]
+    pub fn default_config(&self, workload: WorkloadSpec, scheme: TranslationScheme) -> SimConfig {
+        let mut cfg = SimConfig::new(workload, scheme);
+        cfg.accesses_per_core = self.accesses_per_core;
+        cfg.warmup_accesses_per_core = self.warmup_accesses_per_core;
+        cfg.scale = self.scale;
+        cfg.system.cs_interval_cycles = scaled::QUANTUM_10MS;
+        cfg.system.epoch_accesses = scaled::EPOCH_256K;
+        cfg
+    }
 }
 
 /// A generic labelled series row: one workload, one value per column.
@@ -219,15 +219,15 @@ fn homogeneous_six() -> Vec<WorkloadSpec> {
 /// of each benchmark run alone with a single context (the paper's
 /// non-context-switch case runs each program by itself). Paper:
 /// geomean > 6×.
-pub fn fig01() -> Table {
+pub fn fig01(h: &Harness) -> Table {
     let mut configs = Vec::new();
     for w in paper_workloads() {
         // The context-switched pair.
-        configs.push(default_config(w.clone(), TranslationScheme::Conventional));
+        configs.push(h.default_config(w.clone(), TranslationScheme::Conventional));
         // Each member alone, one context per core.
         for i in 0..2 {
             let b = w.context_bench(i);
-            let mut c = default_config(
+            let mut c = h.default_config(
                 WorkloadSpec::homogeneous(b.name(), b),
                 TranslationScheme::Conventional,
             );
@@ -235,7 +235,7 @@ pub fn fig01() -> Table {
             configs.push(c);
         }
     }
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .chunks(3)
         .map(|group| {
@@ -268,16 +268,16 @@ pub fn fig01() -> Table {
 /// Table 1: average page-walk cycles per walk under the conventional
 /// scheme, native vs virtualized. Paper: canneal 53/61, ccomp 44/1158,
 /// graph500 79/80, gups 43/70, pagerank 51/61, streamcluster 74/76.
-pub fn tab01() -> Table {
+pub fn tab01(h: &Harness) -> Table {
     let mut configs = Vec::new();
     for w in homogeneous_six() {
         for virtualized in [false, true] {
-            let mut c = default_config(w.clone(), TranslationScheme::Conventional);
+            let mut c = h.default_config(w.clone(), TranslationScheme::Conventional);
             c.virtualized = virtualized;
             configs.push(c);
         }
     }
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .chunks(2)
         .map(|pair| Row {
@@ -302,7 +302,7 @@ pub fn tab01() -> Table {
 /// Figure 3: mean fraction of L2/L3 data-cache capacity holding
 /// translation entries under POM-TLB. Paper: ~60% average, up to 80%
 /// for connected component.
-pub fn fig03() -> Table {
+pub fn fig03(h: &Harness) -> Table {
     let five = [
         BenchKind::Canneal,
         BenchKind::ConnectedComponent,
@@ -313,7 +313,7 @@ pub fn fig03() -> Table {
     let configs: Vec<SimConfig> = five
         .iter()
         .map(|&b| {
-            let mut c = default_config(
+            let mut c = h.default_config(
                 WorkloadSpec::homogeneous(b.name(), b),
                 TranslationScheme::PomTlb,
             );
@@ -321,7 +321,7 @@ pub fn fig03() -> Table {
             c
         })
         .collect();
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .iter()
         .map(|r| {
@@ -359,18 +359,17 @@ pub struct MainComparison {
 
 /// Runs the 10 workloads × 4 schemes grid once. Figures 7, 8, 10 and
 /// 11 — four views of the same grid — share a single computation: the
-/// sweep layer under [`run_parallel`] dedups the grid in-process and
-/// persists it content-addressed across invocations (the old ad-hoc
-/// `main_comparison.json` cache is subsumed by `target/csalt-cache/`).
-pub fn main_comparison() -> MainComparison {
+/// harness's sweep dedups the grid in-process and persists it
+/// content-addressed across invocations when it has a cache directory.
+pub fn main_comparison(h: &Harness) -> MainComparison {
     let workloads = paper_workloads();
     let mut configs = Vec::new();
     for w in &workloads {
         for s in FIG7_SCHEMES {
-            configs.push(default_config(w.clone(), s));
+            configs.push(h.default_config(w.clone(), s));
         }
     }
-    let flat = run_parallel(configs);
+    let flat = h.sweep.run_batch(configs);
     let results: Vec<Vec<SimResult>> = flat
         .chunks(FIG7_SCHEMES.len())
         .map(<[SimResult]>::to_vec)
@@ -488,13 +487,13 @@ pub struct PartitionTraceResult {
 /// Figure 9: runs ccomp under CSALT-CD with partition tracing. Paper:
 /// the TLB allocation tracks the workload's iteration phases, and L3
 /// TLB allocation dips when L2 allocation rises.
-pub fn fig09() -> PartitionTraceResult {
-    let mut cfg = default_config(
+pub fn fig09(h: &Harness) -> PartitionTraceResult {
+    let mut cfg = h.default_config(
         WorkloadSpec::homogeneous("ccomp", BenchKind::ConnectedComponent),
         TranslationScheme::CsaltCd,
     );
     cfg.trace_partitions = true;
-    let r = run(&cfg);
+    let r = h.sweep.run_batch(vec![cfg]).remove(0);
     let normalize = |series: &[(u64, f64)]| {
         let max = series.iter().map(|&(a, _)| a).max().unwrap_or(1).max(1) as f64;
         series
@@ -514,16 +513,16 @@ pub fn fig09() -> PartitionTraceResult {
 
 /// Figure 12: CSALT-CD speedup over POM-TLB with native 1D walks.
 /// Paper: geomean ≈ 1.05, up to 1.30 on connected component.
-pub fn fig12() -> Table {
+pub fn fig12(h: &Harness) -> Table {
     let mut configs = Vec::new();
     for w in paper_workloads() {
         for s in [TranslationScheme::PomTlb, TranslationScheme::CsaltCd] {
-            let mut c = default_config(w.clone(), s);
+            let mut c = h.default_config(w.clone(), s);
             c.virtualized = false;
             configs.push(c);
         }
     }
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .chunks(2)
         .map(|pair| Row {
@@ -544,7 +543,7 @@ pub fn fig12() -> Table {
 
 /// Figure 13: TSB, DIP and CSALT-CD normalized to POM-TLB. Paper:
 /// TSB mostly < 1, DIP ≈ 1, CSALT-CD ≈ 1.25–1.3 over DIP on average.
-pub fn fig13() -> Table {
+pub fn fig13(h: &Harness) -> Table {
     let schemes = [
         TranslationScheme::PomTlb,
         TranslationScheme::Tsb,
@@ -554,10 +553,10 @@ pub fn fig13() -> Table {
     let mut configs = Vec::new();
     for w in paper_workloads() {
         for s in schemes {
-            configs.push(default_config(w.clone(), s));
+            configs.push(h.default_config(w.clone(), s));
         }
     }
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .chunks(schemes.len())
         .map(|group| {
@@ -581,19 +580,19 @@ pub fn fig13() -> Table {
 
 /// Figure 14: CSALT-CD speedup over POM-TLB at 1, 2 and 4 contexts per
 /// core. Paper: gains grow with contexts (1 < 2 < 4; ~1.33 at 4).
-pub fn fig14() -> Table {
+pub fn fig14(h: &Harness) -> Table {
     let counts = [1u32, 2, 4];
     let mut configs = Vec::new();
     for w in paper_workloads() {
         for &n in &counts {
             for s in [TranslationScheme::PomTlb, TranslationScheme::CsaltCd] {
-                let mut c = default_config(w.clone(), s);
+                let mut c = h.default_config(w.clone(), s);
                 c.system.contexts_per_core = n;
                 configs.push(c);
             }
         }
     }
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .chunks(counts.len() * 2)
         .map(|group| {
@@ -621,17 +620,17 @@ pub fn fig14() -> Table {
 /// Figure 15: CSALT-CD IPC at epoch lengths ≙128 K / 256 K / 512 K,
 /// normalized to the default (256 K). Paper: the default wins on most
 /// workloads, with ccomp/streamcluster preferring other lengths.
-pub fn fig15() -> Table {
+pub fn fig15(h: &Harness) -> Table {
     let epochs = [scaled::EPOCH_128K, scaled::EPOCH_256K, scaled::EPOCH_512K];
     let mut configs = Vec::new();
     for w in paper_workloads() {
         for &e in &epochs {
-            let mut c = default_config(w.clone(), TranslationScheme::CsaltCd);
+            let mut c = h.default_config(w.clone(), TranslationScheme::CsaltCd);
             c.system.epoch_accesses = e;
             configs.push(c);
         }
     }
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .chunks(epochs.len())
         .map(|group| {
@@ -655,7 +654,7 @@ pub fn fig15() -> Table {
 
 /// Figure 16: CSALT-CD speedup over POM-TLB at 5 / 10 / 30 ms quanta.
 /// Paper: steady gains, slightly lower (-8%) at 30 ms than 10 ms.
-pub fn fig16() -> Table {
+pub fn fig16(h: &Harness) -> Table {
     let quanta: [Cycle; 3] = [
         scaled::QUANTUM_5MS,
         scaled::QUANTUM_10MS,
@@ -665,13 +664,13 @@ pub fn fig16() -> Table {
     for w in paper_workloads() {
         for &q in &quanta {
             for s in [TranslationScheme::PomTlb, TranslationScheme::CsaltCd] {
-                let mut c = default_config(w.clone(), s);
+                let mut c = h.default_config(w.clone(), s);
                 c.system.cs_interval_cycles = q;
                 configs.push(c);
             }
         }
     }
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .chunks(quanta.len() * 2)
         .map(|group| {
@@ -701,18 +700,18 @@ pub fn fig16() -> Table {
 /// this experiment quantifies it: conventional walk cost grows with
 /// depth while CSALT-CD's large-TLB path is unaffected, so CSALT's gain
 /// over conventional widens at 5 levels.
-pub fn ext_5level() -> Table {
+pub fn ext_5level(h: &Harness) -> Table {
     let mut configs = Vec::new();
     for w in homogeneous_six() {
         for levels in [4u8, 5] {
             for s in [TranslationScheme::Conventional, TranslationScheme::CsaltCd] {
-                let mut c = default_config(w.clone(), s);
+                let mut c = h.default_config(w.clone(), s);
                 c.system.pt_levels = levels;
                 configs.push(c);
             }
         }
     }
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .chunks(4)
         .map(|g| {
@@ -732,14 +731,14 @@ pub fn ext_5level() -> Table {
 
 /// Extension: CSALT partitioning layered over the TSB (§5.2/§6 claim
 /// the TSB organization "can leverage CSALT cache partitioning").
-pub fn ext_tsb_csalt() -> Table {
+pub fn ext_tsb_csalt(h: &Harness) -> Table {
     let mut configs = Vec::new();
     for w in paper_workloads() {
         for s in [TranslationScheme::Tsb, TranslationScheme::TsbCsalt] {
-            configs.push(default_config(w.clone(), s));
+            configs.push(h.default_config(w.clone(), s));
         }
     }
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .chunks(2)
         .map(|pair| Row {
@@ -759,7 +758,7 @@ pub fn ext_tsb_csalt() -> Table {
 /// fraction and report CSALT-CD's speedup over POM-TLB at each point —
 /// huge pages shrink the translation working set, so partitioning's
 /// opportunity shrinks with them.
-pub fn ext_huge_pages() -> Table {
+pub fn ext_huge_pages(h: &Harness) -> Table {
     let four = [
         BenchKind::Canneal,
         BenchKind::Graph500,
@@ -771,13 +770,13 @@ pub fn ext_huge_pages() -> Table {
     for &b in &four {
         for &f in &fractions {
             for s in [TranslationScheme::PomTlb, TranslationScheme::CsaltCd] {
-                let mut c = default_config(WorkloadSpec::homogeneous(b.name(), b), s);
+                let mut c = h.default_config(WorkloadSpec::homogeneous(b.name(), b), s);
                 c.huge_fraction = f;
                 configs.push(c);
             }
         }
     }
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .chunks(fractions.len() * 2)
         .map(|g| {
@@ -802,7 +801,7 @@ pub fn ext_huge_pages() -> Table {
 /// content-oblivious replacement baseline the related work (§6)
 /// discusses. Like DIP, DRRIP cannot exploit the data/TLB distinction,
 /// so it should track POM-TLB while CSALT-CD pulls ahead.
-pub fn ext_drrip() -> Table {
+pub fn ext_drrip(h: &Harness) -> Table {
     let schemes = [
         TranslationScheme::PomTlb,
         TranslationScheme::Dip,
@@ -812,10 +811,10 @@ pub fn ext_drrip() -> Table {
     let mut configs = Vec::new();
     for w in paper_workloads() {
         for s in schemes {
-            configs.push(default_config(w.clone(), s));
+            configs.push(h.default_config(w.clone(), s));
         }
     }
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .chunks(schemes.len())
         .map(|group| {
@@ -837,7 +836,7 @@ pub fn ext_drrip() -> Table {
 /// replacement, normalized to True-LRU. The paper (citing Kędzierski et
 /// al.) expects only minor degradation from pseudo-LRU stack-position
 /// estimation.
-pub fn ablation_replacement() -> Table {
+pub fn ablation_replacement(h: &Harness) -> Table {
     use csalt_types::ReplacementKind;
     let kinds = [
         ReplacementKind::TrueLru,
@@ -847,12 +846,12 @@ pub fn ablation_replacement() -> Table {
     let mut configs = Vec::new();
     for w in homogeneous_six() {
         for &k in &kinds {
-            let mut c = default_config(w.clone(), TranslationScheme::CsaltCd);
+            let mut c = h.default_config(w.clone(), TranslationScheme::CsaltCd);
             c.system.replacement = k;
             configs.push(c);
         }
     }
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .chunks(kinds.len())
         .map(|g| {
@@ -873,20 +872,20 @@ pub fn ablation_replacement() -> Table {
 /// Ablation (footnote 6): static way partitions vs dynamic CSALT-CD,
 /// normalized to unpartitioned POM-TLB. The paper found "no one static
 /// scheme performed well across all workloads".
-pub fn ablation_static() -> Table {
+pub fn ablation_static(h: &Harness) -> Table {
     let statics = [4u32, 8, 12];
     let mut configs = Vec::new();
     for w in homogeneous_six() {
-        configs.push(default_config(w.clone(), TranslationScheme::PomTlb));
+        configs.push(h.default_config(w.clone(), TranslationScheme::PomTlb));
         for &d in &statics {
-            configs.push(default_config(
+            configs.push(h.default_config(
                 w.clone(),
                 TranslationScheme::StaticPartition { data_ways: d },
             ));
         }
-        configs.push(default_config(w.clone(), TranslationScheme::CsaltCd));
+        configs.push(h.default_config(w.clone(), TranslationScheme::CsaltCd));
     }
-    let results = run_parallel(configs);
+    let results = h.sweep.run_batch(configs);
     let rows = results
         .chunks(statics.len() + 2)
         .map(|g| {
@@ -911,19 +910,19 @@ pub fn ablation_static() -> Table {
 /// weighted ones (`csalt-cd`) may drift, because functional warmup
 /// cannot compute the cycle-derived replacement weights and degrades
 /// to unit weights until the measured phase begins.
-pub fn ablation_warmup() -> Table {
+pub fn ablation_warmup(h: &Harness) -> Table {
     let workloads = paper_workloads();
     let mut configs = Vec::new();
     for w in &workloads {
         for s in FIG7_SCHEMES {
             for mode in [WarmupMode::Timed, WarmupMode::Functional] {
-                let mut c = default_config(w.clone(), s);
+                let mut c = h.default_config(w.clone(), s);
                 c.warmup_mode = mode;
                 configs.push(c);
             }
         }
     }
-    let flat = run_parallel(configs);
+    let flat = h.sweep.run_batch(configs);
     let rows = flat
         .chunks(FIG7_SCHEMES.len() * 2)
         .map(|per_w| Row {
@@ -952,6 +951,7 @@ pub fn ablation_warmup() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepOptions;
 
     #[test]
     fn table_render_is_aligned_and_complete() {
@@ -978,15 +978,23 @@ mod tests {
 
     #[test]
     fn default_config_uses_scaled_parameters() {
+        let mut h = Harness::new(Sweep::new(SweepOptions::default()));
+        h.accesses_per_core = 7_000;
+        h.warmup_accesses_per_core = 3_000;
+        h.scale = 0.5;
         let w = WorkloadSpec::homogeneous("gups", BenchKind::Gups);
-        let c = default_config(w.clone(), TranslationScheme::CsaltCd);
+        let c = h.default_config(w, TranslationScheme::CsaltCd);
         assert_eq!(c.system.epoch_accesses, scaled::EPOCH_256K);
         assert_eq!(c.system.cs_interval_cycles, scaled::QUANTUM_10MS);
         assert!(c.virtualized);
+        assert_eq!(
+            (c.accesses_per_core, c.warmup_accesses_per_core, c.scale),
+            (7_000, 3_000, 0.5)
+        );
     }
 
-    /// The batch path behind [`run_parallel`], on a sweep without a
-    /// cache directory so the test leaves no files.
+    /// The batch path behind every figure, on a sweep without a cache
+    /// directory so the test leaves no files.
     #[test]
     fn run_batch_preserves_order() {
         let mk = |scheme| {
@@ -996,7 +1004,7 @@ mod tests {
             c.scale = 0.05;
             c
         };
-        let sweep = crate::sweep::Sweep::new(crate::sweep::SweepOptions::default());
+        let sweep = Sweep::new(SweepOptions::default());
         let results = sweep.run_batch(vec![
             mk(TranslationScheme::Conventional),
             mk(TranslationScheme::PomTlb),

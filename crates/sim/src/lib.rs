@@ -5,8 +5,13 @@
 //! * [`SimConfig`] / [`run`] — simulate one (workload, scheme)
 //!   configuration on the 8-core machine of Table 2; [`run_in`] picks
 //!   the warmup-checkpoint directory (or none).
-//! * [`experiments`] — the per-figure harnesses (`fig01` … `fig16`,
-//!   `tab01`), each returning a printable [`experiments::Table`].
+//! * [`experiments`] — the per-figure runners (`fig01` … `fig16`,
+//!   `tab01`) on an [`experiments::Harness`], each returning a
+//!   printable [`experiments::Table`].
+//!
+//! The library reads no environment variables: every setting arrives
+//! as an argument, and the binaries build those arguments from their
+//! flags.
 //!
 //! # Example
 //!
@@ -36,10 +41,10 @@ mod simulator;
 pub mod sweep;
 pub mod trace_store;
 
-pub use checkpoint::{CkptRequest, CkptStats};
+pub use checkpoint::CkptStats;
 pub use simulator::{
-    build_threads, run, run_in, run_with_generators, run_with_generators_in, OccupancySample,
-    SimConfig, SimResult, WarmupMode,
+    build_threads, run, run_in, run_with_generators, OccupancySample, SimConfig, SimResult,
+    WarmupMode,
 };
 pub use sweep::{Sweep, SweepOptions, SweepStats};
 

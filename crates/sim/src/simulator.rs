@@ -21,7 +21,6 @@
 //! misses overlap through MSHRs; translations do not).
 
 use crate::fastforward::{functional_phase, FunctionalSchedule};
-use crate::sweep::SweepOptions;
 use csalt_core::{
     AccessCharge, BlockAccess, HierarchySnapshot, MemoryHierarchy, PartitionSample, StageSample,
 };
@@ -32,7 +31,7 @@ use csalt_types::{
 };
 use csalt_workloads::{AnyGenerator, TraceGenerator, WorkloadSpec};
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 #[cfg(feature = "telemetry")]
 use csalt_telemetry::{
@@ -487,26 +486,19 @@ fn enforce_audit(context: &str, diags: &[csalt_audit::Diagnostic]) {
     }
 }
 
-/// The checkpoint directory of the public entry points: the process
-/// default of [`SweepOptions::from_env`].
-fn default_cache_dir() -> Option<PathBuf> {
-    SweepOptions::from_env().cache_dir
-}
-
-/// Runs one configuration to completion.
+/// Runs one configuration to completion, without warmup checkpoints.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid (zero cores, bad geometry…).
 pub fn run(cfg: &SimConfig) -> SimResult {
-    run_in(cfg, default_cache_dir().as_deref()).0
+    run_in(cfg, None).0
 }
 
 /// [`run`] with warmup checkpoints under `cache_dir` (`None`: no
 /// checkpoints), also reporting whether the warmup was restored. The
 /// sweep's workers run every job through here, so a sweep keeps its
-/// checkpoints in its own cache directory; callers that must leave no
-/// files behind pass `None`.
+/// checkpoints in its own cache directory.
 ///
 /// # Panics
 ///
@@ -518,29 +510,15 @@ pub fn run_in(cfg: &SimConfig, cache_dir: Option<&Path>) -> (SimResult, bool) {
 /// Runs one configuration over caller-supplied generators instead of
 /// the ones `cfg.workload` would build — the entry point for recorded-
 /// trace replay (`AnyGenerator::Trace`). `threads[vm][core]` must match
-/// the config's VM and core counts.
+/// the config's VM and core counts. Never checkpoints: the warmup key
+/// describes `cfg`, not the generators, so an image saved for one
+/// matrix would be restored into a replay of another.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid or the generator matrix does
 /// not match its shape.
 pub fn run_with_generators(cfg: &SimConfig, threads: Vec<Vec<AnyGenerator>>) -> SimResult {
-    run_with_generators_in(cfg, threads, default_cache_dir().as_deref()).0
-}
-
-/// [`run_with_generators`] with warmup checkpoints under `cache_dir`
-/// (`None`: no checkpoints), also reporting whether the warmup was
-/// restored — the generator-matrix form of [`run_in`].
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or the generator matrix does
-/// not match its shape.
-pub fn run_with_generators_in(
-    cfg: &SimConfig,
-    threads: Vec<Vec<AnyGenerator>>,
-    cache_dir: Option<&Path>,
-) -> (SimResult, bool) {
     assert_eq!(
         threads.len(),
         cfg.system.contexts_per_core as usize,
@@ -552,7 +530,7 @@ pub fn run_with_generators_in(
             .all(|row| row.len() == cfg.system.cores as usize),
         "one generator per core in every VM row"
     );
-    execute(cfg, threads, &mut NoHooks, cache_dir)
+    execute(cfg, threads, &mut NoHooks, None).0
 }
 
 /// One timed scheduling phase: run every core up to `total_per_core`
@@ -847,15 +825,14 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
     // carries over in both modes, so the measured phase resumes from
     // the schedule position warmup ended on.
     //
-    // With checkpointing on (`CSALT_CKPT`, default on) and a cache
-    // directory to keep images in, the post-warmup state is
-    // content-addressed by the config's warmup-prefix key: the first
-    // run of a prefix simulates warmup
-    // and snapshots `(hierarchy, per-core VM, per-stream pop counts)`;
-    // every later run restores the snapshot, fast-forwards its access
-    // streams past the recorded pop counts, and enters the measured
-    // phase directly — bit-identical to the straight-through run,
-    // which `tests/determinism.rs` pins.
+    // Given a cache directory to keep images in, the post-warmup state
+    // is content-addressed by the config's warmup-prefix key: the first
+    // run of a prefix simulates warmup and snapshots `(hierarchy,
+    // per-core VM, per-stream pop counts)`; every later run restores
+    // the snapshot, fast-forwards its access streams past the recorded
+    // pop counts, and enters the measured phase directly —
+    // bit-identical to the straight-through run, which
+    // `tests/determinism.rs` pins.
     let ckpt_plan = crate::checkpoint::plan(cfg, cache_dir);
     let mut restored = false;
     if let Some(plan) = &ckpt_plan {

@@ -35,6 +35,10 @@
 //!    model and out through a [`csalt_telemetry::Recorder`], so the
 //!    schedule self-improves run over run.
 //!
+//! A [`Sweep`] is an ordinary value built from the [`SweepOptions`] its
+//! caller passes — cache directory and worker count; nothing here reads
+//! the environment or keeps a process-wide sweep.
+//!
 //! Results are bit-identical to sequential execution: `run` is a pure
 //! function of the config, the vendored JSON layer round-trips `f64`s
 //! exactly (shortest-round-trip formatting), and the sweep-level tests
@@ -190,28 +194,8 @@ impl SweepOptions {
         }
     }
 
-    /// The process-wide defaults: `CSALT_NO_CACHE` (set = no
-    /// persistence), `CSALT_CACHE_DIR` (default
-    /// `target/csalt-cache/`), `CSALT_JOBS` (default: all CPUs).
-    pub fn from_env() -> Self {
-        let cache_dir = if std::env::var_os("CSALT_NO_CACHE").is_some() {
-            None
-        } else {
-            Some(
-                std::env::var_os("CSALT_CACHE_DIR")
-                    .map_or_else(Self::default_cache_dir, PathBuf::from),
-            )
-        };
-        Self {
-            cache_dir,
-            jobs: std::env::var("CSALT_JOBS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n: &usize| n > 0),
-        }
-    }
-
-    /// `target/csalt-cache/` at the workspace root.
+    /// `target/csalt-cache/` at the workspace root: where the binaries
+    /// persist unless told otherwise.
     pub fn default_cache_dir() -> PathBuf {
         repo_root().join("target/csalt-cache")
     }
@@ -372,14 +356,6 @@ impl Sweep {
             sweep.attach_cache_dir(&dir);
         }
         sweep
-    }
-
-    /// The process-wide sweep every [`crate::experiments::run_parallel`]
-    /// call routes through, configured from the environment on first
-    /// touch (`CSALT_CACHE_DIR`, `CSALT_NO_CACHE`, `CSALT_JOBS`).
-    pub fn global() -> &'static Sweep {
-        static GLOBAL: OnceLock<Sweep> = OnceLock::new();
-        GLOBAL.get_or_init(|| Sweep::new(SweepOptions::from_env()))
     }
 
     /// The engine fingerprint this sweep's persistence is scoped to.
@@ -576,11 +552,10 @@ impl Sweep {
             // simulates the warmup and saves the checkpoint; the
             // group's remaining jobs (the followers) run in the second
             // wave, restore the snapshot, and simulate only their
-            // measured phase. With checkpointing off (or warmup-free /
-            // cache-less configs) every job leads and the schedule is
+            // measured phase. Without a cache directory (or for
+            // warmup-free configs) every job leads and the schedule is
             // exactly the classic single wave.
-            let ckpt_grouping =
-                crate::checkpoint::CkptRequest::from_env().enabled() && self.cache_dir.is_some();
+            let ckpt_grouping = self.cache_dir.is_some();
             let mut leaders: Vec<usize> = Vec::new();
             let mut followers: Vec<usize> = Vec::new();
             let mut lead_of: BTreeMap<String, usize> = BTreeMap::new();

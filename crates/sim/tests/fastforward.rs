@@ -1,9 +1,12 @@
 //! Functional fast-forward guarantees: determinism of the state-only
 //! path across every scheme × native/virtualized, state equivalence
-//! with timed warmup on timing-independent configurations, and the
-//! sampled-window accounting contract.
+//! with timed warmup on timing-independent configurations, the
+//! sampled-window accounting contract, and generator replay that never
+//! checkpoints. No test here passes a cache directory, so the
+//! process-wide checkpoint counters only move if a run checkpoints on
+//! its own.
 
-use csalt_sim::{build_threads, run_in, run_with_generators_in, SimConfig, SimResult, WarmupMode};
+use csalt_sim::{build_threads, run_in, run_with_generators, SimConfig, SimResult, WarmupMode};
 use csalt_types::TranslationScheme;
 use csalt_workloads::BenchKind;
 use csalt_workloads::{AnyGenerator, TraceFile, TraceGenerator, WorkloadSpec};
@@ -185,11 +188,39 @@ fn staged_replay_matches_unstaged_replay_bit_for_bit() {
             .collect()
     };
 
-    let (unstaged, _) = run_with_generators_in(&cfg, matrix(false), None);
-    let (staged, _) = run_with_generators_in(&cfg, matrix(true), None);
+    let unstaged = run_with_generators(&cfg, matrix(false));
+    let staged = run_with_generators(&cfg, matrix(true));
     assert_eq!(json(&unstaged), json(&staged));
 
     // And both match the generated run they were recorded from.
     let generated = run(&cfg);
     assert_eq!(json(&generated), json(&staged));
+}
+
+/// A replay through caller-supplied generators never checkpoints: the
+/// warmup key hashes the config, not the generators, so an image saved
+/// by one replay could be restored into a replay of another stream.
+#[test]
+fn generator_replay_never_checkpoints() {
+    let mut cfg = SimConfig::new(
+        WorkloadSpec::homogeneous("gups", BenchKind::Gups),
+        TranslationScheme::CsaltCd,
+    );
+    cfg.system.cores = 1;
+    cfg.accesses_per_core = 4_000;
+    cfg.warmup_accesses_per_core = 2_000;
+    cfg.scale = 0.05;
+    let mut other_cfg = cfg.clone();
+    other_cfg.workload = WorkloadSpec::homogeneous("canneal", BenchKind::Canneal);
+
+    let before = csalt_sim::checkpoint::stats();
+    let first = run_with_generators(&cfg, build_threads(&other_cfg));
+    let second = run_with_generators(&cfg, build_threads(&other_cfg));
+    let after = csalt_sim::checkpoint::stats();
+    assert_eq!(after.saves, before.saves, "a replay saved a warmup image");
+    assert_eq!(
+        after.restores, before.restores,
+        "a replay restored a warmup image"
+    );
+    assert_eq!(json(&first), json(&second));
 }

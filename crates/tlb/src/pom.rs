@@ -37,17 +37,39 @@ pub struct PomLookup {
 /// SRAM TLBs), MRU-first within each set: the way scan compares one word
 /// per way and recency updates are short rotations — no per-insert
 /// allocation. Valid entries always form a prefix of the set.
+///
+/// Both arrays encode an empty slot as `0`, so construction takes
+/// zeroed memory and touches none of the array's 16 MiB: pages are
+/// first written when a set is.
 #[derive(Debug, Clone)]
 pub struct PomTlb {
     cfg: PomTlbConfig,
     sets: u64,
     ways: u32,
-    /// Packed key per slot (`keys[set * ways + way]`); [`EMPTY`] marks an
-    /// invalid way.
+    /// Packed key XOR [`EMPTY`] per slot (`keys[set * ways + way]`); `0`
+    /// marks an invalid way.
     keys: Vec<u64>,
-    /// Frame per slot, parallel to `keys` (garbage where empty).
-    frames: Vec<PhysFrame>,
+    /// Frame per slot as `pfn << 2 | size code`, parallel to `keys`
+    /// (`0` where empty).
+    frames: Vec<u64>,
     stats: HitMissStats,
+}
+
+/// One frame as a `frames` word.
+#[inline]
+fn pack_frame(frame: PhysFrame) -> u64 {
+    frame.pfn() << 2 | u64::from(size_code(frame.size()))
+}
+
+/// The frame a `frames` word holds (every stored code is valid).
+#[inline]
+fn unpack_frame(word: u64) -> PhysFrame {
+    let size = match word & 3 {
+        0 => PageSize::Size4K,
+        1 => PageSize::Size2M,
+        _ => PageSize::Size1G,
+    };
+    PhysFrame::from_pfn(word >> 2, size)
 }
 
 impl PomTlb {
@@ -63,8 +85,8 @@ impl PomTlb {
         Self {
             sets,
             ways: cfg.ways,
-            keys: vec![EMPTY; slots],
-            frames: vec![PhysFrame::from_pfn(0, PageSize::Size4K); slots],
+            keys: vec![0; slots],
+            frames: vec![0; slots],
             cfg,
             stats: HitMissStats::new(),
         }
@@ -143,11 +165,12 @@ impl PomTlb {
         let line = self.line_of_set(set);
         let base = (set * u64::from(self.ways)) as usize;
         let ways = self.ways as usize;
+        let stored = packed ^ EMPTY;
         if let Some(way) = self.keys[base..base + ways]
             .iter()
-            .position(|&k| k == packed)
+            .position(|&k| k == stored)
         {
-            let frame = self.frames[base + way];
+            let frame = unpack_frame(self.frames[base + way]);
             // Move to MRU (front) by rotating the prefix.
             self.keys[base..=base + way].rotate_right(1);
             self.frames[base..=base + way].rotate_right(1);
@@ -170,27 +193,27 @@ impl PomTlb {
         let line = self.line_of_set(set);
         let base = (set * u64::from(self.ways)) as usize;
         let ways = self.ways as usize;
-        let packed = pack(&key);
+        let stored = pack(&key) ^ EMPTY;
         // Rotate a stale copy (if present) — else the whole set, pushing
         // the LRU (or an empty tail slot) to the front — then overwrite
         // the front with the new MRU entry. Valid entries stay a prefix.
         let upto = match self.keys[base..base + ways]
             .iter()
-            .position(|&k| k == packed)
+            .position(|&k| k == stored)
         {
             Some(way) => way,
             None => ways - 1,
         };
         self.keys[base..=base + upto].rotate_right(1);
         self.frames[base..=base + upto].rotate_right(1);
-        self.keys[base] = packed;
-        self.frames[base] = frame;
+        self.keys[base] = stored;
+        self.frames[base] = pack_frame(frame);
         line
     }
 
     /// Number of valid entries currently held (tests / reporting).
     pub fn valid_entries(&self) -> u64 {
-        self.keys.iter().filter(|&&k| k != EMPTY).count() as u64
+        self.keys.iter().filter(|&&k| k != 0).count() as u64
     }
 
     /// Fraction of POM-TLB slots holding a valid translation, in
@@ -210,14 +233,14 @@ impl PomTlb {
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u64(self.sets);
         w.u32(self.ways);
-        // Keys are stored XOR [`EMPTY`] so untouched slots (the vast
+        // Keys are held XOR [`EMPTY`], so untouched slots (the vast
         // majority after a short warmup) serialize as zero and the
         // sparse streaming encodes collapse them.
-        w.iter_u64(self.keys.len(), self.keys.iter().map(|&k| k ^ EMPTY));
-        w.iter_u64(self.frames.len(), self.frames.iter().map(|f| f.pfn()));
+        w.iter_u64(self.keys.len(), self.keys.iter().copied());
+        w.iter_u64(self.frames.len(), self.frames.iter().map(|&f| f >> 2));
         w.iter_u8(
             self.frames.len(),
-            self.frames.iter().map(|f| size_code(f.size())),
+            self.frames.iter().map(|&f| (f & 3) as u8),
         );
         w.u64(self.stats.hits);
         w.u64(self.stats.misses);
@@ -230,7 +253,7 @@ impl PomTlb {
         if r.u64()? != self.sets || r.u32()? != self.ways {
             return Err(CkptError::Mismatch("pom-tlb geometry"));
         }
-        let keys: Vec<u64> = r.vec_u64()?.into_iter().map(|k| k ^ EMPTY).collect();
+        let keys = r.vec_u64()?;
         let pfns = r.vec_u64()?;
         if keys.len() != self.keys.len() || pfns.len() != self.frames.len() {
             return Err(CkptError::Mismatch("pom-tlb slot count"));
@@ -240,8 +263,11 @@ impl PomTlb {
             return Err(CkptError::Mismatch("pom-tlb size array"));
         }
         self.keys = keys;
-        for (dst, (pfn, &code)) in self.frames.iter_mut().zip(pfns.iter().zip(sizes.iter())) {
-            *dst = PhysFrame::from_pfn(*pfn, size_from_code(code)?);
+        for (dst, (&pfn, &code)) in self.frames.iter_mut().zip(pfns.iter().zip(sizes.iter())) {
+            if pfn >> 62 != 0 {
+                return Err(CkptError::Corrupt("pom-tlb frame number"));
+            }
+            *dst = pack_frame(PhysFrame::from_pfn(pfn, size_from_code(code)?));
         }
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
@@ -350,6 +376,62 @@ mod tests {
         p.insert(page(9), a, frame(2));
         assert_eq!(p.valid_entries(), 1);
         assert_eq!(p.lookup(page(9), a).frame, Some(frame(2)));
+    }
+
+    #[test]
+    fn frames_of_every_page_size_round_trip() {
+        let mut p = PomTlb::new(cfg());
+        let a = Asid::new(4);
+        let frames = [
+            PhysFrame::from_pfn(0, PageSize::Size4K),
+            PhysFrame::from_pfn((1 << 40) - 1, PageSize::Size2M),
+            PhysFrame::from_pfn(3, PageSize::Size1G),
+        ];
+        for (vpn, &f) in frames.iter().enumerate() {
+            p.insert(page(vpn as u64), a, f);
+        }
+        for (vpn, &f) in frames.iter().enumerate() {
+            assert_eq!(p.lookup(page(vpn as u64), a).frame, Some(f));
+        }
+    }
+
+    #[test]
+    fn checkpoint_restores_contents_and_rejects_oversized_frames() {
+        let mut p = PomTlb::new(cfg());
+        let a = Asid::new(1);
+        p.insert(page(8), a, PhysFrame::from_pfn(77, PageSize::Size2M));
+        let mut w = CkptWriter::new();
+        p.ckpt_save(&mut w);
+        let image = w.finish("fp");
+        let mut q = PomTlb::new(cfg());
+        let mut r = CkptReader::open(&image, "fp").expect("image opens");
+        q.ckpt_load(&mut r).expect("image restores");
+        assert_eq!(
+            q.lookup(page(8), a).frame,
+            Some(PhysFrame::from_pfn(77, PageSize::Size2M))
+        );
+
+        // A frame number that cannot be packed is corruption.
+        let slots = p.keys.len();
+        let mut w = CkptWriter::new();
+        w.u64(p.sets);
+        w.u32(p.ways);
+        w.iter_u64(slots, std::iter::repeat_n(0, slots));
+        w.iter_u64(
+            slots,
+            std::iter::once(1 << 62)
+                .chain(std::iter::repeat(0))
+                .take(slots),
+        );
+        w.iter_u8(slots, std::iter::repeat_n(0, slots));
+        w.u64(0);
+        w.u64(0);
+        let image = w.finish("fp");
+        let mut r = CkptReader::open(&image, "fp").expect("image opens");
+        assert!(matches!(
+            PomTlb::new(cfg()).ckpt_load(&mut r),
+            Err(CkptError::Corrupt(_))
+        ));
     }
 
     #[test]
