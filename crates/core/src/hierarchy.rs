@@ -290,7 +290,9 @@ impl MemoryHierarchy {
     /// # Errors
     ///
     /// Returns [`csalt_types::ConfigError`] when `cfg` fails a static
-    /// invariant (`SystemConfig::validate`).
+    /// invariant (`SystemConfig::validate`), or when `profiler_interval`
+    /// is 0 or exceeds the L2 or L3 set count (the shadow directories
+    /// sample every n-th set of both).
     pub fn try_new(
         cfg: &SystemConfig,
         scheme: TranslationScheme,
@@ -299,6 +301,13 @@ impl MemoryHierarchy {
         profiler_interval: u64,
     ) -> Result<Self, csalt_types::ConfigError> {
         cfg.validate()?;
+        let max_interval = cfg.l2.sets().min(cfg.l3.sets());
+        if !(1..=max_interval).contains(&profiler_interval) {
+            return Err(csalt_types::ConfigError::new(format!(
+                "profiler_interval {profiler_interval} outside 1..={max_interval} \
+                 (the L2/L3 set count)"
+            )));
+        }
         let management = match scheme {
             TranslationScheme::CsaltD
             | TranslationScheme::CsaltCd
@@ -1370,6 +1379,34 @@ mod tests {
         let mut cfg = SystemConfig::skylake();
         cfg.epoch_accesses = 10_000;
         MemoryHierarchy::new(&cfg, scheme, virtualized, HugePagePolicy::NONE, 1)
+    }
+
+    #[test]
+    fn bad_profiler_interval_is_a_config_error() {
+        let cfg = SystemConfig::skylake();
+        let sets = cfg.l2.sets().min(cfg.l3.sets());
+        for interval in [0, sets + 1, u64::MAX] {
+            let Err(err) = MemoryHierarchy::try_new(
+                &cfg,
+                TranslationScheme::CsaltCd,
+                true,
+                HugePagePolicy::NONE,
+                interval,
+            ) else {
+                panic!("interval {interval} accepted");
+            };
+            assert!(err.message().contains("profiler_interval"), "{err}");
+        }
+        for interval in [1, sets] {
+            assert!(MemoryHierarchy::try_new(
+                &cfg,
+                TranslationScheme::Conventional,
+                false,
+                HugePagePolicy::NONE,
+                interval,
+            )
+            .is_ok());
+        }
     }
 
     #[test]

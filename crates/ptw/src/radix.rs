@@ -6,11 +6,19 @@
 //! what the conventional translation scheme feeds through the data caches
 //! (and what pollutes them, §2.2).
 //!
-//! Nodes live in an arena: one `Vec` of flat 512-entry frames linked by
-//! arena index, so a 4-level walk is four array indexes instead of four
-//! hash probes. This is the simulator's hottest structure — every L2 TLB
-//! miss in the conventional scheme, and every large-TLB miss elsewhere,
-//! walks it (several times per access when virtualized).
+//! Nodes live in two arrays indexed by arena position: `slots` holds
+//! each node's 512 eight-byte words in one allocation, so a node is
+//! exactly one 4 KiB page of host memory; `bases` holds each node's
+//! simulated physical frame. A slot word is `0` when empty,
+//! `node << 2 | 1` for a pointer to the next-level node's arena index,
+//! and `pfn << 4 | size_code << 2 | 2` for a leaf. A walk step reads one
+//! word of one page. Nodes are allocated one page at a time rather than
+//! appended to one growing array: the array's doubling reallocations
+//! copied the whole arena and left freed holes behind, which raised peak
+//! memory and changed what the allocator recycled between runs. This is
+//! the simulator's hottest structure — every L2 TLB miss in the
+//! conventional scheme, and every large-TLB miss elsewhere, walks it
+//! (several times per access when virtualized).
 
 use crate::frames::FrameAllocator;
 use csalt_types::{
@@ -21,31 +29,59 @@ use std::ops::Deref;
 /// Entries per radix node (9 index bits per level).
 const NODE_ENTRIES: usize = 512;
 
-/// A page-table entry as stored in a node slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PtEntry {
-    /// Not yet mapped.
-    Empty,
-    /// Points at the next-level table: its arena index (for the walk)
-    /// and its frame base (for the PTE addresses the caches see).
-    Table { node: u32, pa: PhysAddr },
-    /// Terminal mapping (at level 1 for 4 KiB pages, level 2 for 2 MiB).
-    Leaf(PhysFrame),
+/// One node's slot words: exactly one 4 KiB page.
+type Node = [u64; NODE_ENTRIES];
+
+/// A node with every slot empty, taken from zeroed memory.
+fn empty_node() -> Box<Node> {
+    vec![EMPTY; NODE_ENTRIES]
+        .into_boxed_slice()
+        .try_into()
+        .expect("NODE_ENTRIES words")
 }
 
-/// One 4 KiB table frame: its physical base and 512 slots.
-#[derive(Debug, Clone)]
-struct NodeFrame {
-    base: PhysAddr,
-    slots: Box<[PtEntry; NODE_ENTRIES]>,
+/// Low two bits of a slot word: what the slot holds.
+const TAG_MASK: u64 = 3;
+/// An unmapped slot (the whole word is zero).
+const EMPTY: u64 = 0;
+/// A pointer to the next-level node; the arena index sits above the tag.
+const TAG_TABLE: u64 = 1;
+/// A terminal mapping; the PFN sits above a 2-bit page-size code.
+const TAG_LEAF: u64 = 2;
+/// Leaf PFNs must fit the 60 bits above the size code and tag.
+const PFN_LIMIT: u64 = 1 << 60;
+
+/// The slot word pointing at arena node `node`.
+#[inline]
+fn table_word(node: usize) -> u64 {
+    (node as u64) << 2 | TAG_TABLE
 }
 
-impl NodeFrame {
-    fn new(base: PhysAddr) -> Self {
-        Self {
-            base,
-            slots: Box::new([PtEntry::Empty; NODE_ENTRIES]),
-        }
+/// The slot word mapping `frame` (whose PFN is below [`PFN_LIMIT`]).
+#[inline]
+fn leaf_word(frame: PhysFrame) -> u64 {
+    debug_assert!(frame.pfn() < PFN_LIMIT, "pfn overflows a slot word");
+    frame.pfn() << 4 | u64::from(size_code(frame.size())) << 2 | TAG_LEAF
+}
+
+/// The frame a leaf slot word maps.
+#[inline]
+fn leaf_frame(word: u64) -> PhysFrame {
+    let size = match (word >> 2) & 3 {
+        0 => PageSize::Size4K,
+        1 => PageSize::Size2M,
+        _ => PageSize::Size1G,
+    };
+    PhysFrame::from_pfn(word >> 4, size)
+}
+
+/// A page size's 2-bit code (in slot words and checkpoint images).
+#[inline]
+fn size_code(size: PageSize) -> u8 {
+    match size {
+        PageSize::Size4K => 0,
+        PageSize::Size2M => 1,
+        PageSize::Size1G => 2,
     }
 }
 
@@ -173,7 +209,10 @@ impl HugePagePolicy {
 /// host-physical frames. Node 0 of the arena is the root.
 #[derive(Debug, Clone)]
 pub struct RadixPageTable {
-    nodes: Vec<NodeFrame>,
+    /// Each node's slot words, by arena index.
+    slots: Vec<Box<Node>>,
+    /// Each node's physical frame base, by arena index.
+    bases: Vec<PhysAddr>,
     policy: HugePagePolicy,
     levels: u8,
     mapped_pages: u64,
@@ -198,7 +237,8 @@ impl RadixPageTable {
         assert!(levels == 4 || levels == 5, "only 4- or 5-level paging");
         let root = alloc.alloc(PageSize::Size4K).base();
         Self {
-            nodes: vec![NodeFrame::new(root)],
+            slots: vec![empty_node()],
+            bases: vec![root],
             policy,
             levels,
             mapped_pages: 0,
@@ -212,7 +252,7 @@ impl RadixPageTable {
 
     /// The root node's physical address (the CR3 analogue).
     pub fn root(&self) -> PhysAddr {
-        self.nodes[0].base
+        self.bases[0]
     }
 
     /// Number of terminal pages mapped so far.
@@ -237,41 +277,39 @@ impl RadixPageTable {
         for level in (1..=self.levels).rev() {
             let index = va.pt_index(level);
             refs.push(PteRef {
-                addr: Self::pte_addr(self.nodes[node].base, index),
+                addr: Self::pte_addr(self.bases[node], index),
                 level,
             });
             let slot = index as usize;
+            let word = self.slots[node][slot];
             if level == leaf_level {
-                let frame = match self.nodes[node].slots[slot] {
-                    PtEntry::Leaf(frame) => frame,
-                    PtEntry::Empty => {
+                let frame = match word & TAG_MASK {
+                    TAG_LEAF => leaf_frame(word),
+                    EMPTY => {
                         let size = if huge {
                             PageSize::Size2M
                         } else {
                             PageSize::Size4K
                         };
                         let frame = alloc.alloc(size);
-                        self.nodes[node].slots[slot] = PtEntry::Leaf(frame);
+                        self.slots[node][slot] = leaf_word(frame);
                         self.mapped_pages += 1;
                         frame
                     }
-                    PtEntry::Table { .. } => unreachable!("leaf level holds only leaves"),
+                    _ => unreachable!("leaf level holds only leaves"),
                 };
                 return WalkPath { frame, refs };
             }
-            node = match self.nodes[node].slots[slot] {
-                PtEntry::Table { node, .. } => node as usize,
-                PtEntry::Empty => {
-                    let pa = alloc.alloc(PageSize::Size4K).base();
-                    let next = self.nodes.len();
-                    self.nodes[node].slots[slot] = PtEntry::Table {
-                        node: u32::try_from(next).expect("arena outgrew u32 indexes"),
-                        pa,
-                    };
-                    self.nodes.push(NodeFrame::new(pa));
+            node = match word & TAG_MASK {
+                TAG_TABLE => (word >> 2) as usize,
+                EMPTY => {
+                    let next = self.bases.len();
+                    self.bases.push(alloc.alloc(PageSize::Size4K).base());
+                    self.slots.push(empty_node());
+                    self.slots[node][slot] = table_word(next);
                     next
                 }
-                PtEntry::Leaf(_) => unreachable!("leaf above leaf level"),
+                _ => unreachable!("leaf above leaf level"),
             };
         }
         unreachable!("loop always returns at the leaf level")
@@ -284,13 +322,19 @@ impl RadixPageTable {
         for level in (1..=self.levels).rev() {
             let index = va.pt_index(level);
             refs.push(PteRef {
-                addr: Self::pte_addr(self.nodes[node].base, index),
+                addr: Self::pte_addr(self.bases[node], index),
                 level,
             });
-            match self.nodes[node].slots[index as usize] {
-                PtEntry::Empty => return None,
-                PtEntry::Leaf(frame) => return Some(WalkPath { frame, refs }),
-                PtEntry::Table { node: next, .. } => node = next as usize,
+            let word = self.slots[node][index as usize];
+            match word & TAG_MASK {
+                TAG_TABLE => node = (word >> 2) as usize,
+                TAG_LEAF => {
+                    return Some(WalkPath {
+                        frame: leaf_frame(word),
+                        refs,
+                    })
+                }
+                _ => return None,
             }
         }
         None
@@ -310,36 +354,31 @@ impl RadixPageTable {
     /// Serializes the node arena, the table depth guard and the
     /// mapped-page counter. Each node writes its base, a 512-byte slot
     /// tag array, and then fields only for the non-empty slots — empty
-    /// slots (most of every sparsely-populated node) cost one byte.
+    /// slots (most of every sparsely-populated node) cost one byte. A
+    /// table slot writes its target's arena index and base; a leaf its
+    /// PFN and size code.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u8(self.levels);
         w.u64(self.mapped_pages);
-        w.len64(self.nodes.len());
-        for node in &self.nodes {
-            w.u64(node.base.raw());
+        w.len64(self.bases.len());
+        for (base, words) in self.bases.iter().zip(&self.slots) {
+            w.u64(base.raw());
             w.iter_u8(
                 NODE_ENTRIES,
-                node.slots.iter().map(|slot| match slot {
-                    PtEntry::Empty => 0u8,
-                    PtEntry::Table { .. } => 1u8,
-                    PtEntry::Leaf(_) => 2u8,
-                }),
+                words.iter().map(|&word| (word & TAG_MASK) as u8),
             );
-            for slot in node.slots.iter() {
-                match slot {
-                    PtEntry::Empty => {}
-                    PtEntry::Table { node, pa } => {
-                        w.u64(u64::from(*node));
-                        w.u64(pa.raw());
+            for &word in words.iter() {
+                match word & TAG_MASK {
+                    TAG_TABLE => {
+                        w.u64(word >> 2);
+                        w.u64(self.bases[(word >> 2) as usize].raw());
                     }
-                    PtEntry::Leaf(frame) => {
+                    TAG_LEAF => {
+                        let frame = leaf_frame(word);
                         w.u64(frame.pfn());
-                        w.u8(match frame.size() {
-                            PageSize::Size4K => 0,
-                            PageSize::Size2M => 1,
-                            PageSize::Size1G => 2,
-                        });
+                        w.u8(size_code(frame.size()));
                     }
+                    _ => {}
                 }
             }
         }
@@ -348,6 +387,18 @@ impl RadixPageTable {
     /// Restores state written by [`RadixPageTable::ckpt_save`],
     /// replacing this table's arena wholesale. The node count is
     /// validated against the remaining payload before any allocation.
+    ///
+    /// Decoding fails closed: the image must describe a table that
+    /// [`RadixPageTable::walk_or_map`] could have built under this
+    /// table's huge-page policy, or it is rejected as
+    /// [`CkptError::Corrupt`]. Every node but the root is linked from
+    /// exactly one earlier node (the arena appends a child after its
+    /// parent), by a table slot whose address is the child's base;
+    /// table slots sit only above the leaf level the policy gives their
+    /// address, leaves only at it with that level's page size and a
+    /// packable PFN; and the leaves number `mapped_pages`. A slot's
+    /// address is the canonical one (upper bits copying the table's top
+    /// bit), so a table that mapped non-canonical addresses is rejected.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         if r.u8()? != self.levels {
             return Err(CkptError::Mismatch("page table depth"));
@@ -368,47 +419,96 @@ impl RadixPageTable {
         if need > r.remaining() as u64 {
             return Err(CkptError::Truncated);
         }
-        let mut nodes = Vec::with_capacity(count);
-        for _ in 0..count {
-            let base = PhysAddr::new(r.u64()?);
+        let mut slots = Vec::with_capacity(count);
+        let mut bases = Vec::with_capacity(count);
+        // Per node, filled in when its parent links it: its level (0 =
+        // not linked yet), the first virtual address it spans, and the
+        // base address its parent's slot recorded.
+        let mut level_of = vec![0u8; count];
+        let mut va_of = vec![0u64; count];
+        let mut linked_pa = vec![0u64; count];
+        level_of[0] = self.levels;
+        let mut leaves = 0u64;
+        for idx in 0..count {
+            let level = level_of[idx];
+            if level == 0 {
+                return Err(CkptError::Corrupt("page-table node not linked"));
+            }
+            let base = r.u64()?;
+            if idx > 0 && base != linked_pa[idx] {
+                return Err(CkptError::Corrupt("table address differs from node base"));
+            }
             let tags = r.vec_u8()?;
             if tags.len() != NODE_ENTRIES {
                 return Err(CkptError::Mismatch("node slot count"));
             }
-            let mut node = NodeFrame::new(base);
-            for (slot, &tag) in node.slots.iter_mut().zip(tags.iter()) {
-                *slot = match tag {
-                    0 => PtEntry::Empty,
+            let shift = 12 + 9 * u32::from(level - 1);
+            let mut words = empty_node();
+            for (slot, &tag) in tags.iter().enumerate() {
+                if tag == 0 {
+                    continue;
+                }
+                let mut va = va_of[idx] | (slot as u64) << shift;
+                if idx == 0 && slot >= NODE_ENTRIES / 2 {
+                    // The root's upper half maps the canonical high
+                    // addresses, whose top bits copy the table's top one.
+                    va |= !0 << (shift + 9);
+                }
+                let leaf_level = if self.policy.is_huge(VirtAddr::new(va)) {
+                    2
+                } else {
+                    1
+                };
+                words[slot] = match tag {
                     1 => {
-                        let a = r.u64()?;
+                        let child = r.u64()?;
                         let pa = r.u64()?;
-                        let idx = u32::try_from(a).map_err(|_| CkptError::Corrupt("node index"))?;
-                        if idx as usize >= count {
-                            return Err(CkptError::Corrupt("node index out of range"));
+                        if level <= leaf_level {
+                            return Err(CkptError::Corrupt("table pointer at the leaf level"));
                         }
-                        PtEntry::Table {
-                            node: idx,
-                            pa: PhysAddr::new(pa),
+                        let child = usize::try_from(child)
+                            .ok()
+                            .filter(|&c| c > idx && c < count)
+                            .ok_or(CkptError::Corrupt("node index out of range"))?;
+                        if level_of[child] != 0 {
+                            return Err(CkptError::Corrupt("page-table node linked twice"));
                         }
+                        level_of[child] = level - 1;
+                        va_of[child] = va;
+                        linked_pa[child] = pa;
+                        table_word(child)
                     }
                     2 => {
                         let pfn = r.u64()?;
-                        PtEntry::Leaf(PhysFrame::from_pfn(
-                            pfn,
-                            match r.u8()? {
-                                0 => PageSize::Size4K,
-                                1 => PageSize::Size2M,
-                                2 => PageSize::Size1G,
-                                _ => return Err(CkptError::Corrupt("leaf page size")),
-                            },
-                        ))
+                        let code = r.u8()?;
+                        if level != leaf_level {
+                            return Err(CkptError::Corrupt("leaf above the leaf level"));
+                        }
+                        let size = if level == 2 {
+                            PageSize::Size2M
+                        } else {
+                            PageSize::Size4K
+                        };
+                        if code != size_code(size) {
+                            return Err(CkptError::Corrupt("leaf page size"));
+                        }
+                        if pfn >= PFN_LIMIT {
+                            return Err(CkptError::Corrupt("leaf frame number"));
+                        }
+                        leaves += 1;
+                        leaf_word(PhysFrame::from_pfn(pfn, size))
                     }
                     _ => return Err(CkptError::Corrupt("pte slot tag")),
                 };
             }
-            nodes.push(node);
+            slots.push(words);
+            bases.push(PhysAddr::new(base));
         }
-        self.nodes = nodes;
+        if leaves != mapped_pages {
+            return Err(CkptError::Corrupt("mapped-page count"));
+        }
+        self.slots = slots;
+        self.bases = bases;
         self.mapped_pages = mapped_pages;
         Ok(())
     }

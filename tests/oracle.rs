@@ -1,18 +1,27 @@
-//! Differential oracle tests: the set-major [`Cache`] and the flat
-//! [`StackDistanceProfiler`] against reference models that keep every
-//! set's state in its own heap-allocated containers — the simulator's
-//! original per-set layout, kept here as the specification.
+//! Differential oracle tests: the set-major [`Cache`], the flat
+//! [`StackDistanceProfiler`] and the dense slot-word [`RadixPageTable`]
+//! against reference models that keep every set's (or node's) state in
+//! its own heap-allocated containers — the simulator's original
+//! layouts, kept here as the specification.
 //!
 //! Random streams of accesses (line, kind, write, insertion position),
-//! invalidations and partition changes drive both sides; every step must
+//! invalidations and partition changes drive both caches; every step must
 //! agree on the outcome, the accessed line's stack position, the
 //! occupancy and the statistics, for every replacement policy and the
-//! associativities the machine configurations use.
+//! associativities the machine configurations use. Random address
+//! streams drive both page tables; every walk must agree on the frame
+//! and the PTE reads, and the checkpoint encodings must be identical.
+
+mod radix_reference;
 
 use csalt::cache::{way_range_mask, Cache, CacheStats, Evicted, InsertPos, Occupancy, WayMask};
 use csalt::profiler::StackDistanceProfiler;
-use csalt::types::{CkptReader, CkptWriter, EntryKind, HitMissStats, LineAddr, ReplacementKind};
+use csalt::ptw::{FrameAllocator, HugePagePolicy, RadixPageTable};
+use csalt::types::{
+    CkptReader, CkptWriter, EntryKind, HitMissStats, LineAddr, ReplacementKind, VirtAddr,
+};
 use proptest::prelude::*;
+use radix_reference::ReferenceTable;
 
 const POLICIES: [ReplacementKind; 4] = [
     ReplacementKind::TrueLru,
@@ -453,6 +462,42 @@ fn ckpt_round_trip(cache: &Cache, kind: ReplacementKind) -> Cache {
     fresh
 }
 
+/// A framed checkpoint image of whatever `save` writes.
+fn image(save: impl FnOnce(&mut CkptWriter)) -> Vec<u8> {
+    let mut w = CkptWriter::new();
+    save(&mut w);
+    w.finish("oracle")
+}
+
+/// Round-trips `table` through its checkpoint encoding into a fresh
+/// table of the same depth and policy.
+fn radix_round_trip(table: &RadixPageTable, policy: HugePagePolicy) -> RadixPageTable {
+    let bytes = image(|w| table.ckpt_save(w));
+    let mut r = CkptReader::open(&bytes, "oracle").expect("valid image");
+    let mut scratch = FrameAllocator::new(0, 2 << 20);
+    let mut fresh = RadixPageTable::with_levels(&mut scratch, policy, table.levels());
+    fresh.ckpt_load(&mut r).expect("image loads");
+    r.finish().expect("image fully consumed");
+    fresh
+}
+
+/// Address spans the page-table streams draw from: dense ones share
+/// upper-level tables, the widest fans out at the root.
+const VA_SPANS: [u64; 4] = [1 << 22, 1 << 30, 1 << 40, 1 << 57];
+
+/// `raw` as a canonical address of a `levels`-deep table: the bits
+/// above the table's reach copy its top bit.
+fn canonical(raw: u64, levels: u8) -> VirtAddr {
+    let width = 12 + 9 * u32::from(levels);
+    let low = raw & ((1 << width) - 1);
+    let high = if low >> (width - 1) == 1 {
+        !0 << width
+    } else {
+        0
+    };
+    VirtAddr::new((low | high) & !0xfff)
+}
+
 proptest! {
     /// Every policy and associativity: the set-major cache matches the
     /// per-set reference at every step, also after a checkpoint round
@@ -530,5 +575,43 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The dense slot-word page table matches the enum-slot reference
+    /// on random canonical 4 KiB-page address streams with half the 2 MiB
+    /// regions huge, at both depths: every mapping walk and lookup walk
+    /// returns the same frame and PTE reads, the mapped-page counts
+    /// agree at every step, and the checkpoint encodings are identical
+    /// (also after a round trip halfway through the stream).
+    #[test]
+    fn radix_table_matches_enum_slot_reference(
+        levels in 4u8..=5,
+        ops in prop::collection::vec((0usize..VA_SPANS.len(), any::<u64>(), any::<bool>()), 1..300),
+    ) {
+        let policy = HugePagePolicy { fraction_2m: 0.5 };
+        let mut alloc = FrameAllocator::new(0, 1 << 40);
+        let mut ref_alloc = alloc.clone();
+        let mut table = RadixPageTable::with_levels(&mut alloc, policy, levels);
+        let mut oracle = ReferenceTable::with_levels(&mut ref_alloc, policy, levels);
+        let half = ops.len() / 2;
+        for (i, &(span, offset, map)) in ops.iter().enumerate() {
+            if i == half {
+                table = radix_round_trip(&table, policy);
+            }
+            let va = canonical(offset % VA_SPANS[span], levels);
+            if map {
+                prop_assert_eq!(
+                    table.walk_or_map(va, &mut alloc),
+                    oracle.walk_or_map(va, &mut ref_alloc),
+                    "step {}: walk_or_map({:#x})", i, va.raw()
+                );
+            } else {
+                prop_assert_eq!(table.walk(va), oracle.walk(va), "step {}: walk({:#x})", i, va.raw());
+            }
+            prop_assert_eq!(table.mapped_pages(), oracle.mapped_pages, "step {}", i);
+        }
+        let bytes = image(|w| table.ckpt_save(w));
+        prop_assert_eq!(&bytes, &image(|w| oracle.ckpt_save(w)));
+        prop_assert_eq!(image(|w| radix_round_trip(&table, policy).ckpt_save(w)), bytes);
     }
 }
