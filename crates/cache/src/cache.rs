@@ -458,20 +458,14 @@ impl Cache {
         // Tags are stored XOR [`INVALID_TAG`] so invalid ways (all of
         // them in a freshly-warmed large cache) serialize as zero and
         // the sparse streaming encode collapses them.
-        let ways = self.ways as usize;
+        let mut flip = vec![0; self.stride];
+        flip[..self.ways as usize].fill(INVALID_TAG);
         w.iter_u64(
             self.blocks.len(),
-            self.blocks.chunks_exact(self.stride).flat_map(|block| {
-                block.iter().enumerate().map(
-                    move |(i, &word)| {
-                        if i < ways {
-                            word ^ INVALID_TAG
-                        } else {
-                            word
-                        }
-                    },
-                )
-            }),
+            self.blocks
+                .iter()
+                .zip(flip.iter().cycle())
+                .map(|(w, f)| w ^ f),
         );
         match self.data_ways {
             Some(n) => {
@@ -493,7 +487,8 @@ impl Cache {
     }
 
     /// Restores state written by [`Cache::ckpt_save`] into this
-    /// (config-constructed) cache. Geometry and policy must match.
+    /// (config-constructed) cache, decoding the set blocks in place.
+    /// Geometry and policy must match.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         if r.u64()? != self.sets || r.u32()? != self.ways {
             return Err(CkptError::Mismatch("cache geometry"));
@@ -501,13 +496,10 @@ impl Cache {
         if r.u8()? != self.policy.ckpt_code() {
             return Err(CkptError::Mismatch("replacement policy"));
         }
-        let mut blocks = r.vec_u64()?;
-        if blocks.len() != self.blocks.len() {
-            return Err(CkptError::Mismatch("cache block array length"));
-        }
+        r.fill_u64(&mut self.blocks)?;
         let ways = self.ways as usize;
         let full = way_range_mask(0, self.ways);
-        for block in blocks.chunks_exact_mut(self.stride) {
+        for block in self.blocks.chunks_exact_mut(self.stride) {
             let (tags, meta) = block.split_at_mut(ways);
             let mut valid = 0u64;
             for (w, t) in tags.iter_mut().enumerate() {
@@ -518,7 +510,6 @@ impl Cache {
                 return Err(CkptError::Corrupt("kind/dirty bit on an invalid way"));
             }
         }
-        self.blocks = blocks;
         let partitioned = r.bool()?;
         let n = r.u32()?;
         self.data_ways = if partitioned {

@@ -276,23 +276,20 @@ impl DramModel {
             + self.controller_overhead
     }
 
-    /// Serializes the per-bank open-row registers and statistics. Timing
-    /// parameters are config-derived; only the bank count is written as a
-    /// guard word.
+    /// Serializes the per-bank open-row registers (one sparse array of
+    /// `row + 1`, `0` for a closed bank) and statistics. Timing
+    /// parameters are config-derived; the array's length guards the
+    /// bank count.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.len64(self.banks.len());
-        for bank in &self.banks {
-            match bank.open_row {
-                Some(row) => {
-                    w.u8(1);
-                    w.u64(row);
-                }
-                None => {
-                    w.u8(0);
-                    w.u64(0);
-                }
-            }
-        }
+        w.iter_u64(
+            self.banks.len(),
+            self.banks.iter().map(|bank| {
+                bank.open_row.map_or(0, |row| {
+                    debug_assert!(row < u64::MAX, "row overflows its register word");
+                    row + 1
+                })
+            }),
+        );
         w.u64(self.stats.accesses);
         w.u64(self.stats.row_hits);
         w.u64(self.stats.row_closed);
@@ -304,17 +301,10 @@ impl DramModel {
     /// Restores state written by [`DramModel::ckpt_save`]; the bank count
     /// must match this model's geometry.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        if r.len64()? != self.banks.len() {
-            return Err(CkptError::Mismatch("dram bank count"));
-        }
-        for bank in &mut self.banks {
-            let flag = r.u8()?;
-            let row = r.u64()?;
-            bank.open_row = match flag {
-                0 => None,
-                1 => Some(row),
-                _ => return Err(CkptError::Corrupt("dram open-row flag")),
-            };
+        let mut rows = vec![0; self.banks.len()];
+        r.fill_u64(&mut rows)?;
+        for (bank, &row) in self.banks.iter_mut().zip(&rows) {
+            bank.open_row = row.checked_sub(1);
         }
         self.stats.accesses = r.u64()?;
         self.stats.row_hits = r.u64()?;

@@ -195,20 +195,16 @@ impl StackDistanceProfiler {
         }
     }
 
-    /// Restores state written by [`StackDistanceProfiler::ckpt_save`];
-    /// geometry must match this profiler's.
+    /// Restores state written by [`StackDistanceProfiler::ckpt_save`],
+    /// decoding shadow tags and counters in place; geometry must match
+    /// this profiler's.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         if r.u32()? != self.ways || r.u64()? != self.sets || r.u64()? != self.interval {
             return Err(CkptError::Mismatch("stack profiler geometry"));
         }
         for kind in &mut self.shadow {
-            let slots = r.vec_u64()?;
-            if slots.len() != kind.len() {
-                return Err(CkptError::Mismatch("stack profiler sampled sets"));
-            }
-            kind.iter_mut()
-                .zip(slots)
-                .for_each(|(dst, t)| *dst = t ^ EMPTY);
+            r.fill_u64(kind)?;
+            kind.iter_mut().for_each(|t| *t ^= EMPTY);
             // A stack fills front to back: no tag may follow an empty slot.
             if kind
                 .chunks_exact(self.ways as usize)
@@ -218,11 +214,7 @@ impl StackDistanceProfiler {
             }
         }
         for counters in &mut self.counters {
-            let loaded = r.vec_u64()?;
-            if loaded.len() != counters.len() {
-                return Err(CkptError::Mismatch("stack counter width"));
-            }
-            *counters = loaded;
+            r.fill_u64(counters)?;
         }
         Ok(())
     }

@@ -266,11 +266,23 @@ impl RadixPageTable {
         PhysAddr::new(table.raw() + index * 8)
     }
 
+    /// Whether `va` maps to a 2 MiB page. The policy sees the canonical
+    /// form of the bits this table indexes (the low `12 + 9 * levels`,
+    /// the top one copied upward), so every address that reaches a slot
+    /// gets the same answer — also a non-canonical one, which would
+    /// otherwise hash differently from its slot-mates — and it is the
+    /// address [`RadixPageTable::ckpt_load`] rebuilds from the slot.
+    fn is_huge(&self, va: VirtAddr) -> bool {
+        let unused = 64 - (12 + 9 * u32::from(self.levels));
+        let canonical = ((va.raw() << unused) as i64 >> unused) as u64;
+        self.policy.is_huge(VirtAddr::new(canonical))
+    }
+
     /// Walks `va`, demand-allocating intermediate tables and the terminal
     /// frame (honouring the huge-page policy) when absent. Returns the
     /// terminal frame and the ordered PTE reads.
     pub fn walk_or_map(&mut self, va: VirtAddr, alloc: &mut FrameAllocator) -> WalkPath {
-        let huge = self.policy.is_huge(va);
+        let huge = self.is_huge(va);
         let leaf_level = if huge { 2 } else { 1 };
         let mut node = 0usize;
         let mut refs = PteRefs::new();
@@ -343,7 +355,7 @@ impl RadixPageTable {
     /// The terminal virtual page `va` belongs to once mapped (size per
     /// the huge-page policy).
     pub fn terminal_page(&self, va: VirtAddr) -> VirtPage {
-        let size = if self.policy.is_huge(va) {
+        let size = if self.is_huge(va) {
             PageSize::Size2M
         } else {
             PageSize::Size4K
@@ -438,10 +450,8 @@ impl RadixPageTable {
             if idx > 0 && base != linked_pa[idx] {
                 return Err(CkptError::Corrupt("table address differs from node base"));
             }
-            let tags = r.vec_u8()?;
-            if tags.len() != NODE_ENTRIES {
-                return Err(CkptError::Mismatch("node slot count"));
-            }
+            let mut tags = [0u8; NODE_ENTRIES];
+            r.fill_u8(&mut tags)?;
             let shift = 12 + 9 * u32::from(level - 1);
             let mut words = empty_node();
             for (slot, &tag) in tags.iter().enumerate() {
@@ -638,6 +648,42 @@ mod tests {
         for r in &path.refs {
             let offset = r.addr.raw() & 0xfff;
             assert!(offset < 4096 && offset % 8 == 0);
+        }
+    }
+
+    /// Addresses that differ only above the indexed bits share every
+    /// slot, so they must agree on the page size: random 57-bit
+    /// addresses, many of them sharing a 2 MiB region below bit 48, map
+    /// through a 4-level table with half the regions huge without
+    /// panicking, and the table survives a checkpoint round trip.
+    #[test]
+    fn non_canonical_addresses_map_and_round_trip() {
+        let policy = HugePagePolicy { fraction_2m: 0.5 };
+        let mut a = alloc();
+        let mut pt = RadixPageTable::new(&mut a, policy);
+        let mut x = 0x243f_6a88_85a3_08d3u64;
+        let mut addrs = Vec::new();
+        for _ in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // 64 regions of 2 MiB below bit 48, random bits 48..57 above.
+            let va = (x & (0x1ff << 48)) | ((x >> 20) % (64 * MB2));
+            addrs.push(VirtAddr::new(va));
+            pt.walk_or_map(VirtAddr::new(va), &mut a);
+        }
+        assert!(pt.mapped_pages() > 64, "both page sizes were mapped");
+        let mut w = CkptWriter::new();
+        pt.ckpt_save(&mut w);
+        let image = w.finish("fp");
+        let mut restored = RadixPageTable::new(&mut alloc(), policy);
+        let mut r = CkptReader::open(&image, "fp").expect("image opens");
+        restored
+            .ckpt_load(&mut r)
+            .expect("a table built from any addresses restores");
+        for va in addrs {
+            assert_eq!(restored.walk(va), pt.walk(va));
+            assert_eq!(restored.terminal_page(va), pt.terminal_page(va));
         }
     }
 

@@ -673,8 +673,11 @@ fn cache_gate() {
 /// contract. Runs a suite whose configs share warmup prefixes twice —
 /// once on a sweep without a cache directory (no checkpoints), once
 /// into a fresh one — and fails (exit 1) unless the checkpointed pass
-/// produced byte-identical results AND restored at least one
-/// checkpoint.
+/// produced byte-identical results, rejected no image (zero
+/// fallbacks), and restored at least once per follower config — every
+/// unique config after the first of its warmup-prefix group. A decoder
+/// that rejected its own images would otherwise pass as silent cold
+/// runs.
 fn ckpt_gate() {
     // Base suite plus, per unique config, a variant that differs only
     // in measured-phase length — same warmup prefix, different config
@@ -693,6 +696,16 @@ fn ckpt_gate() {
             .collect()
     };
     configs.extend(variants);
+    let followers = {
+        let mut unique = std::collections::BTreeSet::new();
+        let mut prefixes = std::collections::BTreeSet::new();
+        for c in &configs {
+            if c.warmup_accesses_per_core > 0 && unique.insert(sweep::config_key(c)) {
+                prefixes.insert(csalt_sim::checkpoint::warmup_key(c));
+            }
+        }
+        (unique.len() - prefixes.len()) as u64
+    };
 
     let json = |results: &[csalt_sim::SimResult]| {
         serde_json::to_string(results).expect("results serialize")
@@ -732,14 +745,27 @@ fn ckpt_gate() {
         fail("checkpointed results are not byte-identical to the disabled run");
     }
     let restores = after.restores.saturating_sub(before.restores);
-    if restores == 0 || on_stats.restored == 0 {
-        fail("enabled pass restored no checkpoint — the fork-from-snapshot path never ran");
-    }
     let saves = after.saves.saturating_sub(before.saves);
     let fallbacks = after.fallbacks.saturating_sub(before.fallbacks);
+    if followers == 0 {
+        fail("the gate suite has no follower configs — nothing can restore");
+    }
+    if fallbacks != 0 {
+        fail(&format!(
+            "{fallbacks} checkpoint image(s) were rejected and ran cold ({restores} restores)"
+        ));
+    }
+    if restores < followers || on_stats.restored < followers {
+        fail(&format!(
+            "{restores} restores ({} counted by the sweep) for {followers} follower configs \
+             — some followers warmed up cold",
+            on_stats.restored
+        ));
+    }
     println!(
         "ckpt gate OK [{}]: {} sims; disabled {off_secs:.2}s, enabled {on_secs:.2}s \
-         ({saves} saves, {restores} restores, {fallbacks} fallbacks); results byte-identical",
+         ({saves} saves, {restores} restores for {followers} followers, 0 fallbacks); \
+         results byte-identical",
         sweep::engine_fingerprint(),
         on_stats.simulated,
     );

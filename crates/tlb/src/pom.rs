@@ -15,7 +15,7 @@
 //! set) and exposes each operation's home [`LineAddr`]; the caller routes
 //! that address through the cache hierarchy and DRAM timing model.
 
-use crate::sram::{pack, size_code, size_from_code, TlbKey, EMPTY};
+use crate::sram::{pack, size_code, TlbKey, EMPTY};
 use csalt_types::{
     Asid, CkptError, CkptReader, CkptWriter, HitMissStats, LineAddr, PageSize, PhysAddr, PhysFrame,
     PomTlbConfig, VirtPage,
@@ -229,45 +229,31 @@ impl PomTlb {
     }
 
     /// Serializes geometry guards, packed keys in positional (MRU-first)
-    /// order, frames and hit/miss counters.
+    /// order, packed frame words and hit/miss counters.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u64(self.sets);
         w.u32(self.ways);
-        // Keys are held XOR [`EMPTY`], so untouched slots (the vast
-        // majority after a short warmup) serialize as zero and the
-        // sparse streaming encodes collapse them.
-        w.iter_u64(self.keys.len(), self.keys.iter().copied());
-        w.iter_u64(self.frames.len(), self.frames.iter().map(|&f| f >> 2));
-        w.iter_u8(
-            self.frames.len(),
-            self.frames.iter().map(|&f| (f & 3) as u8),
-        );
+        // Keys are held XOR [`EMPTY`] and frames are `0` where empty, so
+        // untouched slots (the vast majority after a short warmup)
+        // serialize as zero and the sparse encodes collapse them.
+        w.slice_u64(&self.keys);
+        w.slice_u64(&self.frames);
         w.u64(self.stats.hits);
         w.u64(self.stats.misses);
     }
 
     /// Restores state written by [`PomTlb::ckpt_save`] into this
-    /// (config-constructed) array; recency is positional, so restoring
-    /// the key order restores it exactly.
+    /// (config-constructed) array, decoding both slot arrays in place;
+    /// recency is positional, so restoring the key order restores it
+    /// exactly. A frame word with size code 3 is corrupt.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         if r.u64()? != self.sets || r.u32()? != self.ways {
             return Err(CkptError::Mismatch("pom-tlb geometry"));
         }
-        let keys = r.vec_u64()?;
-        let pfns = r.vec_u64()?;
-        if keys.len() != self.keys.len() || pfns.len() != self.frames.len() {
-            return Err(CkptError::Mismatch("pom-tlb slot count"));
-        }
-        let sizes = r.vec_u8()?;
-        if sizes.len() != self.frames.len() {
-            return Err(CkptError::Mismatch("pom-tlb size array"));
-        }
-        self.keys = keys;
-        for (dst, (&pfn, &code)) in self.frames.iter_mut().zip(pfns.iter().zip(sizes.iter())) {
-            if pfn >> 62 != 0 {
-                return Err(CkptError::Corrupt("pom-tlb frame number"));
-            }
-            *dst = pack_frame(PhysFrame::from_pfn(pfn, size_from_code(code)?));
+        r.fill_u64(&mut self.keys)?;
+        r.fill_u64(&mut self.frames)?;
+        if self.frames.iter().any(|&f| f & 3 == 3) {
+            return Err(CkptError::Corrupt("pom-tlb frame size code"));
         }
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
@@ -396,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restores_contents_and_rejects_oversized_frames() {
+    fn checkpoint_restores_contents_and_rejects_bad_size_codes() {
         let mut p = PomTlb::new(cfg());
         let a = Asid::new(1);
         p.insert(page(8), a, PhysFrame::from_pfn(77, PageSize::Size2M));
@@ -411,7 +397,7 @@ mod tests {
             Some(PhysFrame::from_pfn(77, PageSize::Size2M))
         );
 
-        // A frame number that cannot be packed is corruption.
+        // A frame word whose size code names no page size is corruption.
         let slots = p.keys.len();
         let mut w = CkptWriter::new();
         w.u64(p.sets);
@@ -419,11 +405,10 @@ mod tests {
         w.iter_u64(slots, std::iter::repeat_n(0, slots));
         w.iter_u64(
             slots,
-            std::iter::once(1 << 62)
+            std::iter::once(77 << 2 | 3)
                 .chain(std::iter::repeat(0))
                 .take(slots),
         );
-        w.iter_u8(slots, std::iter::repeat_n(0, slots));
         w.u64(0);
         w.u64(0);
         let image = w.finish("fp");

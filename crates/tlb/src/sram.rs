@@ -258,39 +258,30 @@ impl SramTlb {
         w.u32(self.sets);
         w.u32(self.ways);
         w.slice_u64(&self.keys);
-        let pfns: Vec<u64> = self.frames.iter().map(|f| f.pfn()).collect();
-        w.slice_u64(&pfns);
-        let sizes: Vec<u8> = self.frames.iter().map(|f| size_code(f.size())).collect();
-        w.slice_u8(&sizes);
+        let n = self.frames.len();
+        w.iter_u64(n, self.frames.iter().map(|f| f.pfn()));
+        w.iter_u8(n, self.frames.iter().map(|f| size_code(f.size())));
         w.slice_u64(&self.repl);
         w.u64(self.stats.hits);
         w.u64(self.stats.misses);
     }
 
     /// Restores state written by [`SramTlb::ckpt_save`] into this
-    /// (geometry-constructed) TLB.
+    /// (geometry-constructed) TLB. Keys and replacement state decode in
+    /// place; frames pass through two slot-sized arrays.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         if r.u32()? != self.sets || r.u32()? != self.ways {
             return Err(CkptError::Mismatch("sram-tlb geometry"));
         }
-        let keys = r.vec_u64()?;
-        let pfns = r.vec_u64()?;
-        if keys.len() != self.keys.len() || pfns.len() != self.frames.len() {
-            return Err(CkptError::Mismatch("sram-tlb slot count"));
+        r.fill_u64(&mut self.keys)?;
+        let mut pfns = vec![0; self.frames.len()];
+        r.fill_u64(&mut pfns)?;
+        let mut sizes = vec![0; self.frames.len()];
+        r.fill_u8(&mut sizes)?;
+        for (dst, (&pfn, &code)) in self.frames.iter_mut().zip(pfns.iter().zip(&sizes)) {
+            *dst = PhysFrame::from_pfn(pfn, size_from_code(code)?);
         }
-        let sizes = r.vec_u8()?;
-        if sizes.len() != self.frames.len() {
-            return Err(CkptError::Mismatch("sram-tlb size array"));
-        }
-        self.keys = keys;
-        for (dst, (pfn, &code)) in self.frames.iter_mut().zip(pfns.iter().zip(sizes.iter())) {
-            *dst = PhysFrame::from_pfn(*pfn, size_from_code(code)?);
-        }
-        let repl = r.vec_u64()?;
-        if repl.len() != self.repl.len() {
-            return Err(CkptError::Mismatch("sram-tlb replacement state"));
-        }
-        self.repl = repl;
+        r.fill_u64(&mut self.repl)?;
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
         Ok(())

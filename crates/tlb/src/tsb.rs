@@ -270,8 +270,9 @@ impl Tsb {
     }
 
     /// Serializes config guards, the dense ASID index, every table in
-    /// first-touch order (slot = flag + packed page + frame), and the
-    /// hit/miss counters.
+    /// first-touch order as two sparse slot arrays — page words
+    /// (`vpn << 3 | size code << 1 | 1`, `0` where empty) and frame
+    /// words (`pfn << 2 | size code`) — and the hit/miss counters.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u64(self.entries_per_table);
         w.u64(self.entry_bytes);
@@ -281,24 +282,25 @@ impl Tsb {
         w.slice_u64(&index);
         w.len64(self.tables.len());
         for table in &self.tables {
-            for slot in &table.slots {
-                match slot {
-                    Some(s) => {
-                        w.u8(1);
-                        w.u64(s.page.vpn());
-                        w.u8(size_code(s.page.size()));
-                        w.u64(s.frame.pfn());
-                        w.u8(size_code(s.frame.size()));
-                    }
-                    None => {
-                        w.u8(0);
-                        w.u64(0);
-                        w.u8(0);
-                        w.u64(0);
-                        w.u8(0);
-                    }
-                }
-            }
+            let n = table.slots.len();
+            w.iter_u64(
+                n,
+                table.slots.iter().map(|slot| {
+                    slot.map_or(0, |s| {
+                        debug_assert!(s.page.vpn() < 1 << 61, "vpn overflows a page word");
+                        s.page.vpn() << 3 | u64::from(size_code(s.page.size())) << 1 | 1
+                    })
+                }),
+            );
+            w.iter_u64(
+                n,
+                table.slots.iter().map(|slot| {
+                    slot.map_or(0, |s| {
+                        debug_assert!(s.frame.pfn() < 1 << 62, "pfn overflows a frame word");
+                        s.frame.pfn() << 2 | u64::from(size_code(s.frame.size()))
+                    })
+                }),
+            );
         }
         w.u64(self.stats.hits);
         w.u64(self.stats.misses);
@@ -325,34 +327,36 @@ impl Tsb {
             }
             asid_index.push(i);
         }
-        // Each slot is a fixed 19 bytes; bound the table count by the
-        // remaining payload before allocating anything.
-        let slot_bytes = self
-            .entries_per_table
-            .checked_mul(19)
-            .and_then(|b| b.checked_mul(table_count as u64))
-            .ok_or(CkptError::Truncated)?;
-        if slot_bytes > r.remaining() as u64 {
+        // Each table is two sparse arrays of at least a count word and a
+        // presence bitmap; bound the table count by the remaining
+        // payload before allocating anything.
+        let entries = self.entries_per_table as usize;
+        let table_floor = 2 * (8 + entries.div_ceil(8));
+        if table_count
+            .checked_mul(table_floor)
+            .is_none_or(|b| b > r.remaining())
+        {
             return Err(CkptError::Truncated);
         }
         let mut tables = Vec::with_capacity(table_count);
+        let mut pages = vec![0; entries];
+        let mut frames = vec![0; entries];
         for _ in 0..table_count {
-            let mut slots = vec![None; self.entries_per_table as usize].into_boxed_slice();
-            for slot in &mut slots {
-                let valid = r.u8()?;
-                let vpn = r.u64()?;
-                let psize = r.u8()?;
-                let pfn = r.u64()?;
-                let fsize = r.u8()?;
-                *slot = match valid {
-                    0 => None,
-                    1 => Some(TsbSlot {
-                        page: VirtPage::from_vpn(vpn, size_from_code(psize)?),
-                        frame: PhysFrame::from_pfn(pfn, size_from_code(fsize)?),
-                    }),
-                    _ => return Err(CkptError::Corrupt("tsb slot flag")),
-                };
-            }
+            r.fill_u64(&mut pages)?;
+            r.fill_u64(&mut frames)?;
+            let slots = pages
+                .iter()
+                .zip(&frames)
+                .map(|(&page, &frame)| match (page, frame) {
+                    (0, 0) => Ok(None),
+                    (0, _) => Err(CkptError::Corrupt("tsb frame in an empty slot")),
+                    (page, _) if page & 1 == 0 => Err(CkptError::Corrupt("tsb slot flag")),
+                    (page, frame) => Ok(Some(TsbSlot {
+                        page: VirtPage::from_vpn(page >> 3, size_from_code((page >> 1 & 3) as u8)?),
+                        frame: PhysFrame::from_pfn(frame >> 2, size_from_code((frame & 3) as u8)?),
+                    })),
+                })
+                .collect::<Result<_, _>>()?;
             tables.push(AsidTable { slots });
         }
         self.asid_index = asid_index;

@@ -5,6 +5,7 @@
 //! deterministically from a seeded RNG.
 
 use rand::Rng;
+use std::sync::{Mutex, PoisonError};
 
 /// Zipfian rank sampler with exponent `theta ∈ (0, 1)`.
 #[derive(Debug, Clone)]
@@ -26,7 +27,7 @@ impl Zipf {
     pub fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0, "population must be positive");
         assert!((0.0..1.0).contains(&theta) && theta > 0.0, "theta in (0,1)");
-        let zetan = Self::zeta(n, theta);
+        let zetan = Self::zeta_memo(n, theta);
         let zeta2 = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
@@ -37,6 +38,24 @@ impl Zipf {
             eta,
             theta,
         }
+    }
+
+    /// [`Zipf::zeta`], computed once per distinct `(n, θ)` in the
+    /// process: every graph generator of a config (one per core and
+    /// context) shares the same population and skew, and each direct
+    /// sum costs up to 100K `powf` calls. The memo holds the bits of the
+    /// very value the sum returns, so samplers built from it are
+    /// bit-identical to ones that sum afresh.
+    fn zeta_memo(n: u64, theta: f64) -> f64 {
+        static MEMO: Mutex<Vec<(u64, u64, f64)>> = Mutex::new(Vec::new());
+        let key = (n, theta.to_bits());
+        let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&(_, _, z)) = memo.iter().find(|&&(m, t, _)| (m, t) == key) {
+            return z;
+        }
+        let z = Self::zeta(n, theta);
+        memo.push((n, key.1, z));
+        z
     }
 
     fn zeta(n: u64, theta: f64) -> f64 {
@@ -134,6 +153,15 @@ mod tests {
             (0..100).map(|_| z.sample(&mut rng)).collect()
         };
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn memoised_zeta_is_bit_identical() {
+        for (n, theta) in [(1000, 0.8), (250_000, 0.8), (1000, 0.9)] {
+            let first = Zipf::zeta_memo(n, theta);
+            assert_eq!(first.to_bits(), Zipf::zeta(n, theta).to_bits());
+            assert_eq!(Zipf::zeta_memo(n, theta).to_bits(), first.to_bits());
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use csalt::core::MemoryHierarchy;
 use csalt::ptw::HugePagePolicy;
 use csalt::sim::checkpoint::{self, HierarchyCheckpoint};
 use csalt::sim::{run_in, SimConfig, SimResult};
+use csalt::types::ckpt::{image_checksum, CKPT_MAGIC, CKPT_VERSION};
 use csalt::types::{
     CkptError, CkptReader, CkptWriter, CoreId, MemAccess, PageSize, PhysAddr, PhysFrame,
     SystemConfig, TranslationScheme, VirtAddr,
@@ -74,6 +75,22 @@ fn reference_image() -> (SystemConfig, Vec<u8>) {
     (cfg.clone(), meta.encode(&h, "fp-reference"))
 }
 
+/// Schemes whose images the round-trip property covers: between them
+/// every component's in-place loader runs — POM-TLB, TSB, the MSA
+/// profilers and partitioner, DIP and DRRIP replacement state, and a
+/// fixed partition.
+const SCHEMES: [TranslationScheme; 9] = [
+    TranslationScheme::Conventional,
+    TranslationScheme::PomTlb,
+    TranslationScheme::CsaltD,
+    TranslationScheme::CsaltCd,
+    TranslationScheme::Tsb,
+    TranslationScheme::TsbCsalt,
+    TranslationScheme::Dip,
+    TranslationScheme::Drrip,
+    TranslationScheme::StaticPartition { data_ways: 2 },
+];
+
 proptest! {
     /// Encode → decode-into-fresh → re-encode is the identity on the
     /// image, for arbitrary reachable states across schemes and both
@@ -82,7 +99,7 @@ proptest! {
     /// round-trips field-for-field.
     #[test]
     fn image_round_trips_over_reachable_states(
-        scheme_idx in 0usize..4,
+        scheme_idx in 0usize..SCHEMES.len(),
         virtualized in any::<bool>(),
         vm0 in 0u32..2,
         vm1 in 0u32..2,
@@ -92,19 +109,13 @@ proptest! {
             1..250,
         ),
     ) {
-        let schemes = [
-            TranslationScheme::Conventional,
-            TranslationScheme::PomTlb,
-            TranslationScheme::CsaltD,
-            TranslationScheme::CsaltCd,
-        ];
         let cfg = small_config();
-        let mut h = hier(&cfg, schemes[scheme_idx], virtualized);
+        let mut h = hier(&cfg, SCHEMES[scheme_idx], virtualized);
         drive(&mut h, 2, 2, &addrs);
         let meta = HierarchyCheckpoint { current_vms: vec![vm0, vm1], pops };
         let image = meta.encode(&h, "fp-prop");
 
-        let mut fresh = hier(&cfg, schemes[scheme_idx], virtualized);
+        let mut fresh = hier(&cfg, SCHEMES[scheme_idx], virtualized);
         for _ in 0..2 {
             fresh.add_context();
         }
@@ -223,13 +234,19 @@ fn unframe(image: &[u8]) -> (String, Vec<u8>) {
     (fp, image[at + 8..at + 8 + len].to_vec())
 }
 
-/// `payload` framed under `fingerprint`, with a valid checksum.
+/// `payload` framed under `fingerprint` by hand, as the format
+/// describes it: magic, version, fingerprint length and bytes, payload
+/// length, payload, then the image checksum over all of that.
 fn reframe(payload: &[u8], fingerprint: &str) -> Vec<u8> {
-    let mut w = CkptWriter::new();
-    for &b in payload {
-        w.u8(b);
-    }
-    w.finish(fingerprint)
+    let mut out = CKPT_MAGIC.to_vec();
+    out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(fingerprint.len() as u32).to_le_bytes());
+    out.extend_from_slice(fingerprint.as_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    let sum = image_checksum(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
 }
 
 /// The encoding of a reference table, as raw payload bytes.
