@@ -26,8 +26,9 @@
 #   6d. checkpoint gate: a smoke suite whose configs share warmup
 #      prefixes runs on a sweep without a cache directory (no
 #      checkpoints) and then into a fresh one — the checkpointed pass must
-#      be byte-identical to the disabled one and restore at least one
-#      warmup snapshot (the fork-from-snapshot path provably ran)
+#      be byte-identical to the disabled one, reject no image (zero
+#      fallbacks) and restore once per follower config (every config
+#      after the first of its warmup-prefix group)
 #   6b. functional fast-forward smoke: a `--warmup-mode functional`
 #      sampled-window run with the audit feature live (conservation
 #      laws checked at every epoch boundary), run twice — the two
@@ -93,7 +94,7 @@ cargo run -q -p csalt-sim --bin csalt-report -- bench-diff
 step "sweep cache gate (warm re-run simulates nothing, results byte-identical)"
 cargo run -q -p csalt-sim --bin csalt-experiments -- cache-gate
 
-step "checkpoint gate (fork-from-snapshot byte-identical, >=1 restore)"
+step "checkpoint gate (fork-from-snapshot byte-identical, 0 fallbacks, every follower restores)"
 cargo run -q -p csalt-sim --bin csalt-experiments -- ckpt-gate
 
 step "functional fast-forward smoke (audit laws live, bit-deterministic)"
