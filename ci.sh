@@ -33,9 +33,9 @@
 #      sampled-window run with the audit feature live (conservation
 #      laws checked at every epoch boundary), run twice — the two
 #      outputs must be byte-identical
-#   6c. trace v2 convert round-trip: record a v1 trace, upgrade it with
-#      `trace-convert`, which re-opens both files and verifies the
-#      access stream converted byte-faithfully
+#   6c. trace record smoke: `trace-record` writes a v2 trace twice —
+#      the file must be one 32-byte header plus one 32-byte record per
+#      access, and the two recordings byte-identical
 #   7. telemetry overhead smoke: NullRecorder within the <2% budget
 #      (skipped with --quick; needs a release build)
 #   8. engine throughput smoke: steady-state accesses/sec per scheme must
@@ -100,9 +100,9 @@ cargo run -q -p csalt-sim --bin csalt-experiments -- ckpt-gate
 step "functional fast-forward smoke (audit laws live, bit-deterministic)"
 tmp_ff_a="$(mktemp -t csalt-ff-a-XXXXXX.txt)"
 tmp_ff_b="$(mktemp -t csalt-ff-b-XXXXXX.txt)"
-tmp_v1="$(mktemp -t csalt-v1-XXXXXX.trace)"
-tmp_v2="$(mktemp -t csalt-v2-XXXXXX.trace)"
-trap 'rm -f "$tmp_stream" "$tmp_trace" "$tmp_ff_a" "$tmp_ff_b" "$tmp_v1" "$tmp_v2"' EXIT
+tmp_rec_a="$(mktemp -t csalt-rec-a-XXXXXX.trace)"
+tmp_rec_b="$(mktemp -t csalt-rec-b-XXXXXX.trace)"
+trap 'rm -f "$tmp_stream" "$tmp_trace" "$tmp_ff_a" "$tmp_ff_b" "$tmp_rec_a" "$tmp_rec_b"' EXIT
 ff_smoke() {
     cargo run -q -p csalt-sim --features audit --bin csalt-experiments -- \
         run graph500_gups csalt-cd --accesses 12000 --warmup 4000 --scale 0.05 \
@@ -112,11 +112,13 @@ ff_smoke > "$tmp_ff_a"
 ff_smoke > "$tmp_ff_b"
 cmp "$tmp_ff_a" "$tmp_ff_b"
 
-step "trace v2 convert round-trip (record v1 -> convert -> verified)"
-cargo run -q -p csalt-sim --bin csalt-experiments -- \
-    trace-record gups "$tmp_v1" --count 20000 --scale 0.05 --v1
-cargo run -q -p csalt-sim --bin csalt-experiments -- \
-    trace-convert "$tmp_v1" "$tmp_v2" --asid 3
+step "trace record smoke (v2 framing, deterministic bytes)"
+for out in "$tmp_rec_a" "$tmp_rec_b"; do
+    cargo run -q -p csalt-sim --bin csalt-experiments -- \
+        trace-record gups "$out" --count 20000 --scale 0.05 --asid 3
+done
+test "$(wc -c < "$tmp_rec_a")" -eq $((32 + 20000 * 32))
+cmp "$tmp_rec_a" "$tmp_rec_b"
 
 if [[ $quick -eq 0 ]]; then
     step "telemetry overhead smoke (NullRecorder < 2%)"

@@ -33,8 +33,8 @@
 //! saved.
 
 use csalt_sim::{experiments, run, SimConfig, WarmupMode};
-use csalt_types::{Asid, TranslationHint, TranslationScheme};
-use csalt_workloads::{BenchKind, TraceFile, TraceGenerator, WorkloadSpec};
+use csalt_types::{Asid, TranslationScheme};
+use csalt_workloads::{BenchKind, TraceFile, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -72,9 +72,6 @@ struct ThroughputRecord {
     /// v2 staged replay: records/sec through a bare staging loop
     /// with prepacked TLB keys (`TraceFile::next_staged`).
     trace_replay_v2_accesses_per_sec: f64,
-    /// v1 unstaged replay: records/sec with per-access key packing —
-    /// the cost the v2 format removes.
-    trace_replay_v1_accesses_per_sec: f64,
     /// Smoke-length functional fast-forward rate — the floor the
     /// `CSALT_SMOKE=1` gate holds the fast-forward path to, inside the
     /// same noise-retry loop as the scheme floors.
@@ -143,11 +140,9 @@ fn measure(cfg: &SimConfig, rounds: u32) -> f64 {
     best
 }
 
-/// Speedup targets for the two fast-path measurements (warnings, not
-/// gates — single-thread CI runners measure these under co-tenant
-/// noise).
+/// Speedup target for the functional fast-forward (a warning, not a
+/// gate — single-thread CI runners measure it under co-tenant noise).
 const FASTFORWARD_TARGET: f64 = 5.0;
-const REPLAY_V2_TARGET: f64 = 2.0;
 
 /// (measured, warmup, rounds) for the fast-forward measurement: warmup
 /// dominates 30:1, so the run's rate is the warmup path's rate.
@@ -184,33 +179,23 @@ fn measure_fastforward_smoke() -> f64 {
     measure(&cfg, rounds)
 }
 
-/// v2 (prepacked keys) vs v1 (pack per access) replay rate through a
-/// bare staging loop: `(v2, v1)` records/sec, best of `rounds`.
-fn measure_trace_replay(rounds: u32, accesses: u64) -> (f64, f64) {
+/// Staged (prepacked keys) replay rate through a bare staging loop:
+/// records/sec, best of `rounds`.
+fn measure_trace_replay(rounds: u32, accesses: u64) -> f64 {
     let mut g = BenchKind::Graph500.build(1, experiments::scaled::SCALE);
     let records: Vec<_> = (0..REPLAY_RECORDS).map(|_| g.next_access()).collect();
-    let asid = Asid::new(1);
-    let mut v1 = TraceFile::from_records(records.clone());
-    let mut v2 = TraceFile::from_records(records);
-    v2.restage(asid);
+    let mut trace = TraceFile::from_records(records);
+    trace.restage(Asid::new(1));
 
-    let (mut best_v1, mut best_v2) = (0.0f64, 0.0f64);
+    let mut best = 0.0f64;
     for _ in 0..rounds {
         let t = Instant::now();
         for _ in 0..accesses {
-            let a = v1.next_access();
-            let h = TranslationHint::compute(a.vaddr, asid);
-            std::hint::black_box((a, h));
+            std::hint::black_box(trace.next_staged());
         }
-        best_v1 = best_v1.max(accesses as f64 / t.elapsed().as_secs_f64());
-
-        let t = Instant::now();
-        for _ in 0..accesses {
-            std::hint::black_box(v2.next_staged());
-        }
-        best_v2 = best_v2.max(accesses as f64 / t.elapsed().as_secs_f64());
+        best = best.max(accesses as f64 / t.elapsed().as_secs_f64());
     }
-    (best_v2, best_v1)
+    best
 }
 
 /// (accesses, warmup, rounds) for the smoke-length run.
@@ -266,7 +251,7 @@ fn run_smoke_gate(path: &Path) {
             }
         }
         best_ff = best_ff.max(measure_fastforward_smoke());
-        best_replay = best_replay.max(measure_trace_replay(1, REPLAY_SMOKE_ACCESSES).0);
+        best_replay = best_replay.max(measure_trace_replay(1, REPLAY_SMOKE_ACCESSES));
         let mut failed = false;
         for rec in &recorded.schemes {
             let Some(now) = best
@@ -386,23 +371,13 @@ fn main() {
         );
     }
 
-    let (replay_v2, replay_v1) = measure_trace_replay(rounds, REPLAY_ACCESSES);
-    let replay_speedup = replay_v2 / replay_v1;
-    println!(
-        "trace_replay_v2: {replay_v2:>12.0} rec/s vs v1 {replay_v1:>12.0} rec/s \
-         ({replay_speedup:.2}x)",
-    );
-    if replay_speedup < REPLAY_V2_TARGET {
-        println!(
-            "trace_replay_v2  WARNING: staged replay speedup {replay_speedup:.2}x is below \
-             the {REPLAY_V2_TARGET}x target",
-        );
-    }
+    let replay_v2 = measure_trace_replay(rounds, REPLAY_ACCESSES);
+    println!("trace_replay_v2: {replay_v2:>12.0} rec/s");
 
     // Smoke-length floors for the fast paths, recorded like-for-like so
     // the gate's retry loop compares short runs against short runs.
     let ff_smoke = measure_fastforward_smoke();
-    let (replay_v2_smoke, _) = measure_trace_replay(1, REPLAY_SMOKE_ACCESSES);
+    let replay_v2_smoke = measure_trace_replay(1, REPLAY_SMOKE_ACCESSES);
 
     let record = ThroughputRecord {
         git_rev: rev,
@@ -417,7 +392,6 @@ fn main() {
         fastforward_accesses_per_sec: ff_functional,
         fastforward_timed_accesses_per_sec: ff_timed,
         trace_replay_v2_accesses_per_sec: replay_v2,
-        trace_replay_v1_accesses_per_sec: replay_v1,
         fastforward_smoke_accesses_per_sec: ff_smoke,
         trace_replay_v2_smoke_accesses_per_sec: replay_v2_smoke,
     };

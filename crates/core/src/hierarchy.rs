@@ -50,9 +50,8 @@ pub struct AccessCharge {
     pub walked: bool,
 }
 
-/// One pre-staged access of a commit block: everything
-/// [`MemoryHierarchy::access_hinted`] needs, gathered ahead of time so
-/// the engines can commit a whole block back-to-back.
+/// One pre-staged access: everything [`MemoryHierarchy::access_hinted`]
+/// needs. Exists only for `perfbench/` and goes with the benchmark's next change.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockAccess {
     /// Issuing core.
@@ -491,32 +490,11 @@ impl MemoryHierarchy {
         let _ = self.access_inner::<false>(core, ctx, acc, hint);
     }
 
-    /// Commits a gathered block of accesses through the timed path,
-    /// appending one [`AccessCharge`] per record to `charges` in block
-    /// order. Exactly equivalent to calling
-    /// [`MemoryHierarchy::access_hinted`] per record — the batching
-    /// exists so the engines touch their bookkeeping once per block
-    /// instead of once per access.
-    ///
-    /// # Panics
-    ///
-    /// As [`MemoryHierarchy::access_hinted`], per record.
+    /// [`MemoryHierarchy::access_hinted`] per record, appending each
+    /// charge to `charges`; exists only for `perfbench/` and goes with the benchmark's next change.
     pub fn access_block_hinted(&mut self, block: &[BlockAccess], charges: &mut Vec<AccessCharge>) {
         for b in block {
-            charges.push(self.access_inner::<true>(b.core, b.ctx, b.acc, &b.hint));
-        }
-    }
-
-    /// Commits a gathered block through the functional (state-only)
-    /// path; the block-order equivalent of
-    /// [`MemoryHierarchy::access_functional`] per record.
-    ///
-    /// # Panics
-    ///
-    /// As [`MemoryHierarchy::access_functional`], per record.
-    pub fn access_block_functional(&mut self, block: &[BlockAccess]) {
-        for b in block {
-            let _ = self.access_inner::<false>(b.core, b.ctx, b.acc, &b.hint);
+            charges.push(self.access_hinted(b.core, b.ctx, b.acc, &b.hint));
         }
     }
 

@@ -28,7 +28,7 @@ use csalt_trace::TraceBuffer;
 use csalt_types::{Asid, TranslationScheme};
 #[cfg(feature = "telemetry")]
 use csalt_workloads::paper_workloads;
-use csalt_workloads::{BenchKind, TraceFile, TraceGenerator, WorkloadSpec};
+use csalt_workloads::{BenchKind, TraceFile, WorkloadSpec};
 use std::path::PathBuf;
 
 struct Entry {
@@ -315,20 +315,18 @@ fn parse_or_die(text: &str, flag: &str) -> u64 {
 }
 
 /// `csalt-experiments trace-record <bench> <out.trace>` — record a
-/// benchmark's access stream to a trace file (v2 staged format by
-/// default; `--v1` writes the legacy 13-byte format).
+/// benchmark's access stream to a (v2, staged) trace file.
 ///
 /// Flags: `--count <N>` records (default 1,000,000), `--seed <N>`,
-/// `--asid <N>` the ASID the v2 packed keys are staged for (default 1 —
-/// what a single-VM replay run assigns), `--v1`. The global `--scale`
-/// sets the footprint multiplier.
+/// `--asid <N>` the ASID the packed keys are staged for (default 1 —
+/// what a single-VM replay run assigns). The global `--scale` sets the
+/// footprint multiplier.
 fn trace_record(args: &[String], scale: f64) {
     let mut bench: Option<BenchKind> = None;
     let mut out: Option<PathBuf> = None;
     let mut count: u64 = 1_000_000;
     let mut seed: u64 = 0xC5A1_7000;
     let mut asid: u64 = 1;
-    let mut v1 = false;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -342,7 +340,6 @@ fn trace_record(args: &[String], scale: f64) {
             "--count" => count = parse_or_die(value("--count"), "--count"),
             "--seed" => seed = parse_or_die(value("--seed"), "--seed"),
             "--asid" => asid = parse_or_die(value("--asid"), "--asid"),
-            "--v1" => v1 = true,
             name if bench.is_none() => {
                 bench = Some(
                     BenchKind::ALL
@@ -366,7 +363,7 @@ fn trace_record(args: &[String], scale: f64) {
     let (Some(bench), Some(out)) = (bench, out) else {
         eprintln!(
             "usage: csalt-experiments trace-record <bench> <out.trace> \
-             [--count <N>] [--seed <N>] [--scale <F>] [--asid <N>] [--v1]"
+             [--count <N>] [--seed <N>] [--scale <F>] [--asid <N>]"
         );
         std::process::exit(2);
     };
@@ -379,97 +376,13 @@ fn trace_record(args: &[String], scale: f64) {
         std::process::exit(2);
     }
     let mut generator = bench.build(seed, scale);
-    let write = if v1 {
-        TraceFile::record(&out, generator.as_mut(), count)
-    } else {
-        TraceFile::record_v2(&out, generator.as_mut(), count, Asid::new(asid))
-    };
-    if let Err(e) = write {
+    if let Err(e) = TraceFile::record_v2(&out, generator.as_mut(), count, Asid::new(asid)) {
         eprintln!("cannot write {}: {e}", out.display());
         std::process::exit(1);
     }
     println!(
-        "recorded {count} {} accesses to {} ({}) ",
+        "recorded {count} {} accesses to {} (v2, staged for asid {asid})",
         bench.name(),
-        out.display(),
-        if v1 {
-            "v1, unstaged".to_owned()
-        } else {
-            format!("v2, staged for asid {asid}")
-        },
-    );
-}
-
-/// `csalt-experiments trace-convert <in.trace> <out.trace>` — upgrade a
-/// trace to the v2 staged format (packed TLB keys precomputed for
-/// `--asid <N>`, default 1), then re-open the output and verify the
-/// access stream converted byte-faithfully.
-fn trace_convert(args: &[String]) {
-    let mut input: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut asid: u64 = 1;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--asid" => {
-                let v = it.next().map(String::as_str).unwrap_or_else(|| {
-                    eprintln!("--asid needs a value");
-                    std::process::exit(2);
-                });
-                asid = parse_or_die(v, "--asid");
-            }
-            path if input.is_none() => input = Some(PathBuf::from(path)),
-            path if out.is_none() => out = Some(PathBuf::from(path)),
-            extra => {
-                eprintln!("unexpected argument '{extra}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    let (Some(input), Some(out)) = (input, out) else {
-        eprintln!("usage: csalt-experiments trace-convert <in.trace> <out.trace> [--asid <N>]");
-        std::process::exit(2);
-    };
-    let asid = u16::try_from(asid).unwrap_or_else(|_| {
-        eprintln!("--asid: {asid} does not fit in 16 bits");
-        std::process::exit(2);
-    });
-    let mut trace = TraceFile::open(&input).unwrap_or_else(|e| {
-        eprintln!("cannot open {}: {e}", input.display());
-        std::process::exit(1);
-    });
-    let from_version = trace.version();
-    trace.restage(Asid::new(asid));
-    if let Err(e) = trace.save_v2(&out) {
-        eprintln!("cannot write {}: {e}", out.display());
-        std::process::exit(1);
-    }
-
-    // Round-trip proof: re-open both files and compare the full access
-    // stream, so a conversion bug can never silently corrupt a trace.
-    let mut a = TraceFile::open(&input).unwrap_or_else(|e| {
-        eprintln!("cannot re-open {}: {e}", input.display());
-        std::process::exit(1);
-    });
-    let mut b = TraceFile::open(&out).unwrap_or_else(|e| {
-        eprintln!("cannot re-open {}: {e}", out.display());
-        std::process::exit(1);
-    });
-    if a.len() != b.len() {
-        eprintln!("conversion FAILED: {} records in, {} out", a.len(), b.len());
-        std::process::exit(1);
-    }
-    for i in 0..a.len() {
-        if a.next_access() != b.next_access() {
-            eprintln!("conversion FAILED: record {i} differs after round-trip");
-            std::process::exit(1);
-        }
-    }
-    println!(
-        "converted {} records v{from_version} -> v2 at {}, keys staged for asid {asid}; \
-         round-trip verified",
-        b.len(),
         out.display(),
     );
 }
@@ -889,7 +802,7 @@ fn main() {
     let flags = GlobalFlags::extract(&mut args);
     let registry = registry();
     if args.is_empty() || args[0] == "list" || args[0] == "--help" {
-        println!("usage: csalt-experiments <name>... | all | list | cache-gate | ckpt-gate | cache-gc [--max-bytes N] | cache-stats | run <workload> [scheme] [--telemetry <path>] | trace-record <bench> <out> | trace-convert <in> <out>\n");
+        println!("usage: csalt-experiments <name>... | all | list | cache-gate | ckpt-gate | cache-gc [--max-bytes N] | cache-stats | run <workload> [scheme] [--telemetry <path>] | trace-record <bench> <out>\n");
         for e in &registry {
             println!("  {:<22} {}", e.name, e.about);
         }
@@ -919,10 +832,6 @@ fn main() {
             "trace-record"
         );
         println!(
-            "  {:<22} upgrade a v1 trace to v2 and verify the round-trip",
-            "trace-convert"
-        );
-        println!(
             "\nflags (any position): --accesses <N>, --warmup <N>, --scale <F>, --jobs <N>, \
              --cache-dir <path>, --no-cache"
         );
@@ -946,10 +855,6 @@ fn main() {
     }
     if args[0] == "trace-record" {
         trace_record(&args[1..], flags.scale.unwrap_or(exp::scaled::SCALE));
-        return;
-    }
-    if args[0] == "trace-convert" {
-        trace_convert(&args[1..]);
         return;
     }
     if args[0] == "run" {

@@ -15,15 +15,9 @@
 //! the quantum's instruction equivalent is computed by the caller and
 //! arrives here as a plain integer.
 
-use crate::simulator::{AccessSource, CoreState};
-use csalt_core::{BlockAccess, MemoryHierarchy};
+use crate::simulator::{AccessSource, CoreState, StagedAccess};
+use csalt_core::MemoryHierarchy;
 use csalt_types::{ContextId, CoreId};
-
-/// Accesses gathered per batched functional commit. Unlike the timed
-/// phase, a block may span multiple sweeps: the functional schedule
-/// keys on instruction counts recorded at gather time and has no
-/// feedback from commit, so gathering ahead is exact.
-const BLOCK: usize = 64;
 
 /// The integer context-switch schedule of a functional phase.
 ///
@@ -63,37 +57,32 @@ pub(crate) fn functional_phase<S: AccessSource>(
     let mut done = vec![0u64; cores];
     let mut instr = vec![0u64; cores];
     let mut remaining = cores;
-    // Gather whole sweeps into a block, then commit the block through
-    // the batched functional entry point. Commit order equals gather
-    // order equals the historical interleaved order, so the state
-    // transitions are bit-identical; only the call granularity changes.
-    let mut block: Vec<BlockAccess> = Vec::with_capacity(BLOCK + cores);
+    // As in the timed phase, a sweep pops every active core's access
+    // before committing any, so the pops' host cache misses overlap.
+    // The switch schedule keys on instruction counts known at pop time,
+    // so the commit order — core order — is the historical one.
+    let mut sweep: Vec<(usize, usize, StagedAccess)> = Vec::with_capacity(cores);
     while remaining > 0 {
-        block.clear();
-        while remaining > 0 && block.len() < BLOCK {
-            for core in 0..cores {
-                if done[core] >= accesses_per_core {
-                    continue;
-                }
-                if vms > 1 && instr[core] >= sched.instr_per_switch {
-                    instr[core] = 0;
-                    cores_state[core].current_vm = (cores_state[core].current_vm + 1) % vms;
-                }
-                let vm = cores_state[core].current_vm as usize;
-                let staged = source.next(core, vm);
-                instr[core] += staged.acc.instructions();
-                block.push(BlockAccess {
-                    core: CoreId::new(core as u8),
-                    ctx: vm_ctx[vm],
-                    acc: staged.acc,
-                    hint: staged.hint,
-                });
-                done[core] += 1;
-                if done[core] >= accesses_per_core {
-                    remaining -= 1;
-                }
+        sweep.clear();
+        for core in 0..cores {
+            if done[core] >= accesses_per_core {
+                continue;
+            }
+            if vms > 1 && instr[core] >= sched.instr_per_switch {
+                instr[core] = 0;
+                cores_state[core].current_vm = (cores_state[core].current_vm + 1) % vms;
+            }
+            let vm = cores_state[core].current_vm as usize;
+            let staged = source.next(core, vm);
+            instr[core] += staged.acc.instructions();
+            sweep.push((core, vm, staged));
+            done[core] += 1;
+            if done[core] >= accesses_per_core {
+                remaining -= 1;
             }
         }
-        hier.access_block_functional(&block);
+        for &(core, vm, s) in &sweep {
+            hier.access_functional(CoreId::new(core as u8), vm_ctx[vm], s.acc, &s.hint);
+        }
     }
 }

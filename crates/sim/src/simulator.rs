@@ -21,9 +21,7 @@
 //! misses overlap through MSHRs; translations do not).
 
 use crate::fastforward::{functional_phase, FunctionalSchedule};
-use csalt_core::{
-    AccessCharge, BlockAccess, HierarchySnapshot, MemoryHierarchy, PartitionSample, StageSample,
-};
+use csalt_core::{AccessCharge, HierarchySnapshot, MemoryHierarchy, PartitionSample, StageSample};
 use csalt_ptw::HugePagePolicy;
 use csalt_types::{
     geomean, Asid, ContextId, CoreId, Cycle, MemAccess, SystemConfig, TranslationHint,
@@ -578,21 +576,17 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
         .iter()
         .filter(|c| c.accesses_done < total_per_core)
         .count();
-    // Sweep scratch, reused so the hot loop never allocates: the
-    // gathered block, its `(core, vm, traced)` metadata, and the
-    // commit charges.
-    let mut block: Vec<BlockAccess> = Vec::with_capacity(cores);
-    let mut block_meta: Vec<(usize, usize, bool)> = Vec::with_capacity(cores);
-    let mut charges: Vec<AccessCharge> = Vec::with_capacity(cores);
+    // Sweep scratch, reused so the loop never allocates: each active
+    // core's `(core, vm, access)`.
+    let mut sweep: Vec<(usize, usize, StagedAccess)> = Vec::with_capacity(cores);
     while remaining > 0 {
-        // Gather: run every active core's scheduling step (quantum
-        // check, stream pop) and stage the sweep's accesses as one
-        // block. Each core's schedule reads only its own state, which
-        // this sweep's commits have not touched yet, so deciding all
-        // switches before any commit sees exactly the values the
-        // historical interleaved loop saw.
-        block.clear();
-        block_meta.clear();
+        // Schedule every active core (quantum check, stream pop) before
+        // committing any access: back-to-back pops overlap their host
+        // cache misses, which one pop per commit would serialize
+        // (DESIGN §4e). A core's schedule reads only its own state,
+        // which this sweep's commits do not touch, so results are
+        // bit-identical to scheduling each core just before its commit.
+        sweep.clear();
         for (core, state) in cores_state.iter_mut().enumerate() {
             if state.accesses_done >= total_per_core {
                 continue;
@@ -611,69 +605,40 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
             }
 
             let vm = state.current_vm as usize;
-            let staged = source.next(core, vm);
+            sweep.push((core, vm, source.next(core, vm)));
+        }
+
+        // Commit and retire each access in core order.
+        for &(core, vm, StagedAccess { acc, hint }) in &sweep {
+            let state = &mut cores_state[core];
+            let core_id = CoreId::new(core as u8);
             let traced = hooks
                 .as_deref_mut()
-                .is_some_and(|h| h.wants_trace(total_done + block.len() as u64));
-            block.push(BlockAccess {
-                core: CoreId::new(core as u8),
-                ctx: vm_ctx[vm],
-                acc: staged.acc,
-                hint: staged.hint,
-            });
-            block_meta.push((core, vm, traced));
-        }
-
-        // Commit: contiguous untraced runs flow through the batched
-        // entry point (one call per run); traced accesses commit
-        // individually for their stage attribution. Hierarchy mutation
-        // order is the gather order — the historical per-core order —
-        // so results stay bit-identical.
-        charges.clear();
-        let mut i = 0;
-        while i < block.len() {
-            if block_meta[i].2 {
-                let (core, vm, _) = block_meta[i];
-                let b = block[i];
-                let at_cycles = cores_state[core].cycles;
-                let (charge, stages) = hier.access_traced(b.core, b.ctx, b.acc);
+                .is_some_and(|h| h.wants_trace(total_done));
+            let charge = if traced {
+                let (charge, stages) = hier.access_traced(core_id, vm_ctx[vm], acc);
                 if let Some(h) = hooks.as_deref_mut() {
                     h.on_traced(
-                        total_done + i as u64,
+                        total_done,
                         core,
                         vm_ctx[vm],
-                        &b.acc,
+                        &acc,
                         &charge,
                         stages,
-                        at_cycles,
+                        state.cycles,
                     );
                 }
-                charges.push(charge);
-                i += 1;
+                charge
             } else {
-                let start = i;
-                while i < block.len() && !block_meta[i].2 {
-                    i += 1;
-                }
-                hier.access_block_hinted(&block[start..i], &mut charges);
-            }
-        }
-
-        // Retire: per-access cycle model and bookkeeping, in commit
-        // order. Core cycle counters were untouched since gather, so
-        // every access charges against exactly the state it would
-        // have seen interleaved.
-        for (k, &(core, _vm, _traced)) in block_meta.iter().enumerate() {
-            let charge = &charges[k];
+                hier.access_hinted(core_id, vm_ctx[vm], acc, &hint)
+            };
             if let Some(h) = hooks.as_deref_mut() {
-                h.on_access(charge);
+                h.on_access(&charge);
             }
             total_done += 1;
 
             // Cycle model: compute instructions + blocking
             // translation + overlapped data stalls.
-            let acc = block[k].acc;
-            let state = &mut cores_state[core];
             let compute = (acc.instructions() as f64 * system.base_cpi).ceil() as Cycle;
             let data_stall = charge.data_cycles.saturating_sub(system.l1d.latency);
             let overlapped = (data_stall as f64 / system.mlp).round() as Cycle;

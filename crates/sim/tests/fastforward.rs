@@ -145,9 +145,9 @@ fn oversized_windows_are_rejected() {
     let _ = run(&cfg);
 }
 
-/// A staged (v2) trace matrix replays through the zero-repack source;
-/// the result must be bit-identical to replaying the same records
-/// unstaged (v1 semantics) through the classic inline source.
+/// A staged trace matrix replays through the zero-repack source; the
+/// result must be bit-identical to replaying the same records unstaged
+/// (keys packed per access) through the inline generator source.
 #[test]
 fn staged_replay_matches_unstaged_replay_bit_for_bit() {
     let cfg = quick(TranslationScheme::CsaltCd);

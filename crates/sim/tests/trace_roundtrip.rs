@@ -52,19 +52,31 @@ fn export(buf: &TraceBuffer) -> String {
     String::from_utf8(bytes).expect("chrome export is utf8")
 }
 
+/// Sampled (every 500th access) and exhaustive (every access takes the
+/// traced branch, so walk spans fill every core track between its
+/// context-switch instants) tracing both leave the results bit-identical
+/// and export a valid Chrome trace.
 #[test]
 fn tracing_does_not_perturb_results() {
     let cfg = traced_cfg();
     let (plain, _) = run_in(&cfg, None);
-    let (traced, buf) = traced_run(&cfg, 500);
-    assert!(!buf.is_empty(), "trace buffer captured events");
-    assert_eq!(
-        serde_json::to_string(&plain.snapshot).expect("snapshot serializes"),
-        serde_json::to_string(&traced.snapshot).expect("snapshot serializes"),
-        "traced run must be bit-identical to the plain run"
-    );
-    assert_eq!(plain.instructions, traced.instructions);
-    assert_eq!(plain.core_cycles, traced.core_cycles);
+    for sample_interval in [500, 1] {
+        let (traced, buf) = traced_run(&cfg, sample_interval);
+        assert!(!buf.is_empty(), "trace buffer captured events");
+        assert_eq!(
+            serde_json::to_string(&plain.snapshot).expect("snapshot serializes"),
+            serde_json::to_string(&traced.snapshot).expect("snapshot serializes"),
+            "traced run (every {sample_interval}) must be bit-identical to the plain run"
+        );
+        assert_eq!(plain.instructions, traced.instructions);
+        assert_eq!(plain.core_cycles, traced.core_cycles);
+        let summary = reader::validate(&export(&buf)).expect("export parses");
+        assert!(
+            summary.is_valid(),
+            "structural violations (every {sample_interval}): {:?}",
+            summary.errors
+        );
+    }
 }
 
 #[test]

@@ -245,6 +245,13 @@ pub fn check_dram_timings(name: &str, dram: &DramTimings) -> Vec<Violation> {
     out
 }
 
+/// Most cores a system may have: core ids are 8-bit.
+const MAX_CORES: u32 = 256;
+
+/// Most contexts per core: context `i` translates under ASID `i + 1`, a
+/// 16-bit id of which 0 is never assigned.
+const MAX_CONTEXTS_PER_CORE: u32 = 65_535;
+
 /// CSALT-A009..A013: whole-system parameters and cross-component
 /// relationships. Includes every sub-geometry check.
 pub fn check_system(cfg: &SystemConfig) -> Vec<Violation> {
@@ -253,6 +260,12 @@ pub fn check_system(cfg: &SystemConfig) -> Vec<Violation> {
 
     if cfg.cores == 0 {
         out.push(Violation::error("CSALT-A009", system, "zero cores"));
+    } else if cfg.cores > MAX_CORES {
+        out.push(Violation::error(
+            "CSALT-A009",
+            system,
+            format!("{} cores exceed {MAX_CORES}: core ids are 8-bit", cfg.cores),
+        ));
     }
     if !(cfg.core_ghz.is_finite() && cfg.core_ghz > 0.0) {
         out.push(Violation::error(
@@ -269,6 +282,16 @@ pub fn check_system(cfg: &SystemConfig) -> Vec<Violation> {
             "CSALT-A009",
             system,
             "zero contexts per core",
+        ));
+    } else if cfg.contexts_per_core > MAX_CONTEXTS_PER_CORE {
+        out.push(Violation::error(
+            "CSALT-A009",
+            system,
+            format!(
+                "{} contexts per core exceed {MAX_CONTEXTS_PER_CORE}: ASIDs are \
+                 16-bit and ASID 0 is never assigned",
+                cfg.contexts_per_core
+            ),
         ));
     }
     if !(cfg.mlp.is_finite() && cfg.mlp >= 1.0) {
@@ -468,6 +491,26 @@ mod tests {
         ] {
             let violations = check_scheme(&cfg, &scheme);
             assert!(violations.is_empty(), "{scheme}: {violations:?}");
+        }
+    }
+
+    #[test]
+    fn core_and_context_counts_are_bounded_by_their_id_widths() {
+        for (cores, contexts_per_core, ok) in [
+            (256, 2, true),
+            (257, 2, false),
+            (8, 65_535, true),
+            (8, 65_536, false),
+        ] {
+            let cfg = SystemConfig {
+                cores,
+                contexts_per_core,
+                ..skylake()
+            };
+            let a009 = check_system(&cfg)
+                .iter()
+                .any(|v| v.code == "CSALT-A009" && v.severity == Severity::Error);
+            assert_eq!(a009, !ok, "{cores} cores, {contexts_per_core} contexts");
         }
     }
 

@@ -8,7 +8,7 @@
 //! ```
 
 use csalt::sim::{run, SimConfig};
-use csalt::types::TranslationScheme;
+use csalt::types::{Asid, TranslationScheme};
 use csalt::workloads::{BenchKind, TraceFile, TraceGenerator, WorkloadSpec};
 
 fn main() -> std::io::Result<()> {
@@ -16,7 +16,7 @@ fn main() -> std::io::Result<()> {
 
     // 1. Record 200K accesses of pagerank to a trace file.
     let mut generator = BenchKind::PageRank.build(7, 1.0);
-    TraceFile::record(&path, generator.as_mut(), 200_000)?;
+    TraceFile::record_v2(&path, generator.as_mut(), 200_000, Asid::new(1))?;
     let bytes = std::fs::metadata(&path)?.len();
     println!(
         "recorded 200000 accesses of {} to {} ({} KiB)",
