@@ -6,7 +6,7 @@
 //! figure downstream without crashing, so this crate gives the workspace
 //! a machine-checkable definition of "the model is still sane":
 //!
-//! * **Static rules** (`CSALT-A001`–`A015`, [`static_rules`] /
+//! * **Static rules** (`CSALT-A001`–`A018`, [`static_rules`] /
 //!   [`audit_config`]) — checked without running a simulation, over every
 //!   built-in [`SystemConfig`] preset × [`TranslationScheme`]. The
 //!   predicates themselves live in [`csalt_types::invariants`] so the
@@ -186,6 +186,21 @@ pub fn static_rules() -> &'static [Rule] {
             code: "CSALT-A015",
             name: "large-tlb-premise",
             summary: "POM-TLB is larger than the SRAM L2 TLB (warning)",
+        },
+        Rule {
+            code: "CSALT-A016",
+            name: "ways-bound",
+            summary: "cache and SRAM TLB associativity is at most 64",
+        },
+        Rule {
+            code: "CSALT-A017",
+            name: "tlb-sets-pow2",
+            summary: "SRAM TLB set count is a power of two",
+        },
+        Rule {
+            code: "CSALT-A018",
+            name: "bt-plru-ways",
+            summary: "BT-PLRU caches have power-of-two associativity",
         },
     ]
 }

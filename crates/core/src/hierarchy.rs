@@ -1387,6 +1387,67 @@ mod tests {
         }
     }
 
+    /// Geometries that pass the arithmetic checks but that the TLBs,
+    /// caches or BT-PLRU cannot build: each must be a typed error.
+    #[test]
+    fn unbuildable_geometries_are_config_errors() {
+        let sky = SystemConfig::skylake();
+        let l2_tlb_sets_not_pow2 = SystemConfig {
+            l2_tlb: csalt_types::TlbGeometry {
+                entries: 1536,
+                ways: 8,
+                ..sky.l2_tlb
+            },
+            ..sky.clone()
+        };
+        let l2_tlb_128_ways = SystemConfig {
+            l2_tlb: csalt_types::TlbGeometry {
+                entries: 2048,
+                ways: 128,
+                ..sky.l2_tlb
+            },
+            ..sky.clone()
+        };
+        let l3_128_ways = SystemConfig {
+            l3: csalt_types::CacheGeometry {
+                size_bytes: 8 << 20,
+                ways: 128,
+                ..sky.l3
+            },
+            ..sky.clone()
+        };
+        let l3_12_way_bt_plru = SystemConfig {
+            l3: csalt_types::CacheGeometry {
+                size_bytes: 8192 * 12 * 64,
+                ways: 12,
+                ..sky.l3
+            },
+            replacement: csalt_types::ReplacementKind::BtPlru,
+            ..sky.clone()
+        };
+        for (name, cfg, code) in [
+            ("l2 tlb 192 sets", l2_tlb_sets_not_pow2, "CSALT-A017"),
+            ("l2 tlb 128 ways", l2_tlb_128_ways, "CSALT-A016"),
+            ("l3 128 ways", l3_128_ways, "CSALT-A016"),
+            ("l3 12-way bt-plru", l3_12_way_bt_plru, "CSALT-A018"),
+        ] {
+            let built = std::panic::catch_unwind(|| {
+                MemoryHierarchy::try_new(
+                    &cfg,
+                    TranslationScheme::CsaltCd,
+                    true,
+                    HugePagePolicy::NONE,
+                    1,
+                )
+                .map(|_| ())
+            });
+            let Ok(Err(err)) = built else {
+                panic!("{name}: expected a config error");
+            };
+            assert!(err.message().contains(code), "{name}: {err}");
+        }
+    }
+
     #[test]
     fn first_touch_walks_then_l1_tlb_hits() {
         let mut h = hier(TranslationScheme::Conventional, true);

@@ -15,8 +15,9 @@
 use csalt_types::{CkptError, CkptReader, CkptWriter, EntryKind};
 use serde::{Deserialize, Serialize};
 
-/// Sentinel for an empty shadow-stack slot (no real tag reaches
-/// all-ones; see the cache's invalid-tag sentinel).
+/// The tag an empty shadow-stack slot stands for (no real tag reaches
+/// all-ones; see the cache's invalid-tag sentinel). Slots hold tags XOR
+/// `EMPTY`, so an empty slot is `0`.
 const EMPTY: u64 = u64::MAX;
 
 /// Stack-distance profiler for one cache: two shadow LRU tag directories
@@ -26,8 +27,10 @@ pub struct StackDistanceProfiler {
     ways: u32,
     sets: u64,
     interval: u64,
-    /// Shadow tags, one flat array per kind: sampled set `i` owns slots
-    /// `i*K .. (i+1)*K`, an MRU-first tag list padded with [`EMPTY`].
+    /// Shadow tags XOR [`EMPTY`], one flat array per kind: sampled set
+    /// `i` owns slots `i*K .. (i+1)*K`, an MRU-first tag list padded with
+    /// `0` (an empty slot). Zero-filled arrays are empty stacks, so
+    /// construction takes zeroed memory and touches none of it.
     shadow: [Vec<u64>; 2],
     counters: [Vec<u64>; 2],
 }
@@ -101,7 +104,7 @@ impl StackDistanceProfiler {
             ways,
             sets,
             interval,
-            shadow: [vec![EMPTY; slots], vec![EMPTY; slots]],
+            shadow: [vec![0; slots], vec![0; slots]],
             counters: [vec![0; ways as usize + 1], vec![0; ways as usize + 1]],
         }
     }
@@ -131,10 +134,11 @@ impl StackDistanceProfiler {
         };
         let ways = self.ways as usize;
         let stack = &mut self.shadow[kind.index()][idx * ways..(idx + 1) * ways];
+        let stored = tag ^ EMPTY;
         // Tags fill a stack front to back, so the scan stops at the
         // first empty slot.
-        let depth = match stack.iter().position(|&t| t == tag || t == EMPTY) {
-            Some(pos) if stack[pos] == tag => {
+        let depth = match stack.iter().position(|&t| t == stored || t == 0) {
+            Some(pos) if stack[pos] == stored => {
                 // Move-to-front as one rotation instead of remove+insert.
                 stack[..=pos].rotate_right(1);
                 pos as u32
@@ -144,7 +148,7 @@ impl StackDistanceProfiler {
                 // LRU casualty — rotates to the front and takes the new
                 // MRU tag.
                 stack[..=end.unwrap_or(ways - 1)].rotate_right(1);
-                stack[0] = tag;
+                stack[0] = stored;
                 self.ways
             }
         };
@@ -185,10 +189,10 @@ impl StackDistanceProfiler {
         w.u32(self.ways);
         w.u64(self.sets);
         w.u64(self.interval);
-        // Slots are stored XOR [`EMPTY`] so empty slots serialize as
+        // Slots are held XOR [`EMPTY`], so empty slots serialize as
         // zero and the sparse encode collapses them.
         for kind in &self.shadow {
-            w.iter_u64(kind.len(), kind.iter().map(|&t| t ^ EMPTY));
+            w.slice_u64(kind);
         }
         for counters in &self.counters {
             w.slice_u64(counters);
@@ -204,11 +208,10 @@ impl StackDistanceProfiler {
         }
         for kind in &mut self.shadow {
             r.fill_u64(kind)?;
-            kind.iter_mut().for_each(|t| *t ^= EMPTY);
             // A stack fills front to back: no tag may follow an empty slot.
             if kind
                 .chunks_exact(self.ways as usize)
-                .any(|stack| stack.windows(2).any(|p| p[0] == EMPTY && p[1] != EMPTY))
+                .any(|stack| stack.windows(2).any(|p| p[0] == 0 && p[1] != 0))
             {
                 return Err(CkptError::Corrupt("shadow stack has a gap"));
             }

@@ -552,12 +552,15 @@ impl Sweep {
             // simulates the warmup and saves the checkpoint; the
             // group's remaining jobs (the followers) run in the second
             // wave, restore the snapshot, and simulate only their
-            // measured phase. Without a cache directory (or for
-            // warmup-free configs) every job leads and the schedule is
-            // exactly the classic single wave.
+            // measured phase. A leader without a follower runs with no
+            // cache directory: an image nothing in the batch restores
+            // is not worth its encode and its disk. Without a cache
+            // directory (or for warmup-free configs) every job leads
+            // and the schedule is exactly the classic single wave.
             let ckpt_grouping = self.cache_dir.is_some();
             let mut leaders: Vec<usize> = Vec::new();
             let mut followers: Vec<usize> = Vec::new();
+            let mut checkpoints = vec![false; jobs.len()];
             let mut lead_of: BTreeMap<String, usize> = BTreeMap::new();
             for &j in &schedule {
                 let cfg = jobs[j].1;
@@ -568,7 +571,11 @@ impl Sweep {
                             e.insert(j);
                             leaders.push(j);
                         }
-                        Entry::Occupied(_) => followers.push(j),
+                        Entry::Occupied(e) => {
+                            checkpoints[*e.get()] = true;
+                            checkpoints[j] = true;
+                            followers.push(j);
+                        }
                     }
                 } else {
                     leaders.push(j);
@@ -586,6 +593,7 @@ impl Sweep {
                 let next = AtomicUsize::new(0);
                 std::thread::scope(|s| {
                     let (next, jobs, slots, spans) = (&next, &jobs, &slots, &job_spans);
+                    let checkpoints = &checkpoints;
                     for w in 0..workers {
                         s.spawn(move || loop {
                             let pos = next.fetch_add(1, Ordering::Relaxed);
@@ -598,7 +606,8 @@ impl Sweep {
                                 0
                             };
                             let t = Instant::now();
-                            let (r, restored) = run_in(jobs[j].1, self.cache_dir.as_deref());
+                            let dir = self.cache_dir.as_deref().filter(|_| checkpoints[j]);
+                            let (r, restored) = run_in(jobs[j].1, dir);
                             let secs = t.elapsed().as_secs_f64();
                             self.counters.simulated.fetch_add(1, Ordering::Relaxed);
                             if restored {

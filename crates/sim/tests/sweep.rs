@@ -4,7 +4,7 @@
 //! never to wrong results.
 
 use csalt_sim::sweep::config_key;
-use csalt_sim::{run_in, SimConfig, SimResult, Sweep, SweepOptions};
+use csalt_sim::{checkpoint, run_in, SimConfig, SimResult, Sweep, SweepOptions};
 use csalt_types::TranslationScheme;
 use csalt_workloads::{BenchKind, WorkloadSpec};
 use std::path::PathBuf;
@@ -135,6 +135,54 @@ fn cached_deduped_and_fresh_paths_agree() {
     let cached = warm.run_batch(vec![cfg]);
     assert_eq!(warm.stats().simulated, 0);
     assert_eq!(json(&cached[0]), fresh);
+}
+
+/// Warmup images in a sweep's cache directory.
+fn images(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir).map_or(0, |entries| {
+        entries
+            .filter_map(Result::ok)
+            .filter(|e| e.file_name().to_string_lossy().starts_with("ckpt-"))
+            .count()
+    })
+}
+
+/// A leader saves a warmup image only when its batch holds a follower
+/// that restores it. The save counter is process-wide; every other test
+/// in this file runs singleton groups, which no longer checkpoint.
+#[test]
+fn only_leaders_with_followers_save_warmup_images() {
+    let tmp = TempDir::new("singletons");
+    let before = checkpoint::stats();
+    let sweep = Sweep::new(SweepOptions::with_dir(&tmp.0));
+    sweep.run_batch(vec![
+        small(TranslationScheme::Conventional),
+        small(TranslationScheme::PomTlb),
+        small(TranslationScheme::CsaltCd),
+    ]);
+    assert_eq!(checkpoint::stats().saves - before.saves, 0);
+    assert_eq!(images(&tmp.0), 0);
+    assert_eq!(sweep.stats().restored, 0);
+
+    // One warmup prefix, three measured lengths: the leader saves once
+    // and each follower restores.
+    let tmp = TempDir::new("grouped");
+    let group: Vec<SimConfig> = [2_000, 3_000, 4_000]
+        .into_iter()
+        .map(|n| SimConfig {
+            accesses_per_core: n,
+            ..small(TranslationScheme::CsaltCd)
+        })
+        .collect();
+    let before = checkpoint::stats();
+    let sweep = Sweep::new(SweepOptions::with_dir(&tmp.0));
+    let restored = sweep.run_batch(group.clone());
+    assert_eq!(checkpoint::stats().saves - before.saves, 1);
+    assert_eq!(images(&tmp.0), 1);
+    assert_eq!(sweep.stats().restored, 2);
+    for (cfg, r) in group.iter().zip(&restored) {
+        assert_eq!(json(r), json(&run_in(cfg, None).0), "restore is exact");
+    }
 }
 
 #[test]

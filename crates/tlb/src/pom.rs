@@ -33,35 +33,39 @@ pub struct PomLookup {
 
 /// The memory-resident large TLB array.
 ///
-/// Storage is struct-of-arrays with packed `u64` keys (shared with the
-/// SRAM TLBs), MRU-first within each set: the way scan compares one word
-/// per way and recency updates are short rotations — no per-insert
-/// allocation. Valid entries always form a prefix of the set.
+/// Entries are packed `u64` keys (shared with the SRAM TLBs), MRU-first
+/// within each set: the way scan compares one word per way and recency
+/// updates are short rotations — no per-insert allocation. Valid entries
+/// always form a prefix of the set.
 ///
-/// Both arrays encode an empty slot as `0`, so construction takes
-/// zeroed memory and touches none of the array's 16 MiB: pages are
-/// first written when a set is.
-#[derive(Debug, Clone)]
+/// A set is stored from its first write on. `block_of` maps every set to
+/// its block in `pool`, and the pool holds the written sets' blocks in
+/// first-write order. The pool is reserved for every set at
+/// construction, so it never reallocates and the host faults in only the
+/// blocks that get written: the array's memory follows the entries it
+/// holds, not its 16 MiB capacity.
+#[derive(Debug)]
 pub struct PomTlb {
     cfg: PomTlbConfig,
     sets: u64,
     ways: u32,
-    /// Packed key XOR [`EMPTY`] per slot (`keys[set * ways + way]`); `0`
-    /// marks an invalid way.
-    keys: Vec<u64>,
-    /// Frame per slot as `pfn << 2 | size code`, parallel to `keys`
-    /// (`0` where empty).
-    frames: Vec<u64>,
+    /// Per set, one plus its block's position in `pool`; `0` for a set
+    /// never written.
+    block_of: Vec<u32>,
+    /// One block of `2 × ways` words per written set: `ways` packed keys
+    /// XOR [`EMPTY`] (`0` marks an invalid way), then `ways` frames as
+    /// `pfn << 2 | size code` (`0` where empty).
+    pool: Vec<u64>,
     stats: HitMissStats,
 }
 
-/// One frame as a `frames` word.
+/// One frame as a frame word.
 #[inline]
 fn pack_frame(frame: PhysFrame) -> u64 {
     frame.pfn() << 2 | u64::from(size_code(frame.size()))
 }
 
-/// The frame a `frames` word holds (every stored code is valid).
+/// The frame a frame word holds (every stored code is valid).
 #[inline]
 fn unpack_frame(word: u64) -> PhysFrame {
     let size = match word & 3 {
@@ -77,16 +81,21 @@ impl PomTlb {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration's set count is not a power of two.
+    /// Panics if the configuration's set count is not a power of two or
+    /// exceeds `u32::MAX` (CSALT-A007 rejects both).
     pub fn new(cfg: PomTlbConfig) -> Self {
         let sets = cfg.sets();
         assert!(sets.is_power_of_two(), "POM-TLB sets must be 2^k");
+        assert!(
+            sets <= u64::from(u32::MAX),
+            "POM-TLB sets must fit a u32 block index"
+        );
         let slots = (sets * u64::from(cfg.ways)) as usize;
         Self {
             sets,
             ways: cfg.ways,
-            keys: vec![0; slots],
-            frames: vec![0; slots],
+            block_of: vec![0; sets as usize],
+            pool: Vec::with_capacity(2 * slots),
             cfg,
             stats: HitMissStats::new(),
         }
@@ -145,6 +154,32 @@ impl PomTlb {
         PhysAddr::new(self.cfg.base + set * csalt_types::LINE_BYTES).line()
     }
 
+    /// Where `set`'s block starts in `pool`, or `None` for a set never
+    /// written.
+    #[inline]
+    fn block(&self, set: u64) -> Option<usize> {
+        match self.block_of[set as usize] {
+            0 => None,
+            b => Some((b as usize - 1) * 2 * self.ways as usize),
+        }
+    }
+
+    /// Where `set`'s block starts, appending an empty block on the set's
+    /// first write.
+    #[inline]
+    fn block_or_insert(&mut self, set: u64) -> usize {
+        if let Some(at) = self.block(set) {
+            return at;
+        }
+        let at = self.pool.len();
+        let stride = 2 * self.ways as usize;
+        debug_assert!(at + stride <= self.pool.capacity(), "pool is reserved");
+        self.pool.resize(at + stride, 0);
+        // At most `sets` blocks, and `new` bounds `sets` to `u32::MAX`.
+        self.block_of[set as usize] = (at / stride + 1) as u32;
+        at
+    }
+
     /// The home line a translation for (`page`, `asid`) lives in. This is
     /// the address the cache hierarchy sees for both lookups and fills.
     pub fn home_line(&self, page: VirtPage, asid: Asid) -> LineAddr {
@@ -159,26 +194,26 @@ impl PomTlb {
 
     /// [`PomTlb::lookup`] with the key already packed (callers precompute
     /// keys ahead of the lookup; see [`csalt_types::pack_tlb_key`]).
-    /// Identical semantics and statistics — `lookup` delegates here.
+    /// Identical semantics and statistics — `lookup` delegates here. A
+    /// set never written misses without touching the pool.
     pub fn lookup_prepacked(&mut self, packed: u64) -> PomLookup {
         let set = self.set_of_packed(packed);
         let line = self.line_of_set(set);
-        let base = (set * u64::from(self.ways)) as usize;
-        let ways = self.ways as usize;
-        let stored = packed ^ EMPTY;
-        if let Some(way) = self.keys[base..base + ways]
-            .iter()
-            .position(|&k| k == stored)
-        {
-            let frame = unpack_frame(self.frames[base + way]);
-            // Move to MRU (front) by rotating the prefix.
-            self.keys[base..=base + way].rotate_right(1);
-            self.frames[base..=base + way].rotate_right(1);
-            self.stats.record_hit();
-            return PomLookup {
-                frame: Some(frame),
-                line,
-            };
+        if let Some(at) = self.block(set) {
+            let ways = self.ways as usize;
+            let (keys, frames) = self.pool[at..at + 2 * ways].split_at_mut(ways);
+            let stored = packed ^ EMPTY;
+            if let Some(way) = keys.iter().position(|&k| k == stored) {
+                let frame = unpack_frame(frames[way]);
+                // Move to MRU (front) by rotating the prefix.
+                keys[..=way].rotate_right(1);
+                frames[..=way].rotate_right(1);
+                self.stats.record_hit();
+                return PomLookup {
+                    frame: Some(frame),
+                    line,
+                };
+            }
         }
         self.stats.record_miss();
         PomLookup { frame: None, line }
@@ -191,29 +226,28 @@ impl PomTlb {
         let key = TlbKey { page, asid };
         let set = self.set_of(&key);
         let line = self.line_of_set(set);
-        let base = (set * u64::from(self.ways)) as usize;
+        let at = self.block_or_insert(set);
         let ways = self.ways as usize;
+        let (keys, frames) = self.pool[at..at + 2 * ways].split_at_mut(ways);
         let stored = pack(&key) ^ EMPTY;
         // Rotate a stale copy (if present) — else the whole set, pushing
         // the LRU (or an empty tail slot) to the front — then overwrite
         // the front with the new MRU entry. Valid entries stay a prefix.
-        let upto = match self.keys[base..base + ways]
-            .iter()
-            .position(|&k| k == stored)
-        {
-            Some(way) => way,
-            None => ways - 1,
-        };
-        self.keys[base..=base + upto].rotate_right(1);
-        self.frames[base..=base + upto].rotate_right(1);
-        self.keys[base] = stored;
-        self.frames[base] = pack_frame(frame);
+        let upto = keys.iter().position(|&k| k == stored).unwrap_or(ways - 1);
+        keys[..=upto].rotate_right(1);
+        frames[..=upto].rotate_right(1);
+        keys[0] = stored;
+        frames[0] = pack_frame(frame);
         line
     }
 
     /// Number of valid entries currently held (tests / reporting).
     pub fn valid_entries(&self) -> u64 {
-        self.keys.iter().filter(|&&k| k != 0).count() as u64
+        let ways = self.ways as usize;
+        self.pool
+            .chunks_exact(2 * ways)
+            .map(|block| block[..ways].iter().filter(|&&k| k != 0).count() as u64)
+            .sum()
     }
 
     /// Fraction of POM-TLB slots holding a valid translation, in
@@ -228,31 +262,57 @@ impl PomTlb {
         }
     }
 
-    /// Serializes geometry guards, packed keys in positional (MRU-first)
-    /// order, packed frame words and hit/miss counters.
+    /// Serializes geometry guards, then the dense `sets × ways` key and
+    /// frame arrays — packed keys in positional (MRU-first) order, with
+    /// zeros for sets never written — then the hit/miss counters.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.u64(self.sets);
         w.u32(self.ways);
         // Keys are held XOR [`EMPTY`] and frames are `0` where empty, so
-        // untouched slots (the vast majority after a short warmup)
-        // serialize as zero and the sparse encodes collapse them.
-        w.slice_u64(&self.keys);
-        w.slice_u64(&self.frames);
+        // empty slots serialize as zero; the encoder writes sets never
+        // written as zero runs without visiting them.
+        let ways = self.ways as usize;
+        let slots = self.sets as usize * ways;
+        for half in [0, ways] {
+            let written = (0..self.sets as usize).filter_map(|set| {
+                let at = self.block(set as u64)? + half;
+                Some((set * ways, &self.pool[at..at + ways]))
+            });
+            w.runs_u64(slots, written);
+        }
         w.u64(self.stats.hits);
         w.u64(self.stats.misses);
     }
 
     /// Restores state written by [`PomTlb::ckpt_save`] into this
-    /// (config-constructed) array, decoding both slot arrays in place;
-    /// recency is positional, so restoring the key order restores it
-    /// exactly. A frame word with size code 3 is corrupt.
+    /// (config-constructed) array; recency is positional, so restoring
+    /// the key order restores it exactly. Each present word goes
+    /// straight into its set's block, so a restore allocates only the
+    /// blocks the image holds. A frame word with size code 3 is corrupt.
     pub fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         if r.u64()? != self.sets || r.u32()? != self.ways {
             return Err(CkptError::Mismatch("pom-tlb geometry"));
         }
-        r.fill_u64(&mut self.keys)?;
-        r.fill_u64(&mut self.frames)?;
-        if self.frames.iter().any(|&f| f & 3 == 3) {
+        // Start with no set written (a fresh array already has none).
+        if !self.pool.is_empty() {
+            self.block_of.fill(0);
+            self.pool.clear();
+        }
+        let ways = self.ways as usize;
+        let slots = self.sets as usize * ways;
+        r.visit_u64(slots, |i, key| {
+            let at = self.block_or_insert((i / ways) as u64);
+            self.pool[at + i % ways] = key;
+        })?;
+        // The size code is checked after the whole array decodes, so a
+        // framing error anywhere in it is reported first.
+        let mut bad_size_code = false;
+        r.visit_u64(slots, |i, frame| {
+            bad_size_code |= frame & 3 == 3;
+            let at = self.block_or_insert((i / ways) as u64);
+            self.pool[at + ways + i % ways] = frame;
+        })?;
+        if bad_size_code {
             return Err(CkptError::Corrupt("pom-tlb frame size code"));
         }
         self.stats.hits = r.u64()?;
@@ -398,7 +458,7 @@ mod tests {
         );
 
         // A frame word whose size code names no page size is corruption.
-        let slots = p.keys.len();
+        let slots = (p.sets * u64::from(p.ways)) as usize;
         let mut w = CkptWriter::new();
         w.u64(p.sets);
         w.u32(p.ways);
@@ -417,6 +477,95 @@ mod tests {
             PomTlb::new(cfg()).ckpt_load(&mut r),
             Err(CkptError::Corrupt(_))
         ));
+    }
+
+    /// Sets written so far: the pool's block count.
+    fn blocks(p: &PomTlb) -> usize {
+        p.pool.len() / (2 * p.ways as usize)
+    }
+
+    #[test]
+    fn sets_are_stored_from_their_first_write() {
+        let mut p = PomTlb::new(cfg());
+        let a = Asid::new(1);
+        for vpn in 0..100 {
+            assert!(p.lookup(page(vpn), a).frame.is_none());
+        }
+        assert_eq!(blocks(&p), 0, "a miss in an unwritten set stores nothing");
+        assert_eq!(p.pool.capacity(), 2 * cfg().entries() as usize);
+        let sets: std::collections::BTreeSet<u64> = (0..100)
+            .map(|vpn| {
+                p.insert(page(vpn), a, frame(vpn));
+                p.set_of(&TlbKey {
+                    page: page(vpn),
+                    asid: a,
+                })
+            })
+            .collect();
+        assert_eq!(blocks(&p), sets.len());
+        assert_eq!(p.valid_entries(), 100);
+        assert_eq!(
+            p.pool.capacity(),
+            2 * cfg().entries() as usize,
+            "no regrowth"
+        );
+    }
+
+    #[test]
+    fn restore_allocates_only_the_blocks_the_image_holds() {
+        let mut p = PomTlb::new(cfg());
+        for vpn in 0..300 {
+            p.insert(page(vpn * 7), Asid::new((vpn % 3) as u16 + 1), frame(vpn));
+        }
+        let mut w = CkptWriter::new();
+        p.ckpt_save(&mut w);
+        let image = w.finish("fp");
+
+        // Into a fresh array, and into one that already holds other sets.
+        let mut fresh = PomTlb::new(cfg());
+        let mut used = PomTlb::new(cfg());
+        for vpn in 0..5_000 {
+            used.insert(page(vpn), Asid::new(9), frame(vpn));
+        }
+        for q in [&mut fresh, &mut used] {
+            let mut r = CkptReader::open(&image, "fp").expect("image opens");
+            q.ckpt_load(&mut r).expect("image restores");
+            r.finish().expect("whole image read");
+            assert_eq!(blocks(q), blocks(&p));
+            assert_eq!(q.valid_entries(), p.valid_entries());
+            let mut again = CkptWriter::new();
+            q.ckpt_save(&mut again);
+            assert_eq!(again.finish("fp"), image);
+        }
+    }
+
+    /// The image of a fixed insert sequence over five ASIDs and both
+    /// page sizes, at the default 16 MiB geometry: its checksum is
+    /// pinned, so any change to the encoding or to set placement shows.
+    #[test]
+    fn image_of_a_fixed_insert_sequence_is_pinned() {
+        let mut p = PomTlb::new(csalt_types::SystemConfig::skylake().pom_tlb);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let size = if i % 3 == 0 {
+                PageSize::Size2M
+            } else {
+                PageSize::Size4K
+            };
+            let page = VirtPage::from_vpn(x % 50_000, size);
+            p.insert(page, Asid::new((i % 5) as u16 + 1), frame(x >> 40));
+        }
+        let mut w = CkptWriter::new();
+        p.ckpt_save(&mut w);
+        let image = w.finish("pin");
+        assert_eq!(
+            (image.len(), csalt_types::ckpt::image_checksum(&image)),
+            (575_535, 7_008_571_049_651_001_387),
+            "recorded with the dense two-array layout"
+        );
     }
 
     #[test]

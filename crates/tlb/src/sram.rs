@@ -79,8 +79,8 @@ impl SramTlb {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not validate or the set count is not a
-    /// power of two; see [`SramTlb::try_new`] for the fallible form.
+    /// Panics if the geometry does not validate; see [`SramTlb::try_new`]
+    /// for the fallible form.
     pub fn new(geom: TlbGeometry) -> Self {
         Self::try_new(geom).expect("TLB geometry must be valid")
     }
@@ -91,15 +91,11 @@ impl SramTlb {
     /// # Errors
     ///
     /// Returns [`csalt_types::ConfigError`] when the geometry fails a
-    /// static invariant or the derived set count is not a power of two.
+    /// static invariant (a set count that is not a power of two is
+    /// CSALT-A017).
     pub fn try_new(geom: TlbGeometry) -> Result<Self, csalt_types::ConfigError> {
         geom.validate("sram-tlb")?;
         let sets = geom.sets();
-        if !sets.is_power_of_two() {
-            return Err(csalt_types::ConfigError::new(format!(
-                "sram-tlb: {sets} sets is not a power of two"
-            )));
-        }
         let slots = (sets * geom.ways) as usize;
         let policy = Policy::new(ReplacementKind::TrueLru, geom.ways);
         Ok(Self {

@@ -19,7 +19,10 @@
 //! Fixed-shape arrays decode in place: [`CkptReader::fill_u64`] and
 //! [`CkptReader::fill_u8`] write straight into the owning component's
 //! slice, visiting only the elements the presence bitmap marks, so a
-//! restore allocates no temporary copy of a multi-megabyte array.
+//! restore allocates no temporary copy of a multi-megabyte array. A
+//! component that stores its array sparsely decodes through
+//! [`CkptReader::visit_u64`] instead, which hands it each present
+//! `(index, word)` and needs no dense slice at all.
 
 use std::fmt;
 
@@ -207,6 +210,40 @@ impl CkptWriter {
     /// Panics if the iterator does not yield exactly `n` items.
     pub fn iter_u64<I: Iterator<Item = u64>>(&mut self, n: usize, values: I) {
         self.sparse(n, values, u64::to_le_bytes);
+    }
+
+    /// [`CkptWriter::slice_u64`] for an `n`-word array that is zero
+    /// outside the runs `present` yields as `(start, words)`, in
+    /// increasing order. It writes the same bytes as `slice_u64` over
+    /// the whole array, but its cost follows the runs: the bitmap starts
+    /// zeroed and only the runs' words are visited.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run starts before the previous one ends or reaches
+    /// past `n`.
+    pub fn runs_u64<'r>(
+        &mut self,
+        n: usize,
+        present: impl IntoIterator<Item = (usize, &'r [u64])>,
+    ) {
+        self.len64(n);
+        let bm = self.buf.len();
+        self.buf.resize(bm + n.div_ceil(8), 0);
+        let mut end = 0;
+        for (start, words) in present {
+            assert!(
+                start >= end && start + words.len() <= n,
+                "runs overlap or reach past the array"
+            );
+            for (i, &w) in (start..).zip(words) {
+                if w != 0 {
+                    self.buf[bm + i / 8] |= 1 << (i % 8);
+                    self.buf.extend_from_slice(&w.to_le_bytes());
+                }
+            }
+            end = start + words.len();
+        }
     }
 
     /// Append a length-prefixed `u8` slice in sparse form (same scheme
@@ -497,6 +534,44 @@ impl<'a> CkptReader<'a> {
             return Err(CkptError::Mismatch("sparse array length"));
         }
         scatter(bitmap, raw, dst, u64::from_le_bytes)
+    }
+
+    /// Decode a sparse `u64` array of `n` elements without a destination
+    /// slice: `visit(index, word)` receives each present (nonzero) word
+    /// in index order. It accepts and rejects exactly the images
+    /// [`CkptReader::fill_u64`] does into an `n`-element slice, so a
+    /// receiver that stores its array sparsely restores only what the
+    /// image holds. On an error `visit` may already have seen a prefix.
+    pub fn visit_u64(
+        &mut self,
+        n: usize,
+        mut visit: impl FnMut(usize, u64),
+    ) -> Result<(), CkptError> {
+        let (len, bitmap, raw) = self.sparse(8)?;
+        if len != n {
+            return Err(CkptError::Mismatch("sparse array length"));
+        }
+        // `sparse` has checked that `raw` holds one word per set bit and
+        // that no bit lies past `n`.
+        let mut values = raw.chunks_exact(8);
+        for (group, bits) in bitmap.chunks(8).enumerate() {
+            let mut word = [0u8; 8];
+            word[..bits.len()].copy_from_slice(bits);
+            let mut bits = u64::from_le_bytes(word);
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let v = values
+                    .next()
+                    .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+                    .ok_or(CkptError::Truncated)?;
+                if v == 0 {
+                    return Err(CkptError::Corrupt("zero value marked present"));
+                }
+                visit(group * 64 + i, v);
+            }
+        }
+        Ok(())
     }
 
     /// The `u8` form of [`CkptReader::fill_u64`], matching
@@ -842,11 +917,40 @@ mod tests {
         }
     }
 
+    /// `visit_u64` as a fill: a zeroed slice of the declared length that
+    /// receives every visited word, checking that indices rise.
+    fn visit_fill(r: &mut CkptReader<'_>, dst: &mut [u64]) -> Result<(), CkptError> {
+        dst.fill(0);
+        let mut last = None;
+        r.visit_u64(dst.len(), |i, v| {
+            assert!(last < Some(i), "indices rise");
+            last = Some(i);
+            dst[i] = v;
+        })
+    }
+
+    #[test]
+    fn visit_reports_present_words_and_checks_the_length() {
+        let mut w = CkptWriter::new();
+        w.slice_u64(&[0, 7, 0, 9]);
+        let img = w.finish("v0-test");
+        let mut r = CkptReader::open(&img, "v0-test").expect("opens");
+        assert_eq!(
+            r.visit_u64(5, |_, _| panic!("no word before the length check")),
+            Err(CkptError::Mismatch("sparse array length"))
+        );
+        let mut r = CkptReader::open(&img, "v0-test").expect("opens");
+        let mut seen = Vec::new();
+        r.visit_u64(4, |i, v| seen.push((i, v))).expect("visits");
+        assert_eq!(seen, [(1, 7), (3, 9)]);
+        r.finish().expect("done");
+    }
+
     proptest! {
         /// `fill_u64` accepts and rejects exactly what `vec_u64` does —
         /// the same error, or the same words and cursor — over valid
         /// sparse arrays and damaged copies of them, whatever `dst`
-        /// held before.
+        /// held before. `visit_u64` agrees with both.
         #[test]
         fn fill_u64_agrees_with_vec_u64(
             cells in prop::collection::vec((any::<u64>(), 0u8..4), 0..200),
@@ -858,7 +962,35 @@ mod tests {
             w.slice_u64(&words);
             for img in variants(&w.buf, &edits) {
                 agree(&img, stale, CkptReader::vec_u64, CkptReader::fill_u64);
+                agree(&img, stale, CkptReader::vec_u64, visit_fill);
             }
+        }
+
+        /// `runs_u64` writes the same bytes as `slice_u64` over the array
+        /// its runs describe: each run follows a gap of zeros, some of
+        /// its own words are zero, and zeros may trail the last run.
+        #[test]
+        fn runs_u64_writes_what_slice_u64_does(
+            runs in prop::collection::vec(
+                (0usize..20, prop::collection::vec((any::<u64>(), 0u8..3), 0..6)),
+                0..30,
+            ),
+            tail in 0usize..20,
+        ) {
+            let mut dense = Vec::new();
+            let mut present = Vec::new();
+            for (gap, cells) in &runs {
+                dense.resize(dense.len() + gap, 0);
+                let words: Vec<u64> = cells.iter().map(|&(v, keep)| if keep == 0 { 0 } else { v }).collect();
+                present.push((dense.len(), words.clone()));
+                dense.extend(words);
+            }
+            dense.resize(dense.len() + tail, 0);
+            let mut a = CkptWriter::new();
+            a.slice_u64(&dense);
+            let mut b = CkptWriter::new();
+            b.runs_u64(dense.len(), present.iter().map(|(at, w)| (*at, w.as_slice())));
+            prop_assert_eq!(a.buf, b.buf);
         }
 
         /// The `u8` twin of `fill_u64_agrees_with_vec_u64`.

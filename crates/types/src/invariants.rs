@@ -15,7 +15,8 @@
 
 use crate::addr::LINE_BYTES;
 use crate::config::{
-    CacheGeometry, DramTimings, PomTlbConfig, SystemConfig, TlbGeometry, TranslationScheme,
+    CacheGeometry, DramTimings, PomTlbConfig, ReplacementKind, SystemConfig, TlbGeometry,
+    TranslationScheme,
 };
 use serde::Serialize;
 use std::fmt;
@@ -88,7 +89,24 @@ pub fn first_error(violations: &[Violation]) -> Option<&Violation> {
     violations.iter().find(|v| v.severity == Severity::Error)
 }
 
-/// CSALT-A001..A004: cache geometry consistency.
+/// Most ways a cache or SRAM TLB set may have: replacement state and
+/// partition masks hold one bit per way in a `u64`.
+const MAX_WAYS: u32 = 64;
+
+/// CSALT-A016: associativity within the 64-way masks.
+fn check_ways(name: &str, ways: u32) -> Option<Violation> {
+    (ways > MAX_WAYS).then(|| {
+        Violation::error(
+            "CSALT-A016",
+            name,
+            format!(
+                "{ways} ways exceed {MAX_WAYS}: replacement state holds one bit per way in a u64"
+            ),
+        )
+    })
+}
+
+/// CSALT-A001..A004 and A016: cache geometry consistency.
 pub fn check_cache_geometry(name: &str, geom: &CacheGeometry) -> Vec<Violation> {
     let mut out = Vec::new();
     if geom.size_bytes == 0 || geom.ways == 0 || geom.line_bytes == 0 {
@@ -100,6 +118,7 @@ pub fn check_cache_geometry(name: &str, geom: &CacheGeometry) -> Vec<Violation> 
         // The remaining arithmetic would divide by zero.
         return out;
     }
+    out.extend(check_ways(name, geom.ways));
     if !geom
         .size_bytes
         .is_multiple_of(geom.line_bytes * u64::from(geom.ways))
@@ -139,7 +158,7 @@ pub fn check_cache_geometry(name: &str, geom: &CacheGeometry) -> Vec<Violation> 
     out
 }
 
-/// CSALT-A005..A006: SRAM TLB geometry consistency.
+/// CSALT-A005..A006, A016 and A017: SRAM TLB geometry consistency.
 pub fn check_tlb_geometry(name: &str, geom: &TlbGeometry) -> Vec<Violation> {
     let mut out = Vec::new();
     if geom.entries == 0 || geom.ways == 0 {
@@ -150,6 +169,7 @@ pub fn check_tlb_geometry(name: &str, geom: &TlbGeometry) -> Vec<Violation> {
         ));
         return out;
     }
+    out.extend(check_ways(name, geom.ways));
     if !geom.entries.is_multiple_of(geom.ways) {
         out.push(Violation::error(
             "CSALT-A006",
@@ -157,6 +177,15 @@ pub fn check_tlb_geometry(name: &str, geom: &TlbGeometry) -> Vec<Violation> {
             format!(
                 "{} entries not divisible by {} ways; sets would be fractional",
                 geom.entries, geom.ways
+            ),
+        ));
+    } else if !geom.sets().is_power_of_two() {
+        out.push(Violation::error(
+            "CSALT-A017",
+            name,
+            format!(
+                "set count {} is not a power of two (the set index is a bit slice)",
+                geom.sets()
             ),
         ));
     }
@@ -192,6 +221,17 @@ pub fn check_pom_tlb(pom: &PomTlbConfig) -> Vec<Violation> {
             "CSALT-A007",
             subject,
             format!("set count {} is not a power of two", pom.sets()),
+        ));
+    }
+    if pom.sets() > u64::from(u32::MAX) {
+        out.push(Violation::error(
+            "CSALT-A007",
+            subject,
+            format!(
+                "set count {} exceeds {}: sets are indexed by a u32 block number",
+                pom.sets(),
+                u32::MAX
+            ),
         ));
     }
     if pom.base.checked_add(pom.size_bytes).is_none() {
@@ -252,7 +292,7 @@ const MAX_CORES: u32 = 256;
 /// 16-bit id of which 0 is never assigned.
 const MAX_CONTEXTS_PER_CORE: u32 = 65_535;
 
-/// CSALT-A009..A013: whole-system parameters and cross-component
+/// CSALT-A009..A013 and A018: whole-system parameters and cross-component
 /// relationships. Includes every sub-geometry check.
 pub fn check_system(cfg: &SystemConfig) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -328,6 +368,20 @@ pub fn check_system(cfg: &SystemConfig) -> Vec<Violation> {
     out.extend(check_pom_tlb(&cfg.pom_tlb));
     out.extend(check_dram_timings("ddr", &cfg.ddr));
     out.extend(check_dram_timings("die-stacked", &cfg.die_stacked));
+    if cfg.replacement == ReplacementKind::BtPlru {
+        for (name, geom) in [("l1d", &cfg.l1d), ("l2", &cfg.l2), ("l3", &cfg.l3)] {
+            if !geom.ways.is_power_of_two() {
+                out.push(Violation::error(
+                    "CSALT-A018",
+                    name,
+                    format!(
+                        "{} ways under BT-PLRU: its binary tree needs a power-of-two associativity",
+                        geom.ways
+                    ),
+                ));
+            }
+        }
+    }
 
     if cfg.epoch_accesses == 0 {
         out.push(Violation::error(
@@ -512,6 +566,79 @@ mod tests {
                 .any(|v| v.code == "CSALT-A009" && v.severity == Severity::Error);
             assert_eq!(a009, !ok, "{cores} cores, {contexts_per_core} contexts");
         }
+    }
+
+    fn has_error(violations: &[Violation], code: &str) -> bool {
+        violations
+            .iter()
+            .any(|v| v.code == code && v.severity == Severity::Error)
+    }
+
+    #[test]
+    fn pom_set_count_is_bounded_by_the_block_index() {
+        for (sets, ok) in [(1u64 << 31, true), (1 << 32, false)] {
+            let pom = PomTlbConfig {
+                size_bytes: sets * 4 * 16,
+                ..skylake().pom_tlb
+            };
+            assert_eq!(pom.sets(), sets);
+            assert_eq!(has_error(&check_pom_tlb(&pom), "CSALT-A007"), !ok, "{sets}");
+        }
+    }
+
+    #[test]
+    fn ways_are_bounded_by_the_way_masks() {
+        for (ways, ok) in [(64, true), (128, false)] {
+            let tlb = TlbGeometry {
+                entries: 16 * ways,
+                ways,
+                latency: 1,
+            };
+            assert_eq!(
+                has_error(&check_tlb_geometry("l2-tlb", &tlb), "CSALT-A016"),
+                !ok
+            );
+            let cache = CacheGeometry {
+                size_bytes: 1024 * 64 * u64::from(ways),
+                ways,
+                ..skylake().l3
+            };
+            assert_eq!(
+                has_error(&check_cache_geometry("l3", &cache), "CSALT-A016"),
+                !ok
+            );
+        }
+    }
+
+    #[test]
+    fn tlb_sets_must_be_a_power_of_two() {
+        for (entries, ok) in [(1024, true), (1536, false)] {
+            let tlb = TlbGeometry {
+                entries,
+                ways: 8,
+                latency: 1,
+            };
+            assert_eq!(
+                has_error(&check_tlb_geometry("l2-tlb", &tlb), "CSALT-A017"),
+                !ok
+            );
+        }
+    }
+
+    #[test]
+    fn bt_plru_needs_power_of_two_ways() {
+        let mut cfg = skylake();
+        cfg.l3 = CacheGeometry {
+            size_bytes: 2048 * 12 * 64,
+            ways: 12,
+            ..cfg.l3
+        };
+        assert!(
+            !has_error(&check_system(&cfg), "CSALT-A018"),
+            "True-LRU takes 12 ways"
+        );
+        cfg.replacement = ReplacementKind::BtPlru;
+        assert!(has_error(&check_system(&cfg), "CSALT-A018"));
     }
 
     #[test]

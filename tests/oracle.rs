@@ -11,15 +11,21 @@
 //! associativities the machine configurations use. Random address
 //! streams drive both page tables; every walk must agree on the frame
 //! and the PTE reads, and the checkpoint encodings must be identical.
+//! Random lookup/insert streams drive the set-block [`PomTlb`] and the
+//! dense two-array POM-TLB it replaced, with the same checks.
 
+mod pom_reference;
 mod radix_reference;
 
 use csalt::cache::{way_range_mask, Cache, CacheStats, Evicted, InsertPos, Occupancy, WayMask};
 use csalt::profiler::StackDistanceProfiler;
 use csalt::ptw::{FrameAllocator, HugePagePolicy, RadixPageTable};
+use csalt::tlb::PomTlb;
 use csalt::types::{
-    CkptReader, CkptWriter, EntryKind, HitMissStats, LineAddr, ReplacementKind, VirtAddr,
+    Asid, CkptReader, CkptWriter, EntryKind, HitMissStats, LineAddr, PageSize, PhysFrame,
+    PomTlbConfig, ReplacementKind, VirtAddr, VirtPage,
 };
+use pom_reference::DensePom;
 use proptest::prelude::*;
 use radix_reference::ReferenceTable;
 
@@ -481,6 +487,27 @@ fn radix_round_trip(table: &RadixPageTable, policy: HugePagePolicy) -> RadixPage
     fresh
 }
 
+/// A POM-TLB of `sets` sets of `ways` 16-byte entries.
+fn pom_config(sets: u64, ways: u32) -> PomTlbConfig {
+    PomTlbConfig {
+        size_bytes: sets * u64::from(ways) * 16,
+        ways,
+        entry_bytes: 16,
+        base: 0x7e00_0000_0000,
+    }
+}
+
+/// Round-trips `pom` through its checkpoint encoding into a fresh array
+/// of the same geometry.
+fn pom_round_trip(pom: &PomTlb) -> PomTlb {
+    let bytes = image(|w| pom.ckpt_save(w));
+    let mut r = CkptReader::open(&bytes, "oracle").expect("valid image");
+    let mut fresh = PomTlb::new(*pom.config());
+    fresh.ckpt_load(&mut r).expect("image loads");
+    r.finish().expect("image fully consumed");
+    fresh
+}
+
 /// Address spans the page-table streams draw from: dense ones share
 /// upper-level tables, the widest fans out at the root.
 const VA_SPANS: [u64; 4] = [1 << 22, 1 << 30, 1 << 40, 1 << 57];
@@ -613,5 +640,52 @@ proptest! {
         let bytes = image(|w| table.ckpt_save(w));
         prop_assert_eq!(&bytes, &image(|w| oracle.ckpt_save(w)));
         prop_assert_eq!(image(|w| radix_round_trip(&table, policy).ckpt_save(w)), bytes);
+    }
+
+    /// The set-block POM-TLB matches the dense two-array reference on
+    /// random lookup/insert streams over five ASIDs and both page sizes,
+    /// at several associativities: every lookup returns the same frame
+    /// and line, every insert the same line, and the home lines, hit and
+    /// miss counters and valid-entry counts agree at every step. The
+    /// checkpoint encodings are identical, also after a round trip
+    /// halfway through the stream, and each model restores the other's
+    /// image.
+    #[test]
+    fn pom_matches_dense_reference(
+        ops in prop::collection::vec((0u64..600, 0u16..20, 0u64..1 << 30), 1..400),
+    ) {
+        for ways in [1, 4, 8] {
+            let cfg = pom_config(64, ways);
+            let mut pom = PomTlb::new(cfg);
+            let mut oracle = DensePom::new(cfg);
+            let half = ops.len() / 2;
+            for (i, &(vpn, control, pfn)) in ops.iter().enumerate() {
+                if i == half {
+                    pom = pom_round_trip(&pom);
+                }
+                // `control` picks the ASID, the page size and the operation.
+                let (asid, huge, insert) = (control % 5, control / 5 % 2 == 1, control / 10 == 1);
+                let size = if huge { PageSize::Size2M } else { PageSize::Size4K };
+                let page = VirtPage::from_vpn(vpn, size);
+                let asid = Asid::new(asid + 1);
+                prop_assert_eq!(pom.home_line(page, asid), oracle.home_line(page, asid));
+                if insert {
+                    let frame = PhysFrame::from_pfn(pfn, size);
+                    prop_assert_eq!(pom.insert(page, asid, frame), oracle.insert(page, asid, frame));
+                } else {
+                    let got = pom.lookup(page, asid);
+                    prop_assert_eq!((got.frame, got.line), oracle.lookup(page, asid), "{}-way step {}", ways, i);
+                }
+                prop_assert_eq!(pom.stats(), &oracle.stats);
+                prop_assert_eq!(pom.valid_entries(), oracle.valid_entries());
+            }
+            let bytes = image(|w| pom.ckpt_save(w));
+            prop_assert_eq!(&bytes, &image(|w| oracle.ckpt_save(w)));
+            prop_assert_eq!(&image(|w| pom_round_trip(&pom).ckpt_save(w)), &bytes);
+            let mut r = CkptReader::open(&bytes, "oracle").expect("valid image");
+            let mut dense = DensePom::new(cfg);
+            dense.ckpt_load(&mut r).expect("dense model restores the image");
+            prop_assert_eq!(image(|w| dense.ckpt_save(w)), bytes);
+        }
     }
 }
