@@ -29,10 +29,9 @@
 #      be byte-identical to the disabled one, reject no image (zero
 #      fallbacks) and restore once per follower config (every config
 #      after the first of its warmup-prefix group)
-#   6b. functional fast-forward smoke: a `--warmup-mode functional`
-#      sampled-window run with the audit feature live (conservation
-#      laws checked at every epoch boundary), run twice — the two
-#      outputs must be byte-identical
+#   6b. audit smoke: a multi-VM csalt-cd CLI run with the audit
+#      feature live (conservation laws checked at every epoch
+#      boundary), run twice — the two outputs must be byte-identical
 #   6c. trace record smoke: `trace-record` writes a v2 trace twice —
 #      the file must be one 32-byte header plus one 32-byte record per
 #      access, and the two recordings byte-identical
@@ -97,20 +96,19 @@ cargo run -q -p csalt-sim --bin csalt-experiments -- cache-gate
 step "checkpoint gate (fork-from-snapshot byte-identical, 0 fallbacks, every follower restores)"
 cargo run -q -p csalt-sim --bin csalt-experiments -- ckpt-gate
 
-step "functional fast-forward smoke (audit laws live, bit-deterministic)"
-tmp_ff_a="$(mktemp -t csalt-ff-a-XXXXXX.txt)"
-tmp_ff_b="$(mktemp -t csalt-ff-b-XXXXXX.txt)"
+step "audit smoke (audit laws live, bit-deterministic)"
+tmp_audit_a="$(mktemp -t csalt-audit-a-XXXXXX.txt)"
+tmp_audit_b="$(mktemp -t csalt-audit-b-XXXXXX.txt)"
 tmp_rec_a="$(mktemp -t csalt-rec-a-XXXXXX.trace)"
 tmp_rec_b="$(mktemp -t csalt-rec-b-XXXXXX.trace)"
-trap 'rm -f "$tmp_stream" "$tmp_trace" "$tmp_ff_a" "$tmp_ff_b" "$tmp_rec_a" "$tmp_rec_b"' EXIT
-ff_smoke() {
+trap 'rm -f "$tmp_stream" "$tmp_trace" "$tmp_audit_a" "$tmp_audit_b" "$tmp_rec_a" "$tmp_rec_b"' EXIT
+audit_smoke() {
     cargo run -q -p csalt-sim --features audit --bin csalt-experiments -- \
-        run graph500_gups csalt-cd --accesses 12000 --warmup 4000 --scale 0.05 \
-        --warmup-mode functional --sample-windows 2 --window-accesses 3000
+        run graph500_gups csalt-cd --accesses 12000 --warmup 4000 --scale 0.05
 }
-ff_smoke > "$tmp_ff_a"
-ff_smoke > "$tmp_ff_b"
-cmp "$tmp_ff_a" "$tmp_ff_b"
+audit_smoke > "$tmp_audit_a"
+audit_smoke > "$tmp_audit_b"
+cmp "$tmp_audit_a" "$tmp_audit_b"
 
 step "trace record smoke (v2 framing, deterministic bytes)"
 for out in "$tmp_rec_a" "$tmp_rec_b"; do

@@ -20,7 +20,7 @@
 //!   floor (like-for-like: short runs are systematically slower than
 //!   the full-length rate because less of the modelled state is warm),
 //!   and **fails** if any scheme drops more than 20% below it. The
-//!   fast-forward and trace-replay floors are held in the same pass.
+//!   trace-replay floor is held in the same pass.
 //!   Retries a failing comparison up to two more times, keeping each
 //!   case's best rate, so a transient co-tenant noise burst does not
 //!   fail the gate. Never writes the file.
@@ -32,7 +32,7 @@
 //! checkpoints, so no round restores a warmup image another round
 //! saved.
 
-use csalt_sim::{experiments, run, SimConfig, WarmupMode};
+use csalt_sim::{experiments, run, SimConfig};
 use csalt_types::{Asid, TranslationScheme};
 use csalt_workloads::{BenchKind, TraceFile, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -62,21 +62,12 @@ struct ThroughputRecord {
     warmup_accesses_per_core: u64,
     /// Per-scheme steady-state throughput, in fig07 presentation order.
     schemes: Vec<SchemeThroughput>,
-    /// Functional fast-forward accesses/sec: a warmup-dominated csalt-cd
-    /// run under `--warmup-mode functional` (state updates only, no
-    /// cycle accounting).
-    fastforward_accesses_per_sec: f64,
-    /// The identical warmup-dominated run with timed warmup — the
-    /// baseline the fast-forward speedup compares against.
-    fastforward_timed_accesses_per_sec: f64,
     /// v2 staged replay: records/sec through a bare staging loop
     /// with prepacked TLB keys (`TraceFile::next_staged`).
     trace_replay_v2_accesses_per_sec: f64,
-    /// Smoke-length functional fast-forward rate — the floor the
-    /// `CSALT_SMOKE=1` gate holds the fast-forward path to, inside the
-    /// same noise-retry loop as the scheme floors.
-    fastforward_smoke_accesses_per_sec: f64,
-    /// Smoke-length v2 staged replay rate — same role for trace replay.
+    /// Smoke-length v2 staged replay rate — the floor the
+    /// `CSALT_SMOKE=1` gate holds trace replay to, inside the same
+    /// noise-retry loop as the scheme floors.
     trace_replay_v2_smoke_accesses_per_sec: f64,
 }
 
@@ -140,44 +131,12 @@ fn measure(cfg: &SimConfig, rounds: u32) -> f64 {
     best
 }
 
-/// Speedup target for the functional fast-forward (a warning, not a
-/// gate — single-thread CI runners measure it under co-tenant noise).
-const FASTFORWARD_TARGET: f64 = 5.0;
-
-/// (measured, warmup, rounds) for the fast-forward measurement: warmup
-/// dominates 30:1, so the run's rate is the warmup path's rate.
-const FF_RUN: (u64, u64, u32) = (4_000, 120_000, 3);
-
 /// Distinct records in the replay micro-loop (wraps like the engine).
 const REPLAY_RECORDS: u64 = 65_536;
 /// Accesses replayed per full-length timing round.
 const REPLAY_ACCESSES: u64 = 4_000_000;
-
-/// (measured, warmup, rounds) for the *smoke-length* fast-forward
-/// measurement the gate retries alongside the scheme floors.
-const FF_SMOKE_RUN: (u64, u64, u32) = (1_000, 30_000, 1);
 /// Accesses replayed per smoke-length replay timing round.
 const REPLAY_SMOKE_ACCESSES: u64 = 500_000;
-
-/// Functional vs timed warmup throughput on a warmup-dominated csalt-cd
-/// run: `(functional, timed)` accesses/sec.
-fn measure_fastforward() -> (f64, f64) {
-    let (accesses, warmup, rounds) = FF_RUN;
-    let mut cfg = config(TranslationScheme::CsaltCd, accesses, warmup);
-    let timed = measure(&cfg, rounds);
-    cfg.warmup_mode = WarmupMode::Functional;
-    let functional = measure(&cfg, rounds);
-    (functional, timed)
-}
-
-/// Smoke-length functional fast-forward rate (no timed counterpart —
-/// the gate only needs the functional floor).
-fn measure_fastforward_smoke() -> f64 {
-    let (accesses, warmup, rounds) = FF_SMOKE_RUN;
-    let mut cfg = config(TranslationScheme::CsaltCd, accesses, warmup);
-    cfg.warmup_mode = WarmupMode::Functional;
-    measure(&cfg, rounds)
-}
 
 /// Staged (prepacked keys) replay rate through a bare staging loop:
 /// records/sec, best of `rounds`.
@@ -237,12 +196,11 @@ fn run_smoke_gate(path: &Path) {
     }
 
     // Keep each case's best rate across attempts: one quiet window is
-    // enough to prove the engine is not slower. The fast-forward and
-    // trace-replay floors ride the same retry loop as the scheme
-    // floors, so a noise burst on any one case costs a retry, never a
-    // one-shot verdict.
+    // enough to prove the engine is not slower. The trace-replay floor
+    // rides the same retry loop as the scheme floors, so a noise burst
+    // on any one case costs a retry, never a one-shot verdict.
     let mut best: Vec<(String, f64)> = Vec::new();
-    let (mut best_ff, mut best_replay) = (0.0f64, 0.0f64);
+    let mut best_replay = 0.0f64;
     for attempt in 1..=SMOKE_ATTEMPTS {
         for (label, aps) in measure_smoke_all() {
             match best.iter_mut().find(|(l, _)| *l == label) {
@@ -250,7 +208,6 @@ fn run_smoke_gate(path: &Path) {
                 None => best.push((label, aps)),
             }
         }
-        best_ff = best_ff.max(measure_fastforward_smoke());
         best_replay = best_replay.max(measure_trace_replay(1, REPLAY_SMOKE_ACCESSES));
         let mut failed = false;
         for rec in &recorded.schemes {
@@ -263,11 +220,6 @@ fn run_smoke_gate(path: &Path) {
             };
             failed |= !check(&rec.scheme, now, rec.smoke_accesses_per_sec);
         }
-        failed |= !check(
-            "fastforward",
-            best_ff,
-            recorded.fastforward_smoke_accesses_per_sec,
-        );
         failed |= !check(
             "trace_replay_v2",
             best_replay,
@@ -358,25 +310,11 @@ fn main() {
         });
     }
 
-    let (ff_functional, ff_timed) = measure_fastforward();
-    let ff_speedup = ff_functional / ff_timed;
-    println!(
-        "   fastforward: {ff_functional:>12.0} acc/s vs timed {ff_timed:>12.0} acc/s \
-         ({ff_speedup:.2}x)",
-    );
-    if ff_speedup < FASTFORWARD_TARGET {
-        println!(
-            "   fastforward  WARNING: functional warmup speedup {ff_speedup:.2}x is below \
-             the {FASTFORWARD_TARGET}x target",
-        );
-    }
-
     let replay_v2 = measure_trace_replay(rounds, REPLAY_ACCESSES);
     println!("trace_replay_v2: {replay_v2:>12.0} rec/s");
 
-    // Smoke-length floors for the fast paths, recorded like-for-like so
-    // the gate's retry loop compares short runs against short runs.
-    let ff_smoke = measure_fastforward_smoke();
+    // Smoke-length replay floor, recorded like-for-like so the gate's
+    // retry loop compares short runs against short runs.
     let replay_v2_smoke = measure_trace_replay(1, REPLAY_SMOKE_ACCESSES);
 
     let record = ThroughputRecord {
@@ -389,10 +327,7 @@ fn main() {
         accesses_per_core: accesses,
         warmup_accesses_per_core: warmup,
         schemes,
-        fastforward_accesses_per_sec: ff_functional,
-        fastforward_timed_accesses_per_sec: ff_timed,
         trace_replay_v2_accesses_per_sec: replay_v2,
-        fastforward_smoke_accesses_per_sec: ff_smoke,
         trace_replay_v2_smoke_accesses_per_sec: replay_v2_smoke,
     };
     let json = serde_json::to_string_pretty(&record).expect("record serializes");
@@ -409,11 +344,6 @@ fn main() {
             "higher",
         ));
     }
-    history.push((
-        "fastforward/accesses_per_sec".to_owned(),
-        record.fastforward_accesses_per_sec,
-        "higher",
-    ));
     history.push((
         "trace_replay_v2/accesses_per_sec".to_owned(),
         record.trace_replay_v2_accesses_per_sec,

@@ -16,6 +16,7 @@
 use crate::replacement::{way_range_mask, Policy, WayMask};
 use csalt_types::{
     CkptError, CkptReader, CkptWriter, EntryKind, HitMissStats, LineAddr, ReplacementKind,
+    LINE_BYTES,
 };
 use serde::{Deserialize, Serialize};
 
@@ -499,12 +500,20 @@ impl Cache {
         r.fill_u64(&mut self.blocks)?;
         let ways = self.ways as usize;
         let full = way_range_mask(0, self.ways);
+        // A valid tag must rebuild a line whose byte address fits in 64
+        // bits, or the next eviction of it overflows `LineAddr::base`.
+        let tag_bits = u64::BITS - LINE_BYTES.trailing_zeros() - self.set_shift;
         for block in self.blocks.chunks_exact_mut(self.stride) {
             let (tags, meta) = block.split_at_mut(ways);
             let mut valid = 0u64;
             for (w, t) in tags.iter_mut().enumerate() {
                 *t ^= INVALID_TAG;
-                valid |= u64::from(*t != INVALID_TAG) << w;
+                if *t != INVALID_TAG {
+                    if *t >> tag_bits != 0 {
+                        return Err(CkptError::Corrupt("cache tag out of range"));
+                    }
+                    valid |= 1 << w;
+                }
             }
             if (meta[KIND] | meta[DIRTY]) & !(valid & full) != 0 {
                 return Err(CkptError::Corrupt("kind/dirty bit on an invalid way"));
@@ -709,5 +718,42 @@ mod tests {
         assert_eq!(c.stats().tlb.hits, 1);
         assert_eq!(c.stats().total().accesses(), 3);
         assert_eq!(c.stats().by_kind(EntryKind::Tlb).hits, 1);
+    }
+
+    /// A checkpoint whose valid tag would rebuild a line past the 64-bit
+    /// byte address space is corrupt: evicting that line would overflow
+    /// `LineAddr::base`. The widest tag that still fits loads, and its
+    /// eviction names a line whose base address is representable.
+    #[test]
+    fn checkpoint_tag_past_the_address_space_is_rejected() {
+        let image = |tag: u64| {
+            let mut c = small_cache();
+            c.access(line(0), EntryKind::Data, true);
+            let way = c.blocks[..4].iter().position(|&t| t != INVALID_TAG);
+            c.blocks[way.expect("one valid way")] = tag;
+            let mut w = CkptWriter::new();
+            c.ckpt_save(&mut w);
+            w.finish("t")
+        };
+        let load = |bytes: &[u8]| {
+            let mut c = small_cache();
+            let mut r = CkptReader::open(bytes, "t").expect("own framing");
+            c.ckpt_load(&mut r).map(|()| c)
+        };
+        // 4 sets: two set-index bits below the tag, six offset bits.
+        let widest = (1u64 << (64 - 6 - 2)) - 1;
+        let mut c = load(&image(widest)).expect("the widest tag fits");
+        let evicted = (1..=4)
+            .find_map(|i| c.access(line(i * 4), EntryKind::Data, false).evicted)
+            .expect("a full set evicts");
+        assert_eq!(evicted.line.line_number(), widest << 2);
+        assert_eq!(evicted.line.base().raw(), widest << 8);
+        for tag in [widest + 1, 1 << 63, INVALID_TAG - 1] {
+            assert_eq!(
+                load(&image(tag)).err(),
+                Some(CkptError::Corrupt("cache tag out of range")),
+                "tag {tag:#x}"
+            );
+        }
     }
 }

@@ -162,48 +162,6 @@ impl HierarchySnapshot {
             stacked: self.stacked.delta_since(&earlier.stacked),
         }
     }
-
-    /// Adds `delta`'s counters into `self` — the inverse of
-    /// [`Self::delta_since`]. Sampled-window runs sum each measured
-    /// window's delta into one run snapshot with this, so fast-forward
-    /// activity between the windows never reaches the reported counters.
-    pub fn accumulate(&mut self, delta: &Self) {
-        let opt_add = |a: &mut Option<HitMissStats>, b: Option<HitMissStats>| match (a.as_mut(), b)
-        {
-            (Some(a), Some(b)) => *a += b,
-            (None, Some(b)) => *a = Some(b),
-            (_, None) => {}
-        };
-        let cache_add = |a: &mut CacheStats, b: &CacheStats| {
-            a.data += b.data;
-            a.tlb += b.tlb;
-            a.fills += b.fills;
-            a.evictions += b.evictions;
-            a.writebacks += b.writebacks;
-        };
-        let dram_add = |a: &mut DramStats, b: &DramStats| {
-            a.accesses += b.accesses;
-            a.row_hits += b.row_hits;
-            a.row_closed += b.row_closed;
-            a.row_conflicts += b.row_conflicts;
-            a.writes += b.writes;
-            a.total_latency += b.total_latency;
-        };
-        self.l1_tlb += delta.l1_tlb;
-        self.l2_tlb += delta.l2_tlb;
-        cache_add(&mut self.l1d, &delta.l1d);
-        cache_add(&mut self.l2, &delta.l2);
-        cache_add(&mut self.l3, &delta.l3);
-        opt_add(&mut self.pom, delta.pom);
-        opt_add(&mut self.tsb, delta.tsb);
-        self.page_walks += delta.page_walks;
-        self.page_walk_cycles += delta.page_walk_cycles;
-        self.translation_cycles += delta.translation_cycles;
-        self.data_cycles += delta.data_cycles;
-        self.accesses += delta.accesses;
-        dram_add(&mut self.ddr, &delta.ddr);
-        dram_add(&mut self.stacked, &delta.stacked);
-    }
 }
 
 /// Per-context translation machinery.
@@ -462,64 +420,6 @@ impl MemoryHierarchy {
         acc: MemAccess,
         hint: &TranslationHint,
     ) -> AccessCharge {
-        self.access_inner::<true>(core, ctx, acc, hint)
-    }
-
-    /// State-only access: fills, evictions, replacement stamps,
-    /// page-table population and TLB churn happen exactly as in
-    /// [`MemoryHierarchy::access_hinted`] — the two paths are one
-    /// monomorphized implementation — but no cycles are charged, the
-    /// DRAM models are never touched (no row state, no latency
-    /// samples), and the criticality estimators see nothing, so the
-    /// CSALT-CD schemes degrade to unit weights while fast-forwarding.
-    /// Component hit/miss counters still advance (they are part of the
-    /// component state machines); callers measuring a window must
-    /// snapshot-delta around it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` or `ctx` is out of range; debug builds also
-    /// panic if `hint` was not computed from this access and context.
-    pub fn access_functional(
-        &mut self,
-        core: CoreId,
-        ctx: ContextId,
-        acc: MemAccess,
-        hint: &TranslationHint,
-    ) {
-        let _ = self.access_inner::<false>(core, ctx, acc, hint);
-    }
-
-    /// [`MemoryHierarchy::access_hinted`] per record, appending each
-    /// charge to `charges`; exists only for `perfbench/` and goes with the benchmark's next change.
-    pub fn access_block_hinted(&mut self, block: &[BlockAccess], charges: &mut Vec<AccessCharge>) {
-        for b in block {
-            charges.push(self.access_hinted(b.core, b.ctx, b.acc, &b.hint));
-        }
-    }
-
-    /// Does nothing; exists only for `perfbench/` and goes with the benchmark's next change.
-    pub fn set_l0_memo(&mut self, _enabled: bool) {}
-
-    /// Zero hits; exists only for `perfbench/` and goes with the benchmark's next change.
-    pub fn l0_stats(&self) -> HitMissStats {
-        HitMissStats::new()
-    }
-
-    /// Does nothing; exists only for `perfbench/` and goes with the benchmark's next change.
-    pub fn l0_note_context_switch(&mut self, _core: usize) {}
-
-    /// The single implementation behind the timed and functional access
-    /// paths, monomorphized on `TIMED` so the functional instantiation
-    /// compiles with every cycle account, DRAM call and criticality
-    /// update stripped rather than branched around.
-    fn access_inner<const TIMED: bool>(
-        &mut self,
-        core: CoreId,
-        ctx: ContextId,
-        acc: MemAccess,
-        hint: &TranslationHint,
-    ) -> AccessCharge {
         assert!(core.index() < self.l1d.len(), "core out of range");
         assert!(ctx.index() < self.contexts.len(), "context out of range");
         debug_assert_eq!(
@@ -529,21 +429,19 @@ impl MemoryHierarchy {
         );
         self.accesses += 1;
         let (frame, translation_cycles, l1_hit, l2_hit, walked) =
-            self.translate::<TIMED>(core, ctx, acc.vaddr, hint);
+            self.translate(core, ctx, acc.vaddr, hint);
         let pa = frame.translate(acc.vaddr);
         let probe = self
             .trace
             .is_some()
             .then(|| self.served_probe(core.index()));
-        let data_cycles = self.data_access::<TIMED>(core.index(), pa.line(), acc.ty.is_write());
+        let data_cycles = self.data_access(core.index(), pa.line(), acc.ty.is_write());
         if let Some(p) = probe {
             let served = self.served_since(core.index(), &p);
             self.push_stage(WalkStage::Data, 0, data_cycles, None, served);
         }
-        if TIMED {
-            self.translation_cycles += translation_cycles;
-            self.data_cycles += data_cycles;
-        }
+        self.translation_cycles += translation_cycles;
+        self.data_cycles += data_cycles;
         // Conservation laws the counters must satisfy after every access
         // (debug builds only; CSALT-A102/A103 check the same at run end).
         debug_assert!(
@@ -565,6 +463,25 @@ impl MemoryHierarchy {
             walked,
         }
     }
+
+    /// [`MemoryHierarchy::access_hinted`] per record, appending each
+    /// charge to `charges`; exists only for `perfbench/` and goes with the benchmark's next change.
+    pub fn access_block_hinted(&mut self, block: &[BlockAccess], charges: &mut Vec<AccessCharge>) {
+        for b in block {
+            charges.push(self.access_hinted(b.core, b.ctx, b.acc, &b.hint));
+        }
+    }
+
+    /// Does nothing; exists only for `perfbench/` and goes with the benchmark's next change.
+    pub fn set_l0_memo(&mut self, _enabled: bool) {}
+
+    /// Zero hits; exists only for `perfbench/` and goes with the benchmark's next change.
+    pub fn l0_stats(&self) -> HitMissStats {
+        HitMissStats::new()
+    }
+
+    /// Does nothing; exists only for `perfbench/` and goes with the benchmark's next change.
+    pub fn l0_note_context_switch(&mut self, _core: usize) {}
 
     /// Serves one access while recording its full path through the
     /// hierarchy as per-stage cycle attributions (telemetry walk traces).
@@ -652,7 +569,7 @@ impl MemoryHierarchy {
     /// TLB levels are probed through `hint`'s prepacked keys — computed
     /// either inline (`access`) or ahead of time by the caller
     /// (`access_hinted`); one code path serves both.
-    fn translate<const TIMED: bool>(
+    fn translate(
         &mut self,
         core: CoreId,
         ctx: ContextId,
@@ -695,19 +612,17 @@ impl MemoryHierarchy {
         // L2 TLB miss: the translation request enters the memory system.
         let (page, frame, walked) = match self.scheme {
             TranslationScheme::Conventional => {
-                let (page, frame, walk_cycles) = self.page_walk::<TIMED>(ctx, va);
+                let (page, frame, walk_cycles) = self.page_walk(ctx, va);
                 cycles += walk_cycles;
                 (page, frame, true)
             }
             TranslationScheme::Tsb | TranslationScheme::TsbCsalt => {
-                let (page, frame, tsb_cycles, walked) =
-                    self.tsb_translate::<TIMED>(core, ctx, va, hint);
+                let (page, frame, tsb_cycles, walked) = self.tsb_translate(core, ctx, va, hint);
                 cycles += tsb_cycles;
                 (page, frame, walked)
             }
             _ => {
-                let (page, frame, pom_cycles, walked) =
-                    self.pom_translate::<TIMED>(core, ctx, va, hint);
+                let (page, frame, pom_cycles, walked) = self.pom_translate(core, ctx, va, hint);
                 cycles += pom_cycles;
                 (page, frame, walked)
             }
@@ -734,7 +649,7 @@ impl MemoryHierarchy {
     /// line; on an array miss, a page walk followed by an insert. The
     /// array is probed through `hint`'s prepacked keys, same as the SRAM
     /// levels.
-    fn pom_translate<const TIMED: bool>(
+    fn pom_translate(
         &mut self,
         core: CoreId,
         ctx: ContextId,
@@ -766,8 +681,7 @@ impl MemoryHierarchy {
                 .trace
                 .is_some()
                 .then(|| self.served_probe(core.index()));
-            let lookup_cycles =
-                self.l2_access::<TIMED>(core.index(), lookup_line, EntryKind::Tlb, false);
+            let lookup_cycles = self.l2_access(core.index(), lookup_line, EntryKind::Tlb, false);
             cycles += lookup_cycles;
             if let Some(p) = probe {
                 let served = self.served_since(core.index(), &p);
@@ -785,7 +699,7 @@ impl MemoryHierarchy {
         }
 
         // Large TLB miss: walk and install.
-        let (page, frame, walk_cycles) = self.page_walk::<TIMED>(ctx, va);
+        let (page, frame, walk_cycles) = self.page_walk(ctx, va);
         cycles += walk_cycles;
         let write_line = self
             .pom
@@ -794,13 +708,13 @@ impl MemoryHierarchy {
             .insert(page, asid, frame);
         // The install is a store: it updates the caches but does not
         // block the pipeline.
-        self.l2_access::<TIMED>(core.index(), write_line, EntryKind::Tlb, true);
+        self.l2_access(core.index(), write_line, EntryKind::Tlb, true);
         (page, frame, cycles, true)
     }
 
     /// TSB translation: the software buffer's dependent lookups, then a
     /// walk + reload on a miss.
-    fn tsb_translate<const TIMED: bool>(
+    fn tsb_translate(
         &mut self,
         core: CoreId,
         ctx: ContextId,
@@ -824,7 +738,7 @@ impl MemoryHierarchy {
                 .trace
                 .is_some()
                 .then(|| self.served_probe(core.index()));
-            let c = self.l2_access::<TIMED>(core.index(), line, EntryKind::Tlb, false);
+            let c = self.l2_access(core.index(), line, EntryKind::Tlb, false);
             cycles += c;
             if let Some(p) = probe {
                 let served = self.served_since(core.index(), &p);
@@ -834,20 +748,20 @@ impl MemoryHierarchy {
         if let Some(f) = frame {
             return (page, f, cycles, false);
         }
-        let (page, frame, walk_cycles) = self.page_walk::<TIMED>(ctx, va);
+        let (page, frame, walk_cycles) = self.page_walk(ctx, va);
         cycles += walk_cycles;
         let write_line = self
             .tsb
             .as_mut()
             .expect("TSB scheme has a TSB")
             .insert(page, asid, frame);
-        self.l2_access::<TIMED>(core.index(), write_line, EntryKind::Tlb, true);
+        self.l2_access(core.index(), write_line, EntryKind::Tlb, true);
         (page, frame, cycles, true)
     }
 
     /// Runs the page walk for `va`, charging every PTE read through the
     /// cache hierarchy (starting at the walker's L2 port).
-    fn page_walk<const TIMED: bool>(
+    fn page_walk(
         &mut self,
         ctx: ContextId,
         va: VirtAddr,
@@ -878,7 +792,7 @@ impl MemoryHierarchy {
         let mut host_idx = 0u32;
         for pte in &accesses {
             let probe = self.trace.is_some().then(|| self.served_probe(core));
-            let c = self.l2_access::<TIMED>(core, pte.addr.line(), EntryKind::Tlb, false);
+            let c = self.l2_access(core, pte.addr.line(), EntryKind::Tlb, false);
             cycles += c;
             if let Some(p) = probe {
                 let served = self.served_since(core, &p);
@@ -897,29 +811,21 @@ impl MemoryHierarchy {
         }
         self.walk_scratch = accesses;
         self.page_walks += 1;
-        if TIMED {
-            self.page_walk_cycles += cycles;
-        }
+        self.page_walk_cycles += cycles;
         (outcome.page, outcome.frame, cycles)
     }
 
     /// A data access through L1 → L2 → L3 → DRAM.
-    fn data_access<const TIMED: bool>(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        write: bool,
-    ) -> Cycle {
+    fn data_access(&mut self, core: usize, line: LineAddr, write: bool) -> Cycle {
         let out = self.l1d[core].access(line, EntryKind::Data, write);
         if out.hit {
             return self.cfg.l1d.latency;
         }
-        let mut cycles =
-            self.cfg.l1d.latency + self.l2_access::<TIMED>(core, line, EntryKind::Data, write);
+        let mut cycles = self.cfg.l1d.latency + self.l2_access(core, line, EntryKind::Data, write);
         if let Some(ev) = out.evicted {
             if ev.dirty {
                 // Writeback is off the critical path.
-                self.l2_access::<TIMED>(core, ev.line, ev.kind, true);
+                self.l2_access(core, ev.line, ev.kind, true);
             }
         }
         cycles = cycles.max(self.cfg.l1d.latency);
@@ -927,19 +833,11 @@ impl MemoryHierarchy {
     }
 
     /// An access at the L2 level (and below), returning its latency.
-    fn l2_access<const TIMED: bool>(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        kind: EntryKind,
-        write: bool,
-    ) -> Cycle {
+    fn l2_access(&mut self, core: usize, line: LineAddr, kind: EntryKind, write: bool) -> Cycle {
         let out = {
             // Split borrows so the weight closure (evaluated only at
             // epoch boundaries) can read the estimator while the cache
-            // is borrowed mutably. The functional path always uses unit
-            // weights: the estimators are fed by DRAM latencies, which
-            // state-only execution never produces.
+            // is borrowed mutably.
             let Self {
                 l2,
                 crit_l2,
@@ -948,19 +846,17 @@ impl MemoryHierarchy {
             } = self;
             let scheme = *scheme;
             l2[core].access(line, kind, write, || match scheme {
-                TranslationScheme::CsaltCd | TranslationScheme::TsbCsalt if TIMED => {
-                    crit_l2.weights()
-                }
+                TranslationScheme::CsaltCd | TranslationScheme::TsbCsalt => crit_l2.weights(),
                 _ => Weights::UNIT,
             })
         };
         if out.hit {
             return self.cfg.l2.latency;
         }
-        let mut cycles = self.cfg.l2.latency + self.l3_access::<TIMED>(line, kind, write);
+        let mut cycles = self.cfg.l2.latency + self.l3_access(line, kind, write);
         if let Some(ev) = out.evicted {
             if ev.dirty {
-                self.l3_access::<TIMED>(ev.line, ev.kind, true);
+                self.l3_access(ev.line, ev.kind, true);
             }
         }
         cycles = cycles.max(self.cfg.l2.latency);
@@ -968,12 +864,7 @@ impl MemoryHierarchy {
     }
 
     /// An access at the shared L3 (and memory), returning its latency.
-    fn l3_access<const TIMED: bool>(
-        &mut self,
-        line: LineAddr,
-        kind: EntryKind,
-        write: bool,
-    ) -> Cycle {
+    fn l3_access(&mut self, line: LineAddr, kind: EntryKind, write: bool) -> Cycle {
         let out = {
             let Self {
                 l3,
@@ -983,29 +874,12 @@ impl MemoryHierarchy {
             } = self;
             let scheme = *scheme;
             l3.access(line, kind, write, || match scheme {
-                TranslationScheme::CsaltCd | TranslationScheme::TsbCsalt if TIMED => {
-                    crit_l3.weights()
-                }
+                TranslationScheme::CsaltCd | TranslationScheme::TsbCsalt => crit_l3.weights(),
                 _ => Weights::UNIT,
             })
         };
         if out.hit {
             return self.cfg.l3.latency;
-        }
-        // The functional path charges no DRAM cycles and feeds no
-        // criticality samples, but it must still open the same rows a
-        // timed run would: the measured phase inherits row-buffer state
-        // across warmup, and a cold bank would make the first measured
-        // access a row-closed miss instead of the hit/conflict the
-        // timed warmup leaves behind.
-        if !TIMED {
-            self.mem_touch(line.base());
-            if let Some(ev) = out.evicted {
-                if ev.dirty {
-                    self.mem_touch(ev.line.base());
-                }
-            }
-            return 0;
         }
         let mem = self.mem_access(line.base(), false);
         if let Some(ev) = out.evicted {
@@ -1014,18 +888,6 @@ impl MemoryHierarchy {
             }
         }
         self.cfg.l3.latency + mem
-    }
-
-    /// Routes a state-only row-buffer touch to the same device
-    /// `mem_access` would pick, without latency, statistics, or
-    /// criticality samples. Functional-path counterpart of
-    /// [`Self::mem_access`].
-    fn mem_touch(&mut self, pa: PhysAddr) {
-        if self.pom.as_ref().is_some_and(|p| p.owns(pa)) {
-            self.stacked.touch(pa);
-        } else {
-            self.ddr.touch(pa);
-        }
     }
 
     /// Routes a memory access to DDR or the die-stacked device by

@@ -250,17 +250,6 @@ impl DramModel {
         latency
     }
 
-    /// Updates the addressed bank's open-row register without serving
-    /// the access: no latency, no statistics. The functional
-    /// (state-only) execution path uses this to keep row-buffer state
-    /// exactly as warm as a timed run would, so switching warmup modes
-    /// never changes which rows the measured phase finds open.
-    #[inline]
-    pub fn touch(&mut self, pa: PhysAddr) {
-        let (bank, row) = self.map(pa);
-        self.banks[bank].open_row = Some(row);
-    }
-
     /// Latency of a row-buffer hit, in core cycles — the best case this
     /// device can serve. Useful for latency estimators.
     pub fn best_case_latency(&self) -> Cycle {

@@ -139,11 +139,6 @@ fn registry() -> Vec<Entry> {
             about: "ablation: static partitions vs dynamic",
             run: |h| Some(exp::ablation_static(h)),
         },
-        Entry {
-            name: "ablation_warmup",
-            about: "ablation: functional vs timed warmup drift",
-            run: |h| Some(exp::ablation_warmup(h)),
-        },
     ]
 }
 
@@ -155,8 +150,7 @@ fn registry() -> Vec<Entry> {
 /// `--telemetry-sample <N>` (trace every Nth translation; 0 = off),
 /// `--trace <path>` (span trace in Chrome Trace Event JSON — open in
 /// Perfetto/`chrome://tracing`, or inspect with `csalt-report trace`),
-/// `--progress <N>` (heartbeat every N epochs on stderr), plus the
-/// warmup and sampling flags below.
+/// `--progress <N>` (heartbeat every N epochs on stderr).
 #[cfg(feature = "telemetry")]
 fn run_single(args: &[String], flags: &GlobalFlags) {
     let mut workload_name: Option<&str> = None;
@@ -165,9 +159,6 @@ fn run_single(args: &[String], flags: &GlobalFlags) {
     let mut trace_path: Option<PathBuf> = None;
     let mut sample_interval: u64 = 0;
     let mut progress: u64 = 0;
-    let mut warmup_mode: Option<csalt_sim::WarmupMode> = None;
-    let mut sample_windows: Option<u64> = None;
-    let mut window_accesses: Option<u64> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -184,22 +175,6 @@ fn run_single(args: &[String], flags: &GlobalFlags) {
                 sample_interval = parse_or_die(value("--telemetry-sample"), "--telemetry-sample");
             }
             "--progress" => progress = parse_or_die(value("--progress"), "--progress"),
-            "--warmup-mode" => {
-                let v = value("--warmup-mode");
-                warmup_mode = Some(csalt_sim::WarmupMode::parse(v).unwrap_or_else(|| {
-                    eprintln!("--warmup-mode: '{v}' is not one of timed, functional");
-                    std::process::exit(2);
-                }));
-            }
-            "--sample-windows" => {
-                sample_windows = Some(parse_or_die(value("--sample-windows"), "--sample-windows"));
-            }
-            "--window-accesses" => {
-                window_accesses = Some(parse_or_die(
-                    value("--window-accesses"),
-                    "--window-accesses",
-                ));
-            }
             name if workload_name.is_none() => workload_name = Some(name),
             label => {
                 scheme = TranslationScheme::parse_label(label).unwrap_or_else(|| {
@@ -230,19 +205,6 @@ fn run_single(args: &[String], flags: &GlobalFlags) {
     let mut cfg = flags
         .harness(SweepOptions::default())
         .default_config(workload, scheme);
-    if let Some(m) = warmup_mode {
-        cfg.warmup_mode = m;
-    }
-    if let Some(n) = sample_windows {
-        cfg.sample_windows = n;
-    }
-    if let Some(n) = window_accesses {
-        cfg.window_accesses = n;
-    }
-    if (cfg.sample_windows == 0) != (cfg.window_accesses == 0) {
-        eprintln!("--sample-windows and --window-accesses must be set together");
-        std::process::exit(2);
-    }
     // The span trace reads repartition decisions (and their
     // marginal-utility curves) off the partition trace, so turn it on.
     if trace_path.is_some() {
@@ -807,8 +769,7 @@ fn main() {
             println!("  {:<22} {}", e.name, e.about);
         }
         println!(
-            "  {:<22} one instrumented run: --telemetry <path> --telemetry-sample <N> --trace <path> --progress <N> \
-             --warmup-mode <timed|functional> --sample-windows <N> --window-accesses <M>",
+            "  {:<22} one instrumented run: --telemetry <path> --telemetry-sample <N> --trace <path> --progress <N>",
             "run"
         );
         println!(

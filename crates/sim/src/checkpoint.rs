@@ -77,12 +77,7 @@ pub fn stats() -> CkptStats {
 /// Every other field — including any added later — is part of the
 /// warmup key, so a field missing here can only split checkpoint
 /// groups, never let a sibling restore the wrong image.
-const MEASURED_ONLY_FIELDS: [&str; 4] = [
-    "accesses_per_core",
-    "occupancy_scan_interval",
-    "sample_windows",
-    "window_accesses",
-];
+const MEASURED_ONLY_FIELDS: [&str; 2] = ["accesses_per_core", "occupancy_scan_interval"];
 
 /// Canonical JSON of the warmup-determining subset of `cfg` (sorted
 /// keys, shortest-round-trip floats — same canonical form as the sweep
@@ -298,8 +293,6 @@ mod tests {
         let a = cfg();
         let mut b = a.clone();
         b.accesses_per_core *= 3;
-        b.sample_windows = 2;
-        b.window_accesses = 1_000;
         b.occupancy_scan_interval = 500;
         assert_eq!(warmup_key(&a), warmup_key(&b));
     }
@@ -334,10 +327,8 @@ mod tests {
             Value::U64(n) => vec![Value::U64(n + 1)],
             Value::I64(n) => vec![Value::I64(n - 1)],
             Value::F64(x) => vec![Value::F64(x + 0.25)],
-            Value::Str(s) => ["Conventional", "Functional", "Timed"]
-                .iter()
-                .map(|w| (*w).to_owned())
-                .chain([format!("{s}x")])
+            Value::Str(s) => ["Conventional".to_owned(), format!("{s}x")]
+                .into_iter()
                 .filter(|w| w != s)
                 .map(Value::Str)
                 .collect(),

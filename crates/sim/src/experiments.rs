@@ -30,7 +30,7 @@
 //! environment; `csalt-experiments` builds the harness from its flags
 //! and the bench targets from `csalt_bench::harness`.
 
-use crate::simulator::{SimConfig, SimResult, WarmupMode};
+use crate::simulator::{SimConfig, SimResult};
 use crate::sweep::Sweep;
 use csalt_types::{geomean, Cycle, TranslationScheme};
 use csalt_workloads::{paper_workloads, BenchKind, WorkloadSpec};
@@ -899,51 +899,6 @@ pub fn ablation_static(h: &Harness) -> Table {
     Table::new(
         "Ablation: static partitions vs CSALT-CD (normalized to POM-TLB)",
         &["static-4", "static-8", "static-12", "csalt-cd"],
-        rows,
-    )
-}
-
-/// Ablation: functional-warmup drift. Runs the fig07 grid twice — timed
-/// warmup vs functional fast-forward warmup — and reports the L2 TLB
-/// MPKI ratio (functional / timed, 1.0 = no drift) per scheme. Timing-
-/// independent schemes must land at exactly 1.0; the criticality-
-/// weighted ones (`csalt-cd`) may drift, because functional warmup
-/// cannot compute the cycle-derived replacement weights and degrades
-/// to unit weights until the measured phase begins.
-pub fn ablation_warmup(h: &Harness) -> Table {
-    let workloads = paper_workloads();
-    let mut configs = Vec::new();
-    for w in &workloads {
-        for s in FIG7_SCHEMES {
-            for mode in [WarmupMode::Timed, WarmupMode::Functional] {
-                let mut c = h.default_config(w.clone(), s);
-                c.warmup_mode = mode;
-                configs.push(c);
-            }
-        }
-    }
-    let flat = h.sweep.run_batch(configs);
-    let rows = flat
-        .chunks(FIG7_SCHEMES.len() * 2)
-        .map(|per_w| Row {
-            label: per_w[0].workload.clone(),
-            values: per_w
-                .chunks(2)
-                .map(|pair| {
-                    let timed = pair[0].l2_tlb_mpki();
-                    let functional = pair[1].l2_tlb_mpki();
-                    if timed > 0.0 {
-                        functional / timed
-                    } else {
-                        1.0
-                    }
-                })
-                .collect(),
-        })
-        .collect();
-    Table::new(
-        "Ablation: functional-warmup L2 TLB MPKI drift (functional / timed)",
-        &["conventional", "pom-tlb", "csalt-d", "csalt-cd"],
         rows,
     )
 }

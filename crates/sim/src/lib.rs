@@ -36,7 +36,6 @@
 
 pub mod checkpoint;
 pub mod experiments;
-mod fastforward;
 mod simulator;
 pub mod sweep;
 pub mod trace_store;
@@ -44,7 +43,6 @@ pub mod trace_store;
 pub use checkpoint::CkptStats;
 pub use simulator::{
     build_threads, run, run_in, run_with_generators, OccupancySample, SimConfig, SimResult,
-    WarmupMode,
 };
 pub use sweep::{Sweep, SweepOptions, SweepStats};
 

@@ -20,7 +20,6 @@
 //! latency divided by the configured memory-level parallelism (data
 //! misses overlap through MSHRs; translations do not).
 
-use crate::fastforward::{functional_phase, FunctionalSchedule};
 use csalt_core::{AccessCharge, HierarchySnapshot, MemoryHierarchy, PartitionSample, StageSample};
 use csalt_ptw::HugePagePolicy;
 use csalt_types::{
@@ -75,20 +74,6 @@ pub struct SimConfig {
     pub occupancy_scan_interval: u64,
     /// Fixed software cost charged to a core at each context switch.
     pub switch_overhead_cycles: Cycle,
-    /// How the warmup phase executes: full timing simulation, or the
-    /// functional (state-only) fast path. State after either is a
-    /// fully populated hierarchy; only cycle-dependent schemes
-    /// (criticality-weighted replacement) can land differently.
-    pub warmup_mode: WarmupMode,
-    /// SMARTS-style sampling: number of timed measurement windows to
-    /// spread over the run (0 = classic single-window measurement).
-    /// The stream between windows is fast-forwarded functionally and
-    /// never reaches the reported counters.
-    pub sample_windows: u64,
-    /// Timed accesses per core in each sampled window. Must be nonzero
-    /// iff `sample_windows` is, with `sample_windows *
-    /// window_accesses <= accesses_per_core`.
-    pub window_accesses: u64,
 }
 
 impl SimConfig {
@@ -109,47 +94,6 @@ impl SimConfig {
             trace_partitions: false,
             occupancy_scan_interval: 0,
             switch_overhead_cycles: 2_000,
-            warmup_mode: WarmupMode::Timed,
-            sample_windows: 0,
-            window_accesses: 0,
-        }
-    }
-}
-
-/// Which execution path the warmup phase takes (`--warmup-mode`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WarmupMode {
-    /// Full timing simulation during warmup (the historical default).
-    /// Cycle counters are discarded afterwards either way, so timed
-    /// warmup buys exact state for cycle-dependent schemes at full
-    /// simulation cost.
-    Timed,
-    /// State-only fast-forward: fills, replacement stamps and radix
-    /// tables advance, cycles and DRAM are never modelled. For
-    /// timing-independent configurations this lands bit-identical
-    /// steady state at a fraction of the cost; the
-    /// criticality-weighted schemes (`csalt-cd`, `tsb-csalt`) warm up
-    /// with unit replacement weights instead of cycle-derived ones.
-    Functional,
-}
-
-impl WarmupMode {
-    /// Parses a CLI/env spelling (`timed` | `functional`, any case).
-    #[must_use]
-    pub fn parse(value: &str) -> Option<Self> {
-        match value.to_ascii_lowercase().as_str() {
-            "timed" => Some(WarmupMode::Timed),
-            "functional" => Some(WarmupMode::Functional),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling (`timed` / `functional`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            WarmupMode::Timed => "timed",
-            WarmupMode::Functional => "functional",
         }
     }
 }
@@ -238,13 +182,13 @@ impl SimResult {
     }
 }
 
-pub(crate) struct CoreState {
-    pub(crate) cycles: Cycle,
-    pub(crate) instructions: u64,
-    pub(crate) accesses_done: u64,
-    pub(crate) current_vm: u32,
-    pub(crate) next_switch: Cycle,
-    pub(crate) switches: u64,
+struct CoreState {
+    cycles: Cycle,
+    instructions: u64,
+    accesses_done: u64,
+    current_vm: u32,
+    next_switch: Cycle,
+    switches: u64,
 }
 
 /// Observation points of the measured phase. The engine is monomorphized
@@ -296,17 +240,17 @@ impl PhaseHooks for NoHooks {}
 /// One access plus its pure precomputation: the generator's
 /// [`MemAccess`] and its packed `(vpn, size, asid)` TLB keys.
 #[derive(Clone, Copy)]
-pub(crate) struct StagedAccess {
+struct StagedAccess {
     /// The access exactly as the generator produced it.
-    pub(crate) acc: MemAccess,
+    acc: MemAccess,
     /// Prepacked TLB keys for the access under its VM's ASID.
-    pub(crate) hint: TranslationHint,
+    hint: TranslationHint,
 }
 
 /// Where the engine gets its next access for a `(core, VM)` stream.
 /// The engine is monomorphized over the implementation, mirroring
 /// [`PhaseHooks`], so each source compiles to its own per-access code.
-pub(crate) trait AccessSource {
+trait AccessSource {
     /// The next access of `(core, vm)`'s stream, with its pure
     /// precomputation (packed TLB keys) done.
     fn next(&mut self, core: usize, vm: usize) -> StagedAccess;
@@ -531,16 +475,10 @@ pub fn run_with_generators(cfg: &SimConfig, threads: Vec<Vec<AnyGenerator>>) -> 
     execute(cfg, threads, &mut NoHooks, None).0
 }
 
-/// One timed scheduling phase: run every core up to `total_per_core`
-/// *cumulative* accesses with full cycle accounting. `hooks` is `None`
-/// during warmup (warmup is never observed) and `Some` during the
-/// measured phase.
-///
-/// Targets are cumulative against `CoreState::accesses_done` so
-/// sampled-window runs can re-enter the phase window after window with
-/// the prior windows' progress still on the cores; a fresh phase
-/// (counters at zero) behaves exactly like the historical
-/// single-window code.
+/// One timed scheduling phase: run every core from zero to
+/// `total_per_core` accesses with full cycle accounting. `hooks` is
+/// `None` during warmup (warmup is never observed) and `Some` during
+/// the measured phase.
 #[allow(clippy::too_many_arguments)]
 fn timed_phase<H: PhaseHooks, S: AccessSource>(
     cfg: &SimConfig,
@@ -561,21 +499,20 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
     let quantum = system.cs_interval_cycles;
     let scan_every = cfg.occupancy_scan_interval;
     let target_total = total_per_core * cores as u64;
-    let mut total_done: u64 = cores_state.iter().map(|c| c.accesses_done).sum();
-    let mut next_scan = match cores_state[0].accesses_done.checked_div(scan_every) {
-        Some(intervals) => (intervals + 1) * scan_every,
-        None => u64::MAX,
+    debug_assert!(cores_state.iter().all(|c| c.accesses_done == 0));
+    let mut total_done: u64 = 0;
+    let mut next_scan = if scan_every == 0 {
+        u64::MAX
+    } else {
+        scan_every
     };
     // With the `audit` feature, verify the conservation laws every
     // time the phase's total access count crosses an epoch boundary —
     // the moment the partitioner has just acted on those counters.
     // Counters reset between phases, so the threshold is per-phase.
     #[cfg(feature = "audit")]
-    let mut next_audit_at = total_done + system.epoch_accesses.max(1);
-    let mut remaining = cores_state
-        .iter()
-        .filter(|c| c.accesses_done < total_per_core)
-        .count();
+    let mut next_audit_at = system.epoch_accesses.max(1);
+    let mut remaining = cores;
     // Sweep scratch, reused so the loop never allocates: each active
     // core's `(core, vm, access)`.
     let mut sweep: Vec<(usize, usize, StagedAccess)> = Vec::with_capacity(cores);
@@ -655,25 +592,22 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
         }
 
         #[cfg(feature = "audit")]
-        {
-            let total: u64 = cores_state.iter().map(|c| c.accesses_done).sum();
-            if total >= next_audit_at {
-                next_audit_at = total + system.epoch_accesses.max(1);
-                let snap = hier.snapshot();
-                enforce_audit(
-                    &format!("epoch boundary ({total} accesses)"),
-                    &csalt_audit::conservation::audit_snapshot("epoch", &snap, &cfg.scheme),
-                );
-                let (l2_occ, l3_occ) = hier.occupancy();
-                enforce_audit(
-                    "epoch occupancy",
-                    &[
-                        csalt_audit::conservation::audit_occupancy("l2", &l2_occ),
-                        csalt_audit::conservation::audit_occupancy("l3", &l3_occ),
-                    ]
-                    .concat(),
-                );
-            }
+        if total_done >= next_audit_at {
+            next_audit_at = total_done + system.epoch_accesses.max(1);
+            let snap = hier.snapshot();
+            enforce_audit(
+                &format!("epoch boundary ({total_done} accesses)"),
+                &csalt_audit::conservation::audit_snapshot("epoch", &snap, &cfg.scheme),
+            );
+            let (l2_occ, l3_occ) = hier.occupancy();
+            enforce_audit(
+                "epoch occupancy",
+                &[
+                    csalt_audit::conservation::audit_occupancy("l2", &l2_occ),
+                    csalt_audit::conservation::audit_occupancy("l3", &l3_occ),
+                ]
+                .concat(),
+            );
         }
 
         // Periodic occupancy scan, keyed on core 0's progress.
@@ -688,40 +622,6 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
                 });
             }
         }
-    }
-}
-
-/// One warmup pass in the config's warmup mode: timed (full cycle
-/// accounting, counters discarded after) or functional (state-only
-/// fast-forward). Factored out of [`simulate`] so the checkpointed
-/// cold path can run it through a [`CountingSource`] wrapper.
-fn warmup_phase<H: PhaseHooks, S: AccessSource>(
-    cfg: &SimConfig,
-    vm_ctx: &[ContextId],
-    source: &mut S,
-    hier: &mut MemoryHierarchy,
-    cores_state: &mut [CoreState],
-    sched: &FunctionalSchedule,
-) {
-    match cfg.warmup_mode {
-        WarmupMode::Timed => timed_phase::<H, S>(
-            cfg,
-            vm_ctx,
-            source,
-            hier,
-            cores_state,
-            None,
-            cfg.warmup_accesses_per_core,
-            None,
-        ),
-        WarmupMode::Functional => functional_phase(
-            hier,
-            source,
-            vm_ctx,
-            cores_state,
-            cfg.warmup_accesses_per_core,
-            sched,
-        ),
     }
 }
 
@@ -776,19 +676,11 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
 
     let mut occupancy = Vec::new();
 
-    // The functional phases' context-switch schedule: the quantum's
-    // instruction equivalent, so the state-only loop (which has no
-    // cycle clock) churns ASIDs at the same stream cadence the timed
-    // loop would.
-    let sched = FunctionalSchedule {
-        instr_per_switch: ((quantum as f64 / system.base_cpi).ceil() as u64).max(1),
-    };
-
     // Warmup: populate page tables, TLBs, caches and the POM-TLB, then
     // discard the counters. Scheduling state (cycle counters, switch
     // phase) restarts cleanly for the measured phase; `current_vm`
-    // carries over in both modes, so the measured phase resumes from
-    // the schedule position warmup ended on.
+    // carries over, so the measured phase resumes from the schedule
+    // position warmup ended on.
     //
     // Given a cache directory to keep images in, the post-warmup state
     // is content-addressed by the config's warmup-prefix key: the first
@@ -844,17 +736,28 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
                 inner: source,
                 pops: vec![vec![0; cores]; vms as usize],
             };
-            warmup_phase::<H, _>(
+            timed_phase::<H, _>(
                 cfg,
                 &vm_ctx,
                 &mut counting,
                 &mut hier,
                 &mut cores_state,
-                &sched,
+                None,
+                cfg.warmup_accesses_per_core,
+                None,
             );
             Some(counting.pops)
         } else {
-            warmup_phase::<H, S>(cfg, &vm_ctx, source, &mut hier, &mut cores_state, &sched);
+            timed_phase::<H, S>(
+                cfg,
+                &vm_ctx,
+                source,
+                &mut hier,
+                &mut cores_state,
+                None,
+                cfg.warmup_accesses_per_core,
+                None,
+            );
             None
         };
         hier.reset_stats();
@@ -876,66 +779,17 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
         }
     }
 
-    let snapshot = if cfg.sample_windows == 0 {
-        timed_phase(
-            cfg,
-            &vm_ctx,
-            source,
-            &mut hier,
-            &mut cores_state,
-            Some(&mut occupancy),
-            cfg.accesses_per_core,
-            Some(hooks),
-        );
-        hier.snapshot()
-    } else {
-        // SMARTS-style sampling: `sample_windows` timed windows spread
-        // over the `accesses_per_core` stream, the stream between them
-        // fast-forwarded functionally. The reported snapshot sums the
-        // windows' deltas, so the gaps' state churn (which still
-        // advances component hit/miss counters) never reaches the
-        // run's counters; cycles, instructions and switches accumulate
-        // in the timed windows only.
-        let windows = cfg.sample_windows;
-        let per_window = cfg.window_accesses;
-        let measured = windows
-            .checked_mul(per_window)
-            .expect("sample window volume overflows u64");
-        assert!(
-            per_window > 0,
-            "--sample-windows requires a nonzero --window-accesses"
-        );
-        assert!(
-            measured <= cfg.accesses_per_core,
-            "sample windows ({windows} x {per_window}) exceed accesses_per_core ({})",
-            cfg.accesses_per_core
-        );
-        let skip = cfg.accesses_per_core - measured;
-        let mut sum: Option<HierarchySnapshot> = None;
-        for w in 0..windows {
-            // Spread the fast-forward budget evenly, front-loading the
-            // remainder so every access of the stream is consumed.
-            let gap = skip / windows + u64::from(w < skip % windows);
-            functional_phase(&mut hier, source, &vm_ctx, &mut cores_state, gap, &sched);
-            let before = hier.snapshot();
-            timed_phase(
-                cfg,
-                &vm_ctx,
-                source,
-                &mut hier,
-                &mut cores_state,
-                Some(&mut occupancy),
-                (w + 1) * per_window,
-                Some(&mut *hooks),
-            );
-            let delta = hier.snapshot().delta_since(&before);
-            match sum.as_mut() {
-                Some(s) => s.accumulate(&delta),
-                None => sum = Some(delta),
-            }
-        }
-        sum.expect("sample_windows >= 1")
-    };
+    timed_phase(
+        cfg,
+        &vm_ctx,
+        source,
+        &mut hier,
+        &mut cores_state,
+        Some(&mut occupancy),
+        cfg.accesses_per_core,
+        Some(hooks),
+    );
+    let snapshot = hier.snapshot();
 
     let (l2_trace, l3_trace) = hier.partition_traces();
     let to_series = |t: &[PartitionSample]| {

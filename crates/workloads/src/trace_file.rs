@@ -126,8 +126,10 @@ impl TraceFile {
     /// Returns `InvalidData` if the header or record framing is wrong
     /// (bad magic, any version but 2, length/count mismatch, torn tail),
     /// if any record's vaddr is at or above 2^57 (past the 5-level
-    /// address space, and past what a packed TLB key holds), or any
-    /// underlying I/O error.
+    /// address space, and past what a packed TLB key holds), if any
+    /// record's packed TLB keys are not the ones its vaddr packs to
+    /// under the header's ASID (replay would probe the TLBs with them),
+    /// or any underlying I/O error.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let bytes = std::fs::read(path)?;
         if bytes.len() < 8 || &bytes[0..4] != MAGIC {
@@ -164,19 +166,30 @@ impl TraceFile {
 
         let mut records = Vec::with_capacity(count as usize);
         let mut max_addr = 0u64;
-        for chunk in bytes[V2_HEADER_BYTES..].chunks_exact(V2_RECORD_BYTES) {
-            let word = |i: usize| {
-                u64::from_le_bytes(chunk[i * 8..(i + 1) * 8].try_into().expect("8 bytes"))
+        for (i, chunk) in bytes[V2_HEADER_BYTES..]
+            .chunks_exact(V2_RECORD_BYTES)
+            .enumerate()
+        {
+            let word = |w: usize| {
+                u64::from_le_bytes(chunk[w * 8..(w + 1) * 8].try_into().expect("8 bytes"))
             };
             let rec = [word(0), word(1), word(2), word(3)];
+            if rec[0] >= VADDR_LIMIT {
+                return Err(bad(format!(
+                    "record {i}: vaddr {:#x} is not below 2^57, the widest \
+                     (5-level) virtual address space",
+                    rec[0]
+                )));
+            }
+            let hint = TranslationHint::compute(VirtAddr::new(rec[0]), Asid::new(asid));
+            if [rec[2], rec[3]] != [hint.packed_4k, hint.packed_2m] {
+                return Err(bad(format!(
+                    "record {i}: packed TLB keys do not match vaddr {:#x} under ASID {asid}",
+                    rec[0]
+                )));
+            }
             max_addr = max_addr.max(rec[0]);
             records.push(rec);
-        }
-        if max_addr >= VADDR_LIMIT {
-            return Err(bad(format!(
-                "record vaddr {max_addr:#x} is not below 2^57, the widest \
-                 (5-level) virtual address space"
-            )));
         }
         Ok(Self {
             records: std::sync::Arc::new(records),
@@ -500,9 +513,19 @@ mod tests {
             let path = tmp("wide-vaddr");
             let mut t = TraceFile::from_records(vec![MemAccess::read(VirtAddr::new(0x1000), 4)]);
             TraceFile::record_v2(&path, &mut t, 1, Asid::new(1)).expect("record");
-            // Patch the one record's vaddr word, past the header.
+            // Patch the one record's vaddr word, past the header, and
+            // (for an address keys can pack) its keys to match it.
             let mut bytes = std::fs::read(&path).expect("read");
-            bytes[V2_HEADER_BYTES..V2_HEADER_BYTES + 8].copy_from_slice(&va.to_le_bytes());
+            let mut patch = |word: usize, v: u64| {
+                let at = V2_HEADER_BYTES + 8 * word;
+                bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            };
+            patch(0, va);
+            if ok {
+                let hint = TranslationHint::compute(VirtAddr::new(va), Asid::new(1));
+                patch(2, hint.packed_4k);
+                patch(3, hint.packed_2m);
+            }
             std::fs::write(&path, &bytes).expect("write");
             let opened = TraceFile::open(&path);
             std::fs::remove_file(&path).ok();
@@ -514,6 +537,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A record whose stored keys are not the ones its vaddr packs to
+    /// under the header's ASID is rejected: replay would hand those keys
+    /// to the TLBs as the access's translation hint.
+    #[test]
+    fn records_with_stale_packed_keys_are_rejected() {
+        let path = tmp("stale-keys");
+        let mut g = BenchKind::Gups.build(3, 0.05);
+        TraceFile::record_v2(&path, g.as_mut(), 500, Asid::new(1)).expect("record");
+        let clean = std::fs::read(&path).expect("read");
+        assert!(TraceFile::open(&path).is_ok(), "the recorded file opens");
+        for word in [2, 3] {
+            let mut bytes = clean.clone();
+            for rec in (0..500).step_by(10) {
+                // Bit 20 of the packed key: inside the page number.
+                bytes[V2_HEADER_BYTES + rec * V2_RECORD_BYTES + 8 * word + 2] ^= 0x10;
+            }
+            std::fs::write(&path, &bytes).expect("write");
+            let err = TraceFile::open(&path).expect_err("stale keys must be rejected");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        // The same file claiming another ASID: every key is stale.
+        let mut bytes = clean;
+        bytes[16..18].copy_from_slice(&2u16.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        let opened = TraceFile::open(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            opened.expect_err("keys of another ASID").kind(),
+            io::ErrorKind::InvalidData
+        );
     }
 
     use proptest::prelude::*;

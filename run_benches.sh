@@ -35,7 +35,7 @@ BENCHES="tab02_config fig01_tlb_mpki_ratio tab01_walk_cycles fig03_cache_occupan
 fig07_performance fig08_walks_eliminated fig09_partition_trace fig10_l2_mpki \
 fig11_l3_mpki fig12_native fig13_prior_work fig14_contexts fig15_epoch \
 fig16_cs_interval ext_5level ext_tsb_csalt ext_huge_pages ext_drrip ablation_replacement \
-ablation_static ablation_warmup"
+ablation_static"
 for b in $BENCHES; do
     echo "=== bench: $b ($(date +%H:%M:%S)) ===" | tee -a bench_output.txt
     cargo bench -p csalt-bench --bench "$b" 2>&1 | tee -a bench_output.txt

@@ -15,12 +15,13 @@ use csalt::sim::checkpoint::{self, HierarchyCheckpoint};
 use csalt::sim::{run_in, SimConfig, SimResult};
 use csalt::types::ckpt::{image_checksum, CKPT_MAGIC, CKPT_VERSION};
 use csalt::types::{
-    CkptError, CkptReader, CkptWriter, CoreId, MemAccess, PageSize, PhysAddr, PhysFrame,
+    CkptError, CkptReader, CkptWriter, ContextId, CoreId, MemAccess, PageSize, PhysAddr, PhysFrame,
     SystemConfig, TranslationScheme, VirtAddr,
 };
 use csalt::workloads::{BenchKind, WorkloadSpec};
 use proptest::prelude::*;
 use radix_reference::{Entry, Node, ReferenceTable};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 /// A shrunken two-core machine: same shapes as `skylake()`, but small
@@ -44,6 +45,12 @@ fn hier(cfg: &SystemConfig, scheme: TranslationScheme, virtualized: bool) -> Mem
 /// picks the core and the next bit the context.
 fn drive(h: &mut MemoryHierarchy, cores: usize, vms: usize, addrs: &[(u64, usize, bool)]) {
     let ctxs: Vec<_> = (0..vms).map(|_| h.add_context()).collect();
+    replay(h, cores, &ctxs, addrs);
+}
+
+/// [`drive`] over contexts the hierarchy already has.
+fn replay(h: &mut MemoryHierarchy, cores: usize, ctxs: &[ContextId], addrs: &[(u64, usize, bool)]) {
+    let vms = ctxs.len();
     for &(addr, sel, write) in addrs {
         let a = VirtAddr::new(addr & !0x3f);
         let acc = if write {
@@ -62,8 +69,13 @@ fn drive(h: &mut MemoryHierarchy, cores: usize, vms: usize, addrs: &[(u64, usize
 /// A reference image over a nontrivial state: the richest scheme
 /// (csalt-cd, virtualized) after a mixed read/write stream.
 fn reference_image() -> (SystemConfig, Vec<u8>) {
+    (small_config(), scheme_image(TranslationScheme::CsaltCd))
+}
+
+/// The reference image's state and stream, under `scheme`.
+fn scheme_image(scheme: TranslationScheme) -> Vec<u8> {
     let cfg = small_config();
-    let mut h = hier(&cfg, TranslationScheme::CsaltCd, true);
+    let mut h = hier(&cfg, scheme, true);
     let addrs: Vec<(u64, usize, bool)> = (0..600)
         .map(|i: u64| ((i * 0x1_013) << 6, (i % 4) as usize, i.is_multiple_of(5)))
         .collect();
@@ -72,7 +84,7 @@ fn reference_image() -> (SystemConfig, Vec<u8>) {
         current_vms: vec![1, 0],
         pops: vec![vec![300, 150], vec![75, 75]],
     };
-    (cfg.clone(), meta.encode(&h, "fp-reference"))
+    meta.encode(&h, "fp-reference")
 }
 
 /// Schemes whose images the round-trip property covers: between them
@@ -217,7 +229,7 @@ fn shape_mismatch_rejected() {
 }
 
 // ---------------------------------------------------------------------
-// Crafted page tables.
+// Crafted page tables and damaged payloads.
 // ---------------------------------------------------------------------
 
 /// The fingerprint and payload of a framed image.
@@ -442,4 +454,59 @@ fn crafted_page_tables_fall_back_to_cold_warmup() {
     let (r, restored) = run_in(&cfg, Some(&tmp.0));
     assert!(restored, "the untouched image restores");
     assert_eq!(json(&r), json(&cold));
+}
+
+/// Payload offsets sampled per image by the mutation test.
+const MUTATION_OFFSETS: usize = 20;
+
+/// Damaged payload words, re-framed under a valid checksum so they get
+/// past the framing checks and into the component decoders, must
+/// decode to an error or to a hierarchy that keeps running: no decoder
+/// panics, and no state it accepts makes a later access panic. Each
+/// image's sample of offsets is spread evenly over the payload, and
+/// every sampled byte is flipped with three masks.
+#[test]
+fn mutated_payloads_never_panic() {
+    let cfg = small_config();
+    // New lines of the pages the image's stream mapped: translation
+    // mostly hits, while the caches fill and evict.
+    let stream: Vec<(u64, usize, bool)> = (0..3_000)
+        .map(|i: u64| {
+            (
+                ((i % 600) * 0x1_013 + 1 + i / 600) << 6,
+                (i % 4) as usize,
+                i.is_multiple_of(3),
+            )
+        })
+        .collect();
+    for scheme in [
+        TranslationScheme::CsaltCd,
+        TranslationScheme::TsbCsalt,
+        TranslationScheme::Drrip,
+    ] {
+        let (fp, payload) = unframe(&scheme_image(scheme));
+        let mut decoded = 0;
+        for k in 0..MUTATION_OFFSETS {
+            let at = (k * payload.len() + payload.len() / 2) / MUTATION_OFFSETS;
+            for mask in [0x01u8, 0x80, 0xff] {
+                let mut damaged = payload.clone();
+                damaged[at] ^= mask;
+                let image = reframe(&damaged, &fp);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let mut h = hier(&cfg, scheme, true);
+                    let ctxs: Vec<_> = (0..2).map(|_| h.add_context()).collect();
+                    let ok = HierarchyCheckpoint::decode_into(&image, &fp, &mut h, 2, 2).is_ok();
+                    if ok {
+                        replay(&mut h, 2, &ctxs, &stream);
+                    }
+                    ok
+                }));
+                match outcome {
+                    Ok(ok) => decoded += usize::from(ok),
+                    Err(_) => panic!("{scheme:?}: payload byte {at} ^ {mask:#04x} panicked"),
+                }
+            }
+        }
+        assert!(decoded > 0, "{scheme:?}: no damaged image decoded");
+    }
 }

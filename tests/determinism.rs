@@ -14,7 +14,7 @@
 //! `cargo test --test determinism -- --nocapture print_fingerprints`
 //! and say so in the commit message.
 
-use csalt::sim::{run_in, SimConfig, SimResult, WarmupMode};
+use csalt::sim::{run_in, SimConfig, SimResult};
 use csalt::types::TranslationScheme;
 use csalt::workloads::{BenchKind, WorkloadSpec};
 use std::path::{Path, PathBuf};
@@ -262,80 +262,5 @@ fn pinned_fingerprints_hold_with_checkpointing_off_and_on() {
                 );
             }
         }
-    }
-}
-
-/// The same fixed-seed run with functional (state-only) warmup and
-/// SMARTS-style sampled measurement windows — the fast-forward path's
-/// own pinned table. The access stream is identical to the timed run;
-/// only where cycle accounting happens differs, so these counters are
-/// equally a pure function of (config, seed).
-fn functional_config(scheme: TranslationScheme) -> SimConfig {
-    let mut cfg = config(scheme);
-    cfg.warmup_mode = WarmupMode::Functional;
-    cfg.sample_windows = 3;
-    cfg.window_accesses = 3_000;
-    cfg
-}
-
-/// Pinned values for the functional-warmup sampled-window run.
-/// Regenerate with `print_functional_fingerprints`.
-fn expected_functional(scheme: TranslationScheme) -> Fingerprint {
-    let v: [u64; 8] = match scheme {
-        TranslationScheme::Conventional => [783170, 1737402, 4258, 674574, 2130, 4258, 1309984, 31],
-        TranslationScheme::PomTlb => [1111646, 1732098, 2118, 542325, 2173, 4186, 1650996, 38],
-        TranslationScheme::CsaltD => [1110383, 1734978, 2108, 544875, 2169, 4179, 1650453, 38],
-        TranslationScheme::CsaltCd => [1110383, 1734978, 2108, 544875, 2169, 4179, 1650453, 38],
-        TranslationScheme::Dip => [1110913, 1729113, 2115, 542988, 2172, 4179, 1649482, 38],
-        TranslationScheme::Tsb => [1472077, 1668447, 2027, 489876, 2410, 3658, 2012445, 47],
-        TranslationScheme::StaticPartition { .. } => {
-            [1206918, 1713021, 2144, 575226, 2159, 4135, 1745227, 40]
-        }
-        TranslationScheme::TsbCsalt => [1439236, 1687932, 2015, 485592, 2418, 3647, 1982702, 46],
-        TranslationScheme::Drrip => [1101049, 1736451, 2118, 540030, 2179, 4182, 1641521, 38],
-    };
-    Fingerprint {
-        translation_cycles: v[0],
-        data_cycles: v[1],
-        page_walks: v[2],
-        page_walk_cycles: v[3],
-        l2_tlb_hits: v[4],
-        l2_tlb_misses: v[5],
-        total_core_cycles: v[6],
-        context_switches: v[7],
-    }
-}
-
-/// Prints the functional-warmup fingerprint table in the exact form
-/// `expected_functional` wants.
-#[test]
-#[ignore = "regeneration helper, run with --ignored --nocapture"]
-fn print_functional_fingerprints() {
-    for scheme in schemes() {
-        let r = run(&functional_config(scheme));
-        let f = fingerprint(&r);
-        println!(
-            "TranslationScheme::{scheme:?} => [{}, {}, {}, {}, {}, {}, {}, {}],",
-            f.translation_cycles,
-            f.data_cycles,
-            f.page_walks,
-            f.page_walk_cycles,
-            f.l2_tlb_hits,
-            f.l2_tlb_misses,
-            f.total_core_cycles,
-            f.context_switches,
-        );
-    }
-}
-
-#[test]
-fn every_scheme_matches_its_pinned_functional_fingerprint() {
-    for scheme in schemes() {
-        let r = run(&functional_config(scheme));
-        assert_eq!(
-            fingerprint(&r),
-            expected_functional(scheme),
-            "scheme {scheme:?} diverged from its pinned functional-warmup counters"
-        );
     }
 }
