@@ -24,11 +24,14 @@
 #      and reproduce byte-identical results, and cross-figure duplicate
 #      configs must be simulated exactly once
 #   6d. checkpoint gate: a smoke suite whose configs share warmup
-#      prefixes runs on a sweep without a cache directory (no
-#      checkpoints) and then into a fresh one — the checkpointed pass must
-#      be byte-identical to the disabled one, reject no image (zero
-#      fallbacks) and restore once per follower config (every config
-#      after the first of its warmup-prefix group)
+#      prefixes runs straight through (no checkpoints), then group by
+#      group through `run_in` over a fresh checkpoint directory (leader
+#      first, then its followers), then as one sweep batch — the
+#      checkpointed runs must be byte-identical to the straight ones,
+#      reject no image (zero fallbacks) and restore once per follower
+#      config (every config after the first of its warmup-prefix
+#      group), and the sweep must make one run per warmup group with
+#      byte-identical results
 #   6b. audit smoke: a multi-VM csalt-cd CLI run with the audit
 #      feature live (conservation laws checked at every epoch
 #      boundary), run twice — the two outputs must be byte-identical
@@ -93,7 +96,7 @@ cargo run -q -p csalt-sim --bin csalt-report -- bench-diff
 step "sweep cache gate (warm re-run simulates nothing, results byte-identical)"
 cargo run -q -p csalt-sim --bin csalt-experiments -- cache-gate
 
-step "checkpoint gate (fork-from-snapshot byte-identical, 0 fallbacks, every follower restores)"
+step "checkpoint gate (byte-identical, 0 fallbacks, every follower restores, one sweep run per warmup group)"
 cargo run -q -p csalt-sim --bin csalt-experiments -- ckpt-gate
 
 step "audit smoke (audit laws live, bit-deterministic)"

@@ -11,15 +11,17 @@
 //! `csalt-experiments cache-gate`); the timings and hit/dedup counts
 //! are what gets recorded.
 //!
-//! The checkpoint speedup is judged on alternating pairs of cold passes
-//! (a sweep without a cache directory, so no checkpoints, then one over
-//! a fresh directory), so a slow or fast host window lands on both
-//! sides of a pair; the verdict is the median pair ratio.
+//! The warmup-group speedup is judged on alternating pairs of cold
+//! passes (every unique config simulated straight through, then a
+//! sweep over a fresh directory, which runs each warmup group once),
+//! so a slow or fast host window lands on both sides of a pair; the
+//! verdict is the median pair ratio.
 //!
 //! Modes:
 //!
 //! * default (`cargo bench -p csalt-bench --bench sweep`) —
-//!   full-length suite, 3 off/on pairs; **rewrites** `BENCH_sweep.json`.
+//!   full-length suite, 3 straight/grouped pairs; **rewrites**
+//!   `BENCH_sweep.json`.
 //! * `CSALT_SMOKE=1` — shorter suite, one pair, asserts the same
 //!   invariants, never writes the file.
 
@@ -29,6 +31,8 @@ use csalt_types::TranslationScheme;
 use csalt_workloads::{BenchKind, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The recorded sweep trajectory: `BENCH_sweep.json`.
@@ -47,26 +51,24 @@ struct SweepRecord {
     configs_submitted: usize,
     /// Distinct configs among them.
     configs_unique: usize,
+    /// Warmup groups among the distinct configs (one engine run each).
+    warmup_groups: usize,
     /// Per-core accesses (measured phase) of each config.
     accesses_per_core: u64,
-    /// Cold pass with checkpointing disabled: fresh cache directory,
-    /// every unique config simulated straight through (the
-    /// pre-checkpoint baseline). Median over the pairs.
+    /// Baseline cold pass: every unique config simulated straight
+    /// through on the sweep's worker count. Median over the pairs.
     cold_secs: f64,
-    /// Cold pass with checkpointed warmup enabled: same suite, fresh
-    /// directory, byte-identical results. Median over the pairs.
-    cold_ckpt_secs: f64,
-    /// Each off/on pair's `cold / cold_ckpt` ratio, in run order.
+    /// Cold sweep over a fresh directory: one run per warmup group,
+    /// byte-identical results. Median over the pairs.
+    cold_grouped_secs: f64,
+    /// Each pair's `cold / cold_grouped` ratio, in run order.
     pair_speedups: Vec<f64>,
-    /// Median of `pair_speedups` — the fork-from-snapshot speedup.
-    ckpt_speedup: f64,
+    /// Median of `pair_speedups` — the warmup-group speedup.
+    group_speedup: f64,
     /// Warm pass: same cache, zero simulations.
     warm_secs: f64,
-    /// Cold-baseline sweep counters.
-    cold: SweepStats,
-    /// Checkpointed-cold sweep counters (`restored` > 0 proves the
-    /// fork path ran).
-    cold_ckpt: SweepStats,
+    /// Grouped cold sweep counters (`runs` equals `warmup_groups`).
+    cold_grouped: SweepStats,
     /// Warm-pass sweep counters.
     warm: SweepStats,
 }
@@ -80,7 +82,8 @@ fn repo_root() -> PathBuf {
 /// re-submissions of its baselines, plus — like the real figure
 /// harnesses — per-config measured-phase variants (an occupancy-scan
 /// figure, a half-length zoom and a quarter-length convergence row)
-/// that share the base config's warmup prefix exactly. Warmup equals
+/// that share the base config's warmup prefix exactly, so each base
+/// config and its variants form one warmup group. Warmup equals
 /// the measured length, matching `experiments::Harness::default_config`.
 ///
 /// Full mode runs the real per-figure system parameters
@@ -126,8 +129,8 @@ fn suite(accesses: u64, smoke: bool) -> Vec<SimConfig> {
     }
     // Measured-phase variants of every fig07 config: an occupancy-scan
     // figure, a half-length zoom and a quarter-length convergence row.
-    // All share their base's warmup prefix — the fork-from-snapshot
-    // groups a cold suite restores in.
+    // All share their base's warmup prefix — the warmup groups a cold
+    // sweep runs once each.
     for w in &workloads {
         for s in fig07 {
             let mut occ = mk(w, s);
@@ -148,9 +151,50 @@ fn json(results: &[SimResult]) -> String {
     serde_json::to_string(results).expect("results serialize")
 }
 
+/// The sweep's default worker count for `jobs` jobs.
+fn workers(jobs: usize) -> usize {
+    std::thread::available_parallelism()
+        .map_or(4, std::num::NonZero::get)
+        .clamp(1, jobs.max(1))
+}
+
+/// The baseline pass: every unique config simulated straight through
+/// (`run_in`, no checkpoints) over an atomic claim index on the sweep's
+/// worker count. Returns wall seconds and the results, in submission
+/// order, as JSON.
+fn straight_pass(configs: &[SimConfig]) -> (f64, String) {
+    let t = Instant::now();
+    let keys: Vec<String> = configs.iter().map(csalt_sim::sweep::config_key).collect();
+    let mut unique: Vec<&SimConfig> = Vec::new();
+    let mut index_of = std::collections::BTreeMap::new();
+    for (key, cfg) in keys.iter().zip(configs) {
+        if !index_of.contains_key(key) {
+            index_of.insert(key, unique.len());
+            unique.push(cfg);
+        }
+    }
+    let slots: Vec<OnceLock<SimResult>> = unique.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..workers(unique.len()) {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cfg) = unique.get(i) else { break };
+                let (r, _) = csalt_sim::run_in(cfg, None);
+                assert!(slots[i].set(r).is_ok(), "one run per unique config");
+            });
+        }
+    });
+    let results: Vec<SimResult> = keys
+        .iter()
+        .map(|k| slots[index_of[k]].get().expect("every config ran").clone())
+        .collect();
+    (t.elapsed().as_secs_f64(), json(&results))
+}
+
 /// One pass of the suite through a new sweep over `dir` (`None`: no
-/// persistence and no checkpoints): wall seconds, the results as JSON
-/// and the sweep's counters.
+/// persistence): wall seconds, the results as JSON and the sweep's
+/// counters.
 fn suite_pass(dir: Option<&Path>, configs: &[SimConfig]) -> (f64, String, SweepStats) {
     let t = Instant::now();
     let sweep = Sweep::new(SweepOptions {
@@ -213,63 +257,62 @@ fn main() {
         .map(csalt_sim::sweep::config_key)
         .collect::<std::collections::HashSet<_>>()
         .len();
+    let groups = configs
+        .iter()
+        .map(csalt_sim::checkpoint::warmup_prefix_json)
+        .collect::<std::collections::HashSet<_>>()
+        .len();
 
-    // Alternating cold pairs: first a sweep without a cache directory
-    // (every unique config simulated straight through — the
-    // pre-checkpoint baseline), then one over a fresh directory with
-    // checkpointed warmup, which must reproduce the baseline
-    // byte-for-byte and actually fork from snapshots.
+    // Alternating cold pairs: first every unique config simulated
+    // straight through (the baseline), then a sweep over a fresh
+    // directory, which must run each warmup group once and reproduce
+    // the baseline byte-for-byte.
     let pairs = if smoke { 1 } else { 3 };
     let dir = std::env::temp_dir().join(format!("csalt-bench-sweep-{}", std::process::id()));
     let mut cold_times = Vec::new();
-    let mut ckpt_times = Vec::new();
+    let mut grouped_times = Vec::new();
     let mut pair_speedups = Vec::new();
     let mut baseline: Option<String> = None;
-    let (mut cold, mut cold_ckpt) = (SweepStats::default(), SweepStats::default());
+    let mut cold_grouped = SweepStats::default();
     for pair in 0..pairs {
-        let (cold_secs, results, stats) = suite_pass(None, &configs);
+        let (cold_secs, results) = straight_pass(&configs);
+        let baseline = baseline.get_or_insert(results);
+
+        let _ = std::fs::remove_dir_all(&dir);
+        let (grouped_secs, results, stats) = suite_pass(Some(&dir), &configs);
         assert_eq!(
             stats.simulated as usize, unique,
-            "cold pass must simulate each unique config exactly once"
+            "the cold sweep must answer each unique config by simulation"
         );
         assert_eq!(
             stats.deduped as usize,
             configs.len() - unique,
             "cross-figure duplicates must be folded"
         );
-        let baseline = baseline.get_or_insert(results);
-        cold = stats;
-
-        let _ = std::fs::remove_dir_all(&dir);
-        let (ckpt_secs, results, stats) = suite_pass(Some(&dir), &configs);
-        assert_eq!(
-            stats.simulated as usize, unique,
-            "checkpointed cold pass must still simulate each unique config"
-        );
         assert_eq!(
             *baseline, results,
-            "checkpointed cold results must be byte-identical to the baseline"
+            "grouped cold results must be byte-identical to the baseline"
         );
-        assert!(
-            stats.restored > 0,
-            "checkpointed cold pass must restore at least one warmup snapshot"
+        assert_eq!(
+            stats.runs as usize, groups,
+            "the cold sweep must make one run per warmup group"
         );
-        cold_ckpt = stats;
-        let ratio = cold_secs / ckpt_secs.max(f64::MIN_POSITIVE);
+        cold_grouped = stats;
+        let ratio = cold_secs / grouped_secs.max(f64::MIN_POSITIVE);
         println!(
-            "pair {}: cold {cold_secs:.2}s -> ckpt cold {ckpt_secs:.2}s ({ratio:.2}x)",
+            "pair {}: cold {cold_secs:.2}s -> grouped cold {grouped_secs:.2}s ({ratio:.2}x)",
             pair + 1
         );
         cold_times.push(cold_secs);
-        ckpt_times.push(ckpt_secs);
+        grouped_times.push(grouped_secs);
         pair_speedups.push(ratio);
     }
     let cold_json = baseline.expect("at least one pair ran");
     let cold_secs = median(&cold_times);
-    let cold_ckpt_secs = median(&ckpt_times);
-    let ckpt_speedup = median(&pair_speedups);
+    let cold_grouped_secs = median(&grouped_times);
+    let group_speedup = median(&pair_speedups);
 
-    // Warm: same cache as the last checkpointed pass, zero simulations.
+    // Warm: same cache as the last grouped pass, zero simulations.
     let (warm_secs, warm_json, warm) = suite_pass(Some(&dir), &configs);
     assert_eq!(warm.simulated, 0, "warm pass must not simulate");
     assert_eq!(cold_json, warm_json, "warm results must be byte-identical");
@@ -281,46 +324,45 @@ fn main() {
         engine_fingerprint: engine_fingerprint(),
         configs_submitted: configs.len(),
         configs_unique: unique,
+        warmup_groups: groups,
         accesses_per_core: accesses,
         cold_secs,
-        cold_ckpt_secs,
+        cold_grouped_secs,
         pair_speedups,
-        ckpt_speedup,
+        group_speedup,
         warm_secs,
-        cold,
-        cold_ckpt,
+        cold_grouped,
         warm,
     };
     println!(
-        "sweep [{}]: {} configs ({} unique, {} deduped) cold {:.2}s -> ckpt cold {:.2}s \
-         ({:.2}x median of {} pairs, {} restored) -> warm {:.3}s ({} cache hits, 0 simulations){}",
+        "sweep [{}]: {} configs ({} unique, {} deduped) cold {:.2}s -> grouped cold {:.2}s \
+         ({:.2}x median of {} pairs, {} runs) -> warm {:.3}s ({} cache hits, 0 simulations){}",
         record.engine_fingerprint,
         record.configs_submitted,
         record.configs_unique,
-        record.cold.deduped,
+        record.cold_grouped.deduped,
         record.cold_secs,
-        record.cold_ckpt_secs,
-        record.ckpt_speedup,
+        record.cold_grouped_secs,
+        record.group_speedup,
         record.pair_speedups.len(),
-        record.cold_ckpt.restored,
+        record.cold_grouped.runs,
         record.warm_secs,
         record.warm.cache_hits,
         if smoke { " [smoke]" } else { "" },
     );
 
-    // The acceptance bar: a checkpointed cold suite ≥1.5× the
-    // baseline in the median pair (full mode; smoke sizes are dominated
-    // by fixed per-checkpoint costs and only report). Below 2× is a
-    // warning.
+    // The acceptance bar: a grouped cold suite ≥1.5× the baseline in
+    // the median pair (full mode; smoke sizes are dominated by fixed
+    // per-run costs and only report). Below 2× is a warning.
     // Checked after the summary line so a failure still prints every
     // pass timing, but before the record is written.
     if !smoke {
         assert!(
-            ckpt_speedup >= 1.5,
-            "checkpointed cold suite speedup {ckpt_speedup:.2}x is below the 1.5x bar"
+            group_speedup >= 1.5,
+            "grouped cold suite speedup {group_speedup:.2}x is below the 1.5x bar"
         );
-        if ckpt_speedup < 2.0 {
-            eprintln!("warning: checkpointed cold speedup {ckpt_speedup:.2}x is below 2x");
+        if group_speedup < 2.0 {
+            eprintln!("warning: grouped cold speedup {group_speedup:.2}x is below 2x");
         }
     }
 
@@ -336,7 +378,11 @@ fn main() {
             record.dirty,
             &[
                 ("cold_secs".to_owned(), record.cold_secs, "lower"),
-                ("cold_ckpt_secs".to_owned(), record.cold_ckpt_secs, "lower"),
+                (
+                    "cold_grouped_secs".to_owned(),
+                    record.cold_grouped_secs,
+                    "lower",
+                ),
                 ("warm_secs".to_owned(), record.warm_secs, "lower"),
             ],
         );

@@ -13,9 +13,10 @@
 //! `--accesses N` (per-core measured accesses), `--warmup N` (per-core
 //! warmup accesses, default: the access count), `--scale F` (footprint
 //! multiplier), `--jobs N` (sweep workers), `--cache-dir <path>` (where
-//! results and warmup checkpoints persist, default
+//! results, and the warmup checkpoints of `run`, persist, default
 //! `target/csalt-cache/`) and `--no-cache` (no persistence and no
-//! checkpoints; in-process dedup remains). The environment is not read.
+//! checkpoints; in-process dedup and warmup groups remain). The
+//! environment is not read.
 
 use csalt_sim::experiments as exp;
 #[cfg(feature = "telemetry")]
@@ -545,18 +546,21 @@ fn cache_gate() {
 }
 
 /// `csalt-experiments ckpt-gate`: proof of the fork-from-snapshot
-/// contract. Runs a suite whose configs share warmup prefixes twice —
-/// once on a sweep without a cache directory (no checkpoints), once
-/// into a fresh one — and fails (exit 1) unless the checkpointed pass
-/// produced byte-identical results, rejected no image (zero
-/// fallbacks), and restored at least once per follower config — every
-/// unique config after the first of its warmup-prefix group. A decoder
-/// that rejected its own images would otherwise pass as silent cold
-/// runs.
+/// contract and of the sweep's warmup groups. Runs a suite whose
+/// configs share warmup prefixes three ways: every unique config
+/// straight through with no checkpoints; each warmup group's first
+/// config (its leader) and then the rest (its followers) through
+/// `run_in` over a fresh checkpoint directory; and the whole suite
+/// through one sweep batch. Fails (exit 1) unless the checkpointed runs
+/// are byte-identical to the straight ones, no image was rejected (zero
+/// fallbacks), every follower restored, and the sweep made one run per
+/// warmup group with results byte-identical to the straight runs. A
+/// decoder that rejected its own images would otherwise pass as silent
+/// cold runs.
 fn ckpt_gate() {
     // Base suite plus, per unique config, a variant that differs only
     // in measured-phase length — same warmup prefix, different config
-    // key — so every prefix group has a leader and a follower.
+    // key — so every warmup group has a leader and a follower.
     let mut configs = gate_configs();
     let variants: Vec<SimConfig> = {
         let mut seen = std::collections::BTreeSet::new();
@@ -571,78 +575,104 @@ fn ckpt_gate() {
             .collect()
     };
     configs.extend(variants);
-    let followers = {
-        let mut unique = std::collections::BTreeSet::new();
-        let mut prefixes = std::collections::BTreeSet::new();
-        for c in &configs {
-            if c.warmup_accesses_per_core > 0 && unique.insert(sweep::config_key(c)) {
-                prefixes.insert(csalt_sim::checkpoint::warmup_key(c));
-            }
+    // Unique configs in submission order, and their warmup groups in
+    // order of first appearance.
+    let mut unique: Vec<&SimConfig> = Vec::new();
+    let mut index_of = std::collections::BTreeMap::new();
+    let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
+    for c in &configs {
+        if index_of.contains_key(&sweep::config_key(c)) {
+            continue;
         }
-        (unique.len() - prefixes.len()) as u64
-    };
+        index_of.insert(sweep::config_key(c), unique.len());
+        let prefix = csalt_sim::checkpoint::warmup_prefix_json(c);
+        match groups.iter_mut().find(|(p, _)| *p == prefix) {
+            Some((_, members)) => members.push(unique.len()),
+            None => groups.push((prefix, vec![unique.len()])),
+        }
+        unique.push(c);
+    }
+    let followers = (unique.len() - groups.len()) as u64;
 
-    let json = |results: &[csalt_sim::SimResult]| {
-        serde_json::to_string(results).expect("results serialize")
-    };
+    let json = |r: &csalt_sim::SimResult| serde_json::to_string(r).expect("result serializes");
     let fail = |msg: &str| -> ! {
         eprintln!("ckpt gate FAILED: {msg}");
         std::process::exit(1);
     };
-    let pass = |cache_dir: Option<PathBuf>| -> (String, f64, csalt_sim::SweepStats) {
-        if let Some(dir) = &cache_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        let t = std::time::Instant::now();
-        let sweep = Sweep::new(SweepOptions {
-            cache_dir: cache_dir.clone(),
-            jobs: None,
-        });
-        let results = sweep.run_batch(configs.clone());
-        let secs = t.elapsed().as_secs_f64();
-        let stats = sweep.stats();
-        if let Some(dir) = &cache_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        (json(&results), secs, stats)
-    };
-
-    let (off_json, off_secs, off_stats) = pass(None);
-    if off_stats.restored != 0 {
-        fail("disabled pass restored a checkpoint");
-    }
-    let before = csalt_sim::checkpoint::stats();
-    let dir = std::env::temp_dir().join(format!("csalt-ckpt-gate-{}", std::process::id()));
-    let (on_json, on_secs, on_stats) = pass(Some(dir));
-    let after = csalt_sim::checkpoint::stats();
-
-    if on_json != off_json {
-        fail("checkpointed results are not byte-identical to the disabled run");
-    }
-    let restores = after.restores.saturating_sub(before.restores);
-    let saves = after.saves.saturating_sub(before.saves);
-    let fallbacks = after.fallbacks.saturating_sub(before.fallbacks);
     if followers == 0 {
         fail("the gate suite has no follower configs — nothing can restore");
     }
+
+    let t = std::time::Instant::now();
+    let straight: Vec<String> = unique
+        .iter()
+        .map(|c| json(&csalt_sim::run_in(c, None).0))
+        .collect();
+    let straight_secs = t.elapsed().as_secs_f64();
+
+    let dir = std::env::temp_dir().join(format!("csalt-ckpt-gate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let before = csalt_sim::checkpoint::stats();
+    let t = std::time::Instant::now();
+    let mut followers_restored = 0u64;
+    for (_, members) in &groups {
+        for (rank, &u) in members.iter().enumerate() {
+            let (r, restored) = csalt_sim::run_in(unique[u], Some(&dir));
+            if json(&r) != straight[u] {
+                let _ = std::fs::remove_dir_all(&dir);
+                fail("a checkpointed run is not byte-identical to its straight run");
+            }
+            if rank > 0 && restored {
+                followers_restored += 1;
+            }
+        }
+    }
+    let ckpt_secs = t.elapsed().as_secs_f64();
+    let after = csalt_sim::checkpoint::stats();
+    let _ = std::fs::remove_dir_all(&dir);
+    let restores = after.restores.saturating_sub(before.restores);
+    let saves = after.saves.saturating_sub(before.saves);
+    let fallbacks = after.fallbacks.saturating_sub(before.fallbacks);
     if fallbacks != 0 {
         fail(&format!(
             "{fallbacks} checkpoint image(s) were rejected and ran cold ({restores} restores)"
         ));
     }
-    if restores < followers || on_stats.restored < followers {
+    if restores < followers || followers_restored < followers {
         fail(&format!(
-            "{restores} restores ({} counted by the sweep) for {followers} follower configs \
-             — some followers warmed up cold",
-            on_stats.restored
+            "{restores} restores ({followers_restored} by followers) for {followers} follower \
+             configs — some followers warmed up cold"
         ));
     }
+
+    let t = std::time::Instant::now();
+    let sweep = Sweep::new(SweepOptions {
+        cache_dir: None,
+        jobs: None,
+    });
+    let results = sweep.run_batch(configs.clone());
+    let sweep_secs = t.elapsed().as_secs_f64();
+    let stats = sweep.stats();
+    if stats.runs != groups.len() as u64 {
+        fail(&format!(
+            "the sweep made {} runs for {} warmup groups",
+            stats.runs,
+            groups.len()
+        ));
+    }
+    for (c, r) in configs.iter().zip(&results) {
+        if json(r) != straight[index_of[&sweep::config_key(c)]] {
+            fail("a sweep result is not byte-identical to its straight run");
+        }
+    }
     println!(
-        "ckpt gate OK [{}]: {} sims; disabled {off_secs:.2}s, enabled {on_secs:.2}s \
-         ({saves} saves, {restores} restores for {followers} followers, 0 fallbacks); \
-         results byte-identical",
+        "ckpt gate OK [{}]: {} configs in {} warmup groups; straight {straight_secs:.2}s, \
+         checkpointed {ckpt_secs:.2}s ({saves} saves, {restores} restores for {followers} \
+         followers, 0 fallbacks), sweep {sweep_secs:.2}s ({} runs); results byte-identical",
         sweep::engine_fingerprint(),
-        on_stats.simulated,
+        unique.len(),
+        groups.len(),
+        stats.runs,
     );
 }
 
@@ -777,7 +807,7 @@ fn main() {
             "cache-gate"
         );
         println!(
-            "  {:<22} prove checkpointed warmup: ckpt on vs off byte-identical, >=1 restore",
+            "  {:<22} prove checkpointed warmup and warmup groups: byte-identical, every follower restores, one run per group",
             "ckpt-gate"
         );
         println!(

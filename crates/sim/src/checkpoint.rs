@@ -3,21 +3,25 @@
 //! A run's warmup phase is a pure function of the *warmup-determining*
 //! subset of its [`SimConfig`] — the machine, scheme, workload, seed
 //! and warmup length, but **not** the measured-phase knobs (access
-//! budget, sample windows, occupancy scans). Two configs that agree on
-//! that subset land in byte-identical post-warmup state, so the first
-//! one to run can serialize the whole simulator ([`HierarchyCheckpoint`])
-//! and every sibling can restore it and run only its measured phase.
+//! budget, occupancy scans). Two configs that agree on that subset land
+//! in byte-identical post-warmup state, so the first one to run can
+//! serialize the whole simulator ([`HierarchyCheckpoint`]) and every
+//! later run of the prefix can restore it and run only its measured
+//! phase. (Within one sweep batch such configs share one run instead;
+//! see `simulator::run_group`.)
 //!
 //! A run checkpoints exactly when its caller gives it a cache
-//! directory: a sweep's `SweepOptions::cache_dir` for its jobs,
-//! `run_in`'s `cache_dir` or `Instrumentation::cache_dir` for one run.
-//! `run` and `run_with_generators` take none and never checkpoint (a
-//! caller-supplied generator matrix is not what the warmup key hashes).
-//! Images are named `ckpt-<engine-fingerprint>-<warmup-key>.bin`
-//! and framed by the [`csalt_types::ckpt`] envelope: magic, version,
-//! fingerprint, length-validated payload, trailing checksum. A torn,
-//! stale or corrupt image is *never* an error — the run falls back to a
-//! cold warmup and the rejection is counted ([`stats`]).
+//! directory: `run_in`'s `cache_dir` or `Instrumentation::cache_dir`.
+//! `run`, `run_group`, `run_with_generators` and sweeps take none and
+//! never checkpoint (a caller-supplied generator matrix is not what the
+//! warmup key hashes). Images are named
+//! `ckpt-<engine-fingerprint>-<warmup-key>.bin` and framed by the
+//! [`csalt_types::ckpt`] envelope: magic, version, fingerprint,
+//! length-validated payload, trailing checksum. The payload's META
+//! section records the full warmup-prefix JSON, so an image found
+//! under a colliding key is rejected rather than restored. A torn,
+//! stale, corrupt or foreign image is *never* an error — the run falls
+//! back to a cold warmup and the rejection is counted ([`stats`]).
 //!
 //! The hard contract — a restored run is bit-identical to a
 //! straight-through run — is pinned by `tests/determinism.rs` across
@@ -81,8 +85,11 @@ const MEASURED_ONLY_FIELDS: [&str; 2] = ["accesses_per_core", "occupancy_scan_in
 
 /// Canonical JSON of the warmup-determining subset of `cfg` (sorted
 /// keys, shortest-round-trip floats — same canonical form as the sweep
-/// result cache).
-fn warmup_prefix_json(cfg: &SimConfig) -> String {
+/// result cache). Configs with equal text form one warmup group: the
+/// sweep runs each group once (`simulator::run_group`), and an image
+/// records the text it was saved for.
+#[must_use]
+pub fn warmup_prefix_json(cfg: &SimConfig) -> String {
     use serde_json::Value;
     let mut keep: Vec<(String, Value)> = Vec::new();
     if let Value::Map(entries) = cfg.to_content() {
@@ -96,12 +103,15 @@ fn warmup_prefix_json(cfg: &SimConfig) -> String {
 }
 
 /// The warmup-prefix key of a config: 16 hex digits of FNV-1a over the
-/// canonical warmup-subset JSON. Configs with equal keys share
-/// post-warmup state (and therefore a checkpoint image); the sweep
-/// groups jobs by this key to run one warmup materializer per group.
+/// canonical warmup-subset JSON. It names the config's checkpoint
+/// image; the image itself records the full text, which decides.
 #[must_use]
 pub fn warmup_key(cfg: &SimConfig) -> String {
-    format!("{:016x}", fnv1a_bytes(warmup_prefix_json(cfg).as_bytes()))
+    key_of(&warmup_prefix_json(cfg))
+}
+
+fn key_of(prefix: &str) -> String {
+    format!("{:016x}", fnv1a_bytes(prefix.as_bytes()))
 }
 
 // ---------------------------------------------------------------------
@@ -128,11 +138,22 @@ pub struct HierarchyCheckpoint {
 
 impl HierarchyCheckpoint {
     /// Serializes scheduling metadata plus the full hierarchy into a
-    /// framed image scoped to `fingerprint`.
+    /// framed image scoped to `fingerprint`, tied to no warmup prefix
+    /// (see [`Self::encode_for`]).
     #[must_use]
     pub fn encode(&self, hier: &MemoryHierarchy, fingerprint: &str) -> Vec<u8> {
+        self.encode_for("", hier, fingerprint)
+    }
+
+    /// [`Self::encode`] for the config whose warmup-prefix JSON is
+    /// `prefix`: the META section records it, so the image restores
+    /// only into a run of that prefix ([`Self::decode_for`]), whatever
+    /// file name it is found under.
+    #[must_use]
+    pub fn encode_for(&self, prefix: &str, hier: &MemoryHierarchy, fingerprint: &str) -> Vec<u8> {
         let mut w = CkptWriter::new();
         let m = w.begin_section(SECTION_META);
+        w.str(prefix);
         w.len64(self.current_vms.len());
         for &vm in &self.current_vms {
             w.u32(vm);
@@ -150,7 +171,8 @@ impl HierarchyCheckpoint {
 
     /// Validates `data` against `fingerprint` and restores it into
     /// `hier`, returning the scheduling metadata. `cores`/`vms` guard
-    /// the metadata's shape against the receiving config.
+    /// the metadata's shape against the receiving config. Accepts only
+    /// images tied to no warmup prefix (written by [`Self::encode`]).
     ///
     /// On *any* error the caller must discard `hier` — the hierarchy
     /// may be partially overwritten — and run cold.
@@ -161,8 +183,27 @@ impl HierarchyCheckpoint {
         cores: usize,
         vms: usize,
     ) -> Result<Self, CkptError> {
+        Self::decode_for(data, fingerprint, "", hier, cores, vms)
+    }
+
+    /// [`Self::decode_into`] for a run whose warmup-prefix JSON is
+    /// `prefix`: an image recorded for any other prefix is rejected as
+    /// a [`CkptError::Mismatch`] before the hierarchy is touched. Image
+    /// names carry only the 64-bit warmup key, so two prefixes whose
+    /// keys collide would otherwise restore each other's state.
+    pub fn decode_for(
+        data: &[u8],
+        fingerprint: &str,
+        prefix: &str,
+        hier: &mut MemoryHierarchy,
+        cores: usize,
+        vms: usize,
+    ) -> Result<Self, CkptError> {
         let mut r = CkptReader::open(data, fingerprint)?;
         let end = r.begin_section(SECTION_META)?;
+        if r.str()? != prefix {
+            return Err(CkptError::Mismatch("warmup prefix"));
+        }
         let n_cores = r.len64()?;
         if n_cores != cores {
             return Err(CkptError::Mismatch("checkpoint core count"));
@@ -206,6 +247,9 @@ impl HierarchyCheckpoint {
 pub(crate) struct CkptPlan {
     path: PathBuf,
     fingerprint: String,
+    /// The run's warmup-prefix JSON, recorded in and checked against
+    /// every image.
+    prefix: String,
 }
 
 /// Decides whether (and where) this run checkpoints: requires a cache
@@ -214,8 +258,13 @@ pub(crate) struct CkptPlan {
 pub(crate) fn plan(cfg: &SimConfig, cache_dir: Option<&Path>) -> Option<CkptPlan> {
     let dir = cache_dir.filter(|_| cfg.warmup_accesses_per_core > 0)?;
     let fingerprint = engine_fingerprint();
-    let path = dir.join(format!("ckpt-{}-{}.bin", fingerprint, warmup_key(cfg)));
-    Some(CkptPlan { path, fingerprint })
+    let prefix = warmup_prefix_json(cfg);
+    let path = dir.join(format!("ckpt-{fingerprint}-{}.bin", key_of(&prefix)));
+    Some(CkptPlan {
+        path,
+        fingerprint,
+        prefix,
+    })
 }
 
 impl CkptPlan {
@@ -223,7 +272,8 @@ impl CkptPlan {
     ///
     /// * `Ok(Some(meta))` — restored; counted.
     /// * `Ok(None)` — no image on disk; run cold (not a fallback).
-    /// * `Err(_)` — image present but rejected; counted as a fallback.
+    /// * `Err(_)` — image present but rejected (an image saved for
+    ///   another warmup prefix included); counted as a fallback.
     ///   `hier` may be partially overwritten: rebuild it before use.
     pub(crate) fn try_restore(
         &self,
@@ -234,7 +284,14 @@ impl CkptPlan {
         let Ok(data) = std::fs::read(&self.path) else {
             return Ok(None);
         };
-        match HierarchyCheckpoint::decode_into(&data, &self.fingerprint, hier, cores, vms) {
+        match HierarchyCheckpoint::decode_for(
+            &data,
+            &self.fingerprint,
+            &self.prefix,
+            hier,
+            cores,
+            vms,
+        ) {
             Ok(meta) => {
                 RESTORES.fetch_add(1, Ordering::Relaxed);
                 Ok(Some(meta))
@@ -255,7 +312,7 @@ impl CkptPlan {
         if let Some(dir) = self.path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        let image = meta.encode(hier, &self.fingerprint);
+        let image = meta.encode_for(&self.prefix, hier, &self.fingerprint);
         let tmp = self.path.with_extension(format!(
             "tmp.{}.{}",
             std::process::id(),

@@ -24,7 +24,7 @@
 //! reproduction target (see EXPERIMENTS.md for paper-vs-measured).
 //!
 //! Every runner takes a [`Harness`]: the [`Sweep`] its configs run
-//! through (result cache, dedup, scheduling, warmup checkpoints) plus
+//! through (result cache, dedup, warmup groups, scheduling) plus
 //! the per-core access count, warmup length and footprint multiplier
 //! of [`Harness::default_config`]. Nothing is read from the
 //! environment; `csalt-experiments` builds the harness from its flags

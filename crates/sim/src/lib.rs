@@ -4,7 +4,9 @@
 //!
 //! * [`SimConfig`] / [`run`] — simulate one (workload, scheme)
 //!   configuration on the 8-core machine of Table 2; [`run_in`] picks
-//!   the warmup-checkpoint directory (or none).
+//!   the warmup-checkpoint directory (or none), and [`run_group`]
+//!   answers configs that differ only in measured-phase length or
+//!   occupancy scans from one run.
 //! * [`experiments`] — the per-figure runners (`fig01` … `fig16`,
 //!   `tab01`) on an [`experiments::Harness`], each returning a
 //!   printable [`experiments::Table`].
@@ -42,7 +44,8 @@ pub mod trace_store;
 
 pub use checkpoint::CkptStats;
 pub use simulator::{
-    build_threads, run, run_in, run_with_generators, OccupancySample, SimConfig, SimResult,
+    build_threads, run, run_group, run_in, run_with_generators, OccupancySample, SimConfig,
+    SimResult,
 };
 pub use sweep::{Sweep, SweepOptions, SweepStats};
 

@@ -185,10 +185,105 @@ impl SimResult {
 struct CoreState {
     cycles: Cycle,
     instructions: u64,
-    accesses_done: u64,
     current_vm: u32,
     next_switch: Cycle,
     switches: u64,
+}
+
+/// Where one member of a warmup group stops its measured phase and how
+/// often it scans occupancy on the way: the two [`SimConfig`] fields
+/// the warmup does not depend on (`checkpoint::MEASURED_ONLY_FIELDS`).
+/// Every core commits one access per sweep, so after sweep `k`
+/// the machine is exactly where a run with `accesses_per_core = k`
+/// stops, and one run can answer every member at its own sweep count.
+#[derive(Debug, Clone, Copy)]
+struct Tap {
+    accesses_per_core: u64,
+    occupancy_scan_interval: u64,
+}
+
+impl Tap {
+    fn of(cfg: &SimConfig) -> Self {
+        Self {
+            accesses_per_core: cfg.accesses_per_core,
+            occupancy_scan_interval: cfg.occupancy_scan_interval,
+        }
+    }
+}
+
+/// The taps of a measured phase while it runs: each member's occupancy
+/// samples so far, and its result once the phase reaches its length.
+struct Taps<'a> {
+    cfg: &'a SimConfig,
+    taps: &'a [Tap],
+    occupancy: Vec<Vec<OccupancySample>>,
+    results: Vec<Option<SimResult>>,
+    /// The next sweep count at which any unfinished tap scans or ends.
+    next_event: u64,
+}
+
+impl<'a> Taps<'a> {
+    fn new(cfg: &'a SimConfig, taps: &'a [Tap]) -> Self {
+        Self {
+            cfg,
+            taps,
+            occupancy: vec![Vec::new(); taps.len()],
+            results: vec![None; taps.len()],
+            next_event: 0,
+        }
+    }
+
+    /// Called after sweep `k` of the measured phase (and with `k = 0`
+    /// before the first): samples the occupancy for every member whose
+    /// scan interval divides `k`, then builds the result of every
+    /// member whose length is `k`. One compare unless a tap fires.
+    #[inline]
+    fn after_sweep(&mut self, hier: &MemoryHierarchy, cores: &[CoreState], k: u64) {
+        if k >= self.next_event {
+            self.fire(hier, cores, k);
+        }
+    }
+
+    #[cold]
+    fn fire(&mut self, hier: &MemoryHierarchy, cores: &[CoreState], k: u64) {
+        let mut fractions = None;
+        let mut next_event = u64::MAX;
+        for (i, tap) in self.taps.iter().enumerate() {
+            if self.results[i].is_some() {
+                continue;
+            }
+            let every = tap.occupancy_scan_interval;
+            if every > 0 && k > 0 && k.is_multiple_of(every) {
+                let (l2, l3) = *fractions.get_or_insert_with(|| {
+                    let (l2, l3) = hier.occupancy();
+                    (l2.tlb_fraction(), l3.tlb_fraction())
+                });
+                self.occupancy[i].push(OccupancySample {
+                    progress: k as f64 / tap.accesses_per_core as f64,
+                    l2_tlb_fraction: l2,
+                    l3_tlb_fraction: l3,
+                });
+            }
+            if k == tap.accesses_per_core {
+                let occupancy = std::mem::take(&mut self.occupancy[i]);
+                self.results[i] = Some(member_result(self.cfg, hier, cores, occupancy));
+                continue;
+            }
+            let next_scan = k
+                .checked_div(every)
+                .map_or(u64::MAX, |q| (q + 1).saturating_mul(every));
+            next_event = next_event.min(next_scan).min(tap.accesses_per_core);
+        }
+        self.next_event = next_event;
+    }
+
+    /// Every member's result, in tap order.
+    fn into_results(self) -> Vec<SimResult> {
+        self.results
+            .into_iter()
+            .map(|r| r.expect("the measured phase reaches every tap"))
+            .collect()
+    }
 }
 
 /// Observation points of the measured phase. The engine is monomorphized
@@ -363,13 +458,14 @@ fn vm_asids(vms: u32) -> Vec<Asid> {
 /// Shared dispatch behind every entry point: builds the
 /// [`AccessSource`] for the generator matrix and runs the engine, with
 /// warmup checkpoints under `cache_dir` (`None`: no checkpoints).
-/// Returns the result and whether the warmup was restored.
+/// Returns one result per tap and whether the warmup was restored.
 fn execute<H: PhaseHooks>(
     cfg: &SimConfig,
+    taps: &[Tap],
     mut threads: Vec<Vec<AnyGenerator>>,
     hooks: &mut H,
     cache_dir: Option<&Path>,
-) -> (SimResult, bool) {
+) -> (Vec<SimResult>, bool) {
     // Staged traces recorded under a different ASID get their packed
     // keys recomputed once, up front, so replay stays zero-repack per
     // access no matter which ASID the trace was recorded for.
@@ -404,13 +500,31 @@ fn execute<H: PhaseHooks>(
             .collect();
         simulate(
             cfg,
+            taps,
             hooks,
             &mut StagedReplaySource { threads: traces },
             cache_dir,
         )
     } else {
-        simulate(cfg, hooks, &mut InlineSource { threads, asids }, cache_dir)
+        simulate(
+            cfg,
+            taps,
+            hooks,
+            &mut InlineSource { threads, asids },
+            cache_dir,
+        )
     }
+}
+
+/// [`execute`] with `cfg`'s own tap: the single-run path.
+fn execute_one<H: PhaseHooks>(
+    cfg: &SimConfig,
+    threads: Vec<Vec<AnyGenerator>>,
+    hooks: &mut H,
+    cache_dir: Option<&Path>,
+) -> (SimResult, bool) {
+    let (mut results, restored) = execute(cfg, &[Tap::of(cfg)], threads, hooks, cache_dir);
+    (results.pop().expect("one tap, one result"), restored)
 }
 
 /// Panics with every diagnostic if any is error-severity. Warnings are
@@ -446,7 +560,31 @@ pub fn run(cfg: &SimConfig) -> SimResult {
 ///
 /// Panics if the configuration is invalid (zero cores, bad geometry…).
 pub fn run_in(cfg: &SimConfig, cache_dir: Option<&Path>) -> (SimResult, bool) {
-    execute(cfg, build_threads(cfg), &mut NoHooks, cache_dir)
+    execute_one(cfg, build_threads(cfg), &mut NoHooks, cache_dir)
+}
+
+/// Runs a warmup group — configs that differ at most in
+/// `accesses_per_core` and `occupancy_scan_interval` — as one engine
+/// run: one warmup, then one measured phase to the longest member,
+/// taking each member's result when the phase reaches its length.
+/// Returns one result per config, in order, each bit-identical to
+/// [`run`] of that config. Never checkpoints.
+///
+/// # Panics
+///
+/// Panics if `configs` is empty, if two configs differ in a field the
+/// warmup depends on, or if the configuration is invalid.
+pub fn run_group(configs: &[SimConfig]) -> Vec<SimResult> {
+    let base = configs.first().expect("a group has at least one config");
+    let prefix = crate::checkpoint::warmup_prefix_json(base);
+    assert!(
+        configs[1..]
+            .iter()
+            .all(|c| crate::checkpoint::warmup_prefix_json(c) == prefix),
+        "every config of a group shares one warmup prefix"
+    );
+    let taps: Vec<Tap> = configs.iter().map(Tap::of).collect();
+    execute(base, &taps, build_threads(base), &mut NoHooks, None).0
 }
 
 /// Runs one configuration over caller-supplied generators instead of
@@ -472,13 +610,13 @@ pub fn run_with_generators(cfg: &SimConfig, threads: Vec<Vec<AnyGenerator>>) -> 
             .all(|row| row.len() == cfg.system.cores as usize),
         "one generator per core in every VM row"
     );
-    execute(cfg, threads, &mut NoHooks, None).0
+    execute_one(cfg, threads, &mut NoHooks, None).0
 }
 
 /// One timed scheduling phase: run every core from zero to
-/// `total_per_core` accesses with full cycle accounting. `hooks` is
-/// `None` during warmup (warmup is never observed) and `Some` during
-/// the measured phase.
+/// `total_per_core` accesses with full cycle accounting, one access per
+/// core per sweep. `hooks` and `taps` are `None` during warmup (warmup
+/// is never observed) and `Some` during the measured phase.
 #[allow(clippy::too_many_arguments)]
 fn timed_phase<H: PhaseHooks, S: AccessSource>(
     cfg: &SimConfig,
@@ -486,38 +624,27 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
     source: &mut S,
     hier: &mut MemoryHierarchy,
     cores_state: &mut [CoreState],
-    mut occupancy: Option<&mut Vec<OccupancySample>>,
+    mut taps: Option<&mut Taps<'_>>,
     total_per_core: u64,
     mut hooks: Option<&mut H>,
 ) {
-    if total_per_core == 0 {
-        return;
-    }
     let system = &cfg.system;
     let cores = cores_state.len();
     let vms = system.contexts_per_core;
     let quantum = system.cs_interval_cycles;
-    let scan_every = cfg.occupancy_scan_interval;
     let target_total = total_per_core * cores as u64;
-    debug_assert!(cores_state.iter().all(|c| c.accesses_done == 0));
     let mut total_done: u64 = 0;
-    let mut next_scan = if scan_every == 0 {
-        u64::MAX
-    } else {
-        scan_every
-    };
     // With the `audit` feature, verify the conservation laws every
     // time the phase's total access count crosses an epoch boundary —
     // the moment the partitioner has just acted on those counters.
     // Counters reset between phases, so the threshold is per-phase.
     #[cfg(feature = "audit")]
     let mut next_audit_at = system.epoch_accesses.max(1);
-    let mut remaining = cores;
-    // Sweep scratch, reused so the loop never allocates: each active
-    // core's `(core, vm, access)`.
+    // Sweep scratch, reused so the loop never allocates: each core's
+    // `(core, vm, access)`.
     let mut sweep: Vec<(usize, usize, StagedAccess)> = Vec::with_capacity(cores);
-    while remaining > 0 {
-        // Schedule every active core (quantum check, stream pop) before
+    for k in 1..=total_per_core {
+        // Schedule every core (quantum check, stream pop) before
         // committing any access: back-to-back pops overlap their host
         // cache misses, which one pop per commit would serialize
         // (DESIGN §4e). A core's schedule reads only its own state,
@@ -525,10 +652,6 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
         // bit-identical to scheduling each core just before its commit.
         sweep.clear();
         for (core, state) in cores_state.iter_mut().enumerate() {
-            if state.accesses_done >= total_per_core {
-                continue;
-            }
-
             // Context switch when the quantum expires.
             if vms > 1 && state.cycles >= state.next_switch {
                 let from_vm = state.current_vm;
@@ -581,10 +704,6 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
             let overlapped = (data_stall as f64 / system.mlp).round() as Cycle;
             state.cycles += compute + charge.translation_cycles + overlapped;
             state.instructions += acc.instructions();
-            state.accesses_done += 1;
-            if state.accesses_done >= total_per_core {
-                remaining -= 1;
-            }
         }
 
         if let Some(h) = hooks.as_deref_mut() {
@@ -610,29 +729,23 @@ fn timed_phase<H: PhaseHooks, S: AccessSource>(
             );
         }
 
-        // Periodic occupancy scan, keyed on core 0's progress.
-        if cores_state[0].accesses_done >= next_scan {
-            next_scan += scan_every;
-            if let Some(occ) = occupancy.as_deref_mut() {
-                let (l2, l3) = hier.occupancy();
-                occ.push(OccupancySample {
-                    progress: cores_state[0].accesses_done as f64 / total_per_core as f64,
-                    l2_tlb_fraction: l2.tlb_fraction(),
-                    l3_tlb_fraction: l3.tlb_fraction(),
-                });
-            }
+        if let Some(t) = taps.as_deref_mut() {
+            t.after_sweep(hier, cores_state, k);
         }
     }
 }
 
-/// The engine shared by [`run`] and the instrumented path, monomorphized
-/// over the hook set and the access source (generators vs staged replay).
+/// The engine shared by [`run`], [`run_group`] and the instrumented
+/// path, monomorphized over the hook set and the access source
+/// (generators vs staged replay). Runs the measured phase to the
+/// longest tap and returns one result per tap, in order.
 fn simulate<H: PhaseHooks, S: AccessSource>(
     cfg: &SimConfig,
+    taps: &[Tap],
     hooks: &mut H,
     source: &mut S,
     cache_dir: Option<&Path>,
-) -> (SimResult, bool) {
+) -> (Vec<SimResult>, bool) {
     let system = &cfg.system;
     system.validate().expect("system config must be valid");
     let cores = system.cores as usize;
@@ -667,14 +780,11 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
         .map(|_| CoreState {
             cycles: 0,
             instructions: 0,
-            accesses_done: 0,
             current_vm: 0,
             next_switch: quantum,
             switches: 0,
         })
         .collect();
-
-    let mut occupancy = Vec::new();
 
     // Warmup: populate page tables, TLBs, caches and the POM-TLB, then
     // discard the counters. Scheduling state (cycle counters, switch
@@ -764,7 +874,6 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
         for s in &mut cores_state {
             s.cycles = 0;
             s.instructions = 0;
-            s.accesses_done = 0;
             s.next_switch = quantum;
             s.switches = 0;
         }
@@ -779,18 +888,30 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
         }
     }
 
+    let mut phase = Taps::new(cfg, taps);
+    phase.after_sweep(&hier, &cores_state, 0);
     timed_phase(
         cfg,
         &vm_ctx,
         source,
         &mut hier,
         &mut cores_state,
-        Some(&mut occupancy),
-        cfg.accesses_per_core,
+        Some(&mut phase),
+        taps.iter().map(|t| t.accesses_per_core).max().unwrap_or(0),
         Some(hooks),
     );
-    let snapshot = hier.snapshot();
+    (phase.into_results(), restored)
+}
 
+/// One member's result from the machine's state at the end of its
+/// measured phase (audited under the `audit` feature, as every run's
+/// end state is).
+fn member_result(
+    cfg: &SimConfig,
+    hier: &MemoryHierarchy,
+    cores_state: &[CoreState],
+    occupancy: Vec<OccupancySample>,
+) -> SimResult {
     let (l2_trace, l3_trace) = hier.partition_traces();
     let to_series = |t: &[PartitionSample]| {
         t.iter()
@@ -818,7 +939,7 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
         instructions,
         core_cycles: cores_state.iter().map(|c| c.cycles).collect(),
         core_ipc,
-        snapshot,
+        snapshot: hier.snapshot(),
         occupancy,
         l2_partition_trace,
         l3_partition_trace,
@@ -844,7 +965,7 @@ fn simulate<H: PhaseHooks, S: AccessSource>(
         enforce_audit("run completion", &diags);
     }
 
-    (result, restored)
+    result
 }
 
 /// Options for [`run_instrumented`]: where telemetry goes and how much
@@ -933,7 +1054,7 @@ pub fn run_instrumented(cfg: &SimConfig, inst: &mut Instrumentation<'_>) -> SimR
         last_commit_wall: wall_start.unwrap_or(0),
     };
     let cache_dir = hooks.inst.cache_dir;
-    let (result, _) = execute(cfg, build_threads(cfg), &mut hooks, cache_dir);
+    let (result, _) = execute_one(cfg, build_threads(cfg), &mut hooks, cache_dir);
     hooks.finish();
     result
 }

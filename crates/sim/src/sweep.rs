@@ -5,7 +5,7 @@
 //! [`SimConfig`]s across 17+ bench targets, many byte-identical across
 //! figures (the fig07 baseline grid reappears in fig08/10/11/13), and
 //! every run pays a measurement-length warmup. This module makes the
-//! sweep layer — not the simulator — do the saving, in three layers:
+//! sweep layer — not the simulator — do the saving, in four layers:
 //!
 //! 1. **Content-addressed result cache.** Every config is keyed by
 //!    [`config_key`] — an FNV-1a hash of its canonical JSON (sorted
@@ -25,26 +25,37 @@
 //!    across batches (the in-memory store survives between
 //!    [`Sweep::run_batch`] calls on the same engine).
 //!
-//! 3. **Cost-model scheduler.** Jobs are pre-sorted longest-first using
-//!    persisted per-config wall-clock observations (falling back to an
-//!    `accesses × cores` estimate calibrated against everything seen so
-//!    far), then claimed by workers through an atomic index — no job
-//!    mutex, no LIFO tail-straggling — and each worker writes its
-//!    result into a disjoint [`OnceLock`] slot, so there is no results
-//!    mutex either. Per-job timings flow back into the persisted cost
-//!    model and out through a [`csalt_telemetry::Recorder`], so the
-//!    schedule self-improves run over run.
+//! 3. **Warmup groups.** Configs that differ only in
+//!    `accesses_per_core` or `occupancy_scan_interval` are one
+//!    simulation stopped at different points or watched more often.
+//!    A batch groups its unique configs by the full warmup-prefix text
+//!    (`checkpoint::warmup_prefix_json`, never its hash) and runs each
+//!    group once ([`crate::run_group`]): one warmup, one measured phase
+//!    to the longest member, every member's result taken as the phase
+//!    passes its length.
+//!
+//! 4. **Cost-model scheduler.** Groups are pre-sorted longest-first,
+//!    each predicted from its longest member's persisted wall-clock
+//!    observation (falling back to an `accesses × cores` estimate
+//!    calibrated against everything seen so far), then claimed by
+//!    workers through an atomic index — no job mutex, no LIFO
+//!    tail-straggling — and each worker writes its results into a
+//!    disjoint [`OnceLock`] slot, so there is no results mutex either.
+//!    Per-run timings flow back into the persisted cost model and out
+//!    through a [`csalt_telemetry::Recorder`], so the schedule
+//!    self-improves run over run.
 //!
 //! A [`Sweep`] is an ordinary value built from the [`SweepOptions`] its
 //! caller passes — cache directory and worker count; nothing here reads
 //! the environment or keeps a process-wide sweep.
 //!
-//! Results are bit-identical to sequential execution: `run` is a pure
-//! function of the config, the vendored JSON layer round-trips `f64`s
-//! exactly (shortest-round-trip formatting), and the sweep-level tests
-//! pin that cached, deduped, and freshly-simulated paths agree.
+//! Results are bit-identical to sequential execution: a group's run
+//! gives each member exactly what `run` of that config gives, the
+//! vendored JSON layer round-trips `f64`s exactly (shortest-round-trip
+//! formatting), and the sweep-level tests pin that cached, deduped,
+//! grouped and freshly-simulated paths agree.
 
-use crate::simulator::{run_in, SimConfig, SimResult};
+use crate::simulator::{run_group, SimConfig, SimResult};
 use csalt_telemetry::{HistogramRecord, NullRecorder, Recorder, TelemetryRecord};
 use csalt_trace::{ArgValue, Domain, TraceBuffer, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -177,9 +188,9 @@ pub fn engine_fingerprint() -> String {
 /// Construction-time knobs for a [`Sweep`].
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
-    /// Where persisted results, the cost model and the jobs' warmup
-    /// checkpoints live; `None` disables persistence and checkpoints
-    /// (in-process dedup still applies).
+    /// Where persisted results and the cost model live; `None`
+    /// disables persistence (in-process dedup and warmup groups still
+    /// apply).
     pub cache_dir: Option<PathBuf>,
     /// Fixed worker count; `None` = available parallelism.
     pub jobs: Option<usize>,
@@ -202,10 +213,13 @@ impl SweepOptions {
 }
 
 /// What one [`Sweep`] has done so far (monotonic counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct SweepStats {
-    /// Simulations actually executed.
+    /// Configs answered by simulation (each warmup group's members).
     pub simulated: u64,
+    /// Engine runs: one per warmup group, however many members it
+    /// answered.
+    pub runs: u64,
     /// Configs resolved without simulating: from the persisted store or
     /// from an earlier batch in this process.
     pub cache_hits: u64,
@@ -216,19 +230,43 @@ pub struct SweepStats {
     /// Corrupt or mismatched cache lines skipped (each falls back to
     /// simulation).
     pub cache_errors: u64,
-    /// Simulations that restored a warmup checkpoint instead of
-    /// simulating their warmup prefix (a subset of `simulated`).
+    /// Simulations that restored a warmup checkpoint. A sweep runs
+    /// each warmup group once and never checkpoints, so this is always
+    /// 0; it stays for readers of older records and `perfbench`'s
+    /// `sweep.restored_ratio`.
     pub restored: u64,
+}
+
+// Manual deserialization: the vendored derive has no `default`
+// attribute, and `BENCH_sweep.json` records written before `runs`
+// existed must keep loading. Back then every simulated config was its
+// own run, so a missing `runs` reads as `simulated`.
+impl Deserialize for SweepStats {
+    fn from_content(content: &serde_json::Value) -> Result<Self, serde::DeError> {
+        let entries = content
+            .as_map()
+            .ok_or_else(|| serde::DeError::expected("object for struct SweepStats", content))?;
+        let simulated = serde::field(entries, "simulated", "SweepStats")?;
+        Ok(SweepStats {
+            simulated,
+            runs: serde::field(entries, "runs", "SweepStats").unwrap_or(simulated),
+            cache_hits: serde::field(entries, "cache_hits", "SweepStats")?,
+            deduped: serde::field(entries, "deduped", "SweepStats")?,
+            persisted_loaded: serde::field(entries, "persisted_loaded", "SweepStats")?,
+            cache_errors: serde::field(entries, "cache_errors", "SweepStats")?,
+            restored: serde::field(entries, "restored", "SweepStats").unwrap_or(0),
+        })
+    }
 }
 
 #[derive(Debug, Default)]
 struct Counters {
     simulated: AtomicU64,
+    runs: AtomicU64,
     cache_hits: AtomicU64,
     deduped: AtomicU64,
     persisted_loaded: AtomicU64,
     cache_errors: AtomicU64,
-    restored: AtomicU64,
 }
 
 // ---------------------------------------------------------------------
@@ -260,23 +298,23 @@ struct CostEntry {
     /// Total simulated accesses (warmup + measured, all cores), for
     /// calibrating the fallback estimate.
     accesses: u64,
-    /// Whether the run restored a warmup checkpoint. Restored timings
-    /// are recorded but kept out of the *cold* cost model — a restored
-    /// wall-clock would make the scheduler (and the fallback
-    /// throughput calibration) systematically underestimate cold runs.
-    restored: bool,
+    /// Whether the config shared its warmup group's run with a longer
+    /// member, whose timing that run was. Shared timings are recorded
+    /// but kept out of the cost model — they would make the scheduler
+    /// (and the fallback throughput calibration) underestimate a run.
+    shared: bool,
 }
 
-// Manual serde: the vendored derive has no `default` attribute, and
-// `costs.jsonl` lines written before the `restored` field existed must
-// keep loading (missing field ⇒ `false`, i.e. a cold observation).
+// Manual serde: the vendored derive has no `default` attribute. Lines
+// written before `shared` existed carry `restored` (a run that skipped
+// its warmup, likewise not a full run's cost) or neither (a full run).
 impl Serialize for CostEntry {
     fn to_content(&self) -> serde_json::Value {
         serde_json::Value::Map(vec![
             ("key".to_owned(), self.key.to_content()),
             ("wall_secs".to_owned(), self.wall_secs.to_content()),
             ("accesses".to_owned(), self.accesses.to_content()),
-            ("restored".to_owned(), self.restored.to_content()),
+            ("shared".to_owned(), self.shared.to_content()),
         ])
     }
 }
@@ -290,7 +328,9 @@ impl Deserialize for CostEntry {
             key: serde::field(entries, "key", "CostEntry")?,
             wall_secs: serde::field(entries, "wall_secs", "CostEntry")?,
             accesses: serde::field(entries, "accesses", "CostEntry")?,
-            restored: serde::field(entries, "restored", "CostEntry").unwrap_or(false),
+            shared: serde::field(entries, "shared", "CostEntry")
+                .or_else(|_| serde::field(entries, "restored", "CostEntry"))
+                .unwrap_or(false),
         })
     }
 }
@@ -313,9 +353,6 @@ fn lock<'a, T>(m: &'a Mutex<T>, _what: &str) -> MutexGuard<'a, T> {
 /// runner for [`SimConfig`]s. See the module docs for the design.
 pub struct Sweep {
     fingerprint: String,
-    /// Where results, costs and the jobs' warmup checkpoints persist;
-    /// `None` disables all three.
-    cache_dir: Option<PathBuf>,
     jobs: Option<usize>,
     /// canonical config JSON → result (persisted hits + this process's
     /// completed runs).
@@ -332,17 +369,15 @@ pub struct Sweep {
     counters: Counters,
 }
 
-/// One traced job: `(worker, job index, begin µs, end µs, restored)`.
-type JobSpan = (usize, usize, u64, u64, bool);
+/// One traced engine run: `(worker, group index, begin µs, end µs)`.
+type RunSpan = (usize, usize, u64, u64);
 
 impl Sweep {
     /// Builds a sweep, loading any persisted results for the current
     /// engine fingerprint and the full cost model from `cache_dir`.
     pub fn new(options: SweepOptions) -> Self {
-        let fingerprint = engine_fingerprint();
         let mut sweep = Self {
-            fingerprint: fingerprint.clone(),
-            cache_dir: options.cache_dir.clone(),
+            fingerprint: engine_fingerprint(),
             jobs: options.jobs,
             results: Mutex::new(BTreeMap::new()),
             costs: Mutex::new(BTreeMap::new()),
@@ -367,11 +402,12 @@ impl Sweep {
     pub fn stats(&self) -> SweepStats {
         SweepStats {
             simulated: self.counters.simulated.load(Ordering::Relaxed),
+            runs: self.counters.runs.load(Ordering::Relaxed),
             cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
             deduped: self.counters.deduped.load(Ordering::Relaxed),
             persisted_loaded: self.counters.persisted_loaded.load(Ordering::Relaxed),
             cache_errors: self.counters.cache_errors.load(Ordering::Relaxed),
-            restored: self.counters.restored.load(Ordering::Relaxed),
+            restored: 0,
         }
     }
 
@@ -447,9 +483,9 @@ impl Sweep {
         let costs = self.costs.get_mut().unwrap_or_else(PoisonError::into_inner);
         for line in text.lines() {
             if let Ok(entry) = serde_json::from_str::<CostEntry>(line) {
-                // Restored timings never enter the cold model (see
-                // `CostEntry::restored`).
-                if !entry.restored {
+                // Shared timings never enter the model (see
+                // `CostEntry::shared`).
+                if !entry.shared {
                     costs.insert(entry.key, (entry.wall_secs, entry.accesses));
                 }
             }
@@ -489,15 +525,12 @@ impl Sweep {
 
     /// Runs a batch of configurations, returning one result per config
     /// in submission order. Cached and duplicate configs are never
-    /// simulated; everything else is scheduled longest-job-first over
-    /// `jobs` workers and the outcomes (plus timings) are persisted.
+    /// simulated; the rest are grouped by warmup prefix, each group is
+    /// one engine run, and the groups are scheduled longest-first over
+    /// `jobs` workers. Outcomes (plus timings) are persisted.
     pub fn run_batch(&self, configs: Vec<SimConfig>) -> Vec<SimResult> {
         let canon: Vec<String> = configs.iter().map(canonical_json).collect();
         let mut out: Vec<Option<SimResult>> = vec![None; configs.len()];
-        // Checkpoint activity over the batch (saves/restores/fallbacks
-        // are process-wide monotonic counters; the delta is this
-        // batch's contribution, reported as trace instants below).
-        let ckpt_before = crate::checkpoint::stats();
 
         // Layer 1+2a: resolve against the in-memory store (persisted
         // hits and earlier batches).
@@ -530,157 +563,128 @@ impl Sweep {
             }
         }
 
-        // Layer 3: longest-job-first over an atomic claim index into
-        // disjoint slots. (Execution order cannot affect results —
-        // `run` is a pure function of its config — it only shapes the
-        // parallel schedule's tail.)
+        // Layer 3: one engine run per warmup group — the jobs whose
+        // configs differ only in measured-phase knobs, grouped by the
+        // full warmup-prefix text (never by its hash). The groups go
+        // longest-first, each predicted from its longest member, over
+        // an atomic claim index into disjoint slots. (Execution order
+        // cannot affect results — a run is a pure function of its
+        // configs — it only shapes the parallel schedule's tail.)
         if !jobs.is_empty() {
-            let mut order: Vec<(f64, usize)> = jobs
+            let mut group_of: BTreeMap<String, usize> = BTreeMap::new();
+            let mut groups: Vec<Vec<usize>> = Vec::new();
+            for (j, (_, cfg)) in jobs.iter().enumerate() {
+                let prefix = crate::checkpoint::warmup_prefix_json(cfg);
+                let g = *group_of.entry(prefix).or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+                groups[g].push(j);
+            }
+            let longest: Vec<usize> = groups
+                .iter()
+                .map(|members| {
+                    members
+                        .iter()
+                        .copied()
+                        .max_by_key(|&j| jobs[j].1.accesses_per_core)
+                        .expect("a group has a member")
+                })
+                .collect();
+            let mut order: Vec<(f64, usize)> = longest
                 .iter()
                 .enumerate()
-                .map(|(j, (text, cfg))| {
+                .map(|(g, &j)| {
+                    let (text, cfg) = jobs[j];
                     let key = format!("{:016x}", fnv1a(text.as_bytes()));
-                    (self.predicted_secs(&key, cfg), j)
+                    (self.predicted_secs(&key, cfg), g)
                 })
                 .collect();
             order.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-            let schedule: Vec<usize> = order.into_iter().map(|(_, j)| j).collect();
+            let schedule: Vec<usize> = order.into_iter().map(|(_, g)| g).collect();
 
-            // Fork-from-snapshot scheduling: jobs sharing a canonical
-            // warmup prefix run in two waves. The first job of each
-            // prefix group in predicted-longest-first order leads — it
-            // simulates the warmup and saves the checkpoint; the
-            // group's remaining jobs (the followers) run in the second
-            // wave, restore the snapshot, and simulate only their
-            // measured phase. A leader without a follower runs with no
-            // cache directory: an image nothing in the batch restores
-            // is not worth its encode and its disk. Without a cache
-            // directory (or for warmup-free configs) every job leads
-            // and the schedule is exactly the classic single wave.
-            let ckpt_grouping = self.cache_dir.is_some();
-            let mut leaders: Vec<usize> = Vec::new();
-            let mut followers: Vec<usize> = Vec::new();
-            let mut checkpoints = vec![false; jobs.len()];
-            let mut lead_of: BTreeMap<String, usize> = BTreeMap::new();
-            for &j in &schedule {
-                let cfg = jobs[j].1;
-                if ckpt_grouping && cfg.warmup_accesses_per_core > 0 {
-                    use std::collections::btree_map::Entry;
-                    match lead_of.entry(crate::checkpoint::warmup_key(cfg)) {
-                        Entry::Vacant(e) => {
-                            e.insert(j);
-                            leaders.push(j);
-                        }
-                        Entry::Occupied(e) => {
-                            checkpoints[*e.get()] = true;
-                            checkpoints[j] = true;
-                            followers.push(j);
-                        }
-                    }
-                } else {
-                    leaders.push(j);
-                }
-            }
-
-            let slots: Vec<OnceLock<(SimResult, f64, bool)>> =
-                (0..jobs.len()).map(|_| OnceLock::new()).collect();
-            let workers = self.worker_count(jobs.len());
-            // Workers push one span after each job, so contention is
-            // one lock per job.
+            let slots: Vec<OnceLock<(Vec<SimResult>, f64)>> =
+                (0..groups.len()).map(|_| OnceLock::new()).collect();
+            let workers = self.worker_count(groups.len());
+            // Workers push one span after each run, so contention is
+            // one lock per run.
             let tracing = lock(&self.trace, "trace").is_some();
-            let job_spans: Mutex<Vec<JobSpan>> = Mutex::new(Vec::new());
-            let run_wave = |wave: &[usize]| {
-                let next = AtomicUsize::new(0);
-                std::thread::scope(|s| {
-                    let (next, jobs, slots, spans) = (&next, &jobs, &slots, &job_spans);
-                    let checkpoints = &checkpoints;
-                    for w in 0..workers {
-                        s.spawn(move || loop {
-                            let pos = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&j) = wave.get(pos) else {
-                                break;
-                            };
-                            let begin = if tracing {
-                                csalt_trace::timing::wall_micros()
-                            } else {
-                                0
-                            };
-                            let t = Instant::now();
-                            let dir = self.cache_dir.as_deref().filter(|_| checkpoints[j]);
-                            let (r, restored) = run_in(jobs[j].1, dir);
-                            let secs = t.elapsed().as_secs_f64();
-                            self.counters.simulated.fetch_add(1, Ordering::Relaxed);
-                            if restored {
-                                self.counters.restored.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if tracing {
-                                let end = csalt_trace::timing::wall_micros();
-                                lock(spans, "job spans").push((w, j, begin, end, restored));
-                            }
-                            assert!(
-                                slots[j].set((r, secs, restored)).is_ok(),
-                                "disjoint job slots"
-                            );
-                        });
-                    }
-                });
-            };
-            run_wave(&leaders);
-            if !followers.is_empty() {
-                run_wave(&followers);
-            }
-            self.trace_jobs(
-                job_spans
+            let run_spans: Mutex<Vec<RunSpan>> = Mutex::new(Vec::new());
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                let (next, jobs, groups, slots, spans) =
+                    (&next, &jobs, &groups, &slots, &run_spans);
+                let schedule = &schedule;
+                for w in 0..workers {
+                    s.spawn(move || loop {
+                        let pos = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&g) = schedule.get(pos) else {
+                            break;
+                        };
+                        let begin = if tracing {
+                            csalt_trace::timing::wall_micros()
+                        } else {
+                            0
+                        };
+                        let t = Instant::now();
+                        let members: Vec<SimConfig> =
+                            groups[g].iter().map(|&j| jobs[j].1.clone()).collect();
+                        let results = run_group(&members);
+                        let secs = t.elapsed().as_secs_f64();
+                        self.counters
+                            .simulated
+                            .fetch_add(members.len() as u64, Ordering::Relaxed);
+                        self.counters.runs.fetch_add(1, Ordering::Relaxed);
+                        if tracing {
+                            let end = csalt_trace::timing::wall_micros();
+                            lock(spans, "run spans").push((w, g, begin, end));
+                        }
+                        assert!(slots[g].set((results, secs)).is_ok(), "disjoint slots");
+                    });
+                }
+            });
+            self.trace_runs(
+                run_spans
                     .into_inner()
                     .unwrap_or_else(PoisonError::into_inner),
                 &jobs,
+                &groups,
+                &longest,
             );
 
             // Integrate: memory store, persistence, cost model,
-            // telemetry — all on the cold path, once per batch.
+            // telemetry — all on the cold path, once per batch. Only
+            // the longest member's timing is the run's cost; the
+            // others shared that run and are flagged so.
             let mut mem = lock(&self.results, "results");
             let mut recorder = lock(&self.recorder, "recorder");
-            for (slot, (text, cfg)) in slots.into_iter().zip(&jobs) {
-                let (result, secs, restored) =
-                    slot.into_inner().expect("every claimed job completed");
-                let key = format!("{:016x}", fnv1a(text.as_bytes()));
-                let accesses = total_accesses(cfg);
-                self.persist_result(&key, text, secs, &result);
-                self.persist_cost(&key, secs, accesses, restored);
-                if !restored {
-                    lock(&self.costs, "costs").insert(key, (secs, accesses));
+            for ((slot, members), &lead) in slots.into_iter().zip(&groups).zip(&longest) {
+                let (results, secs) = slot.into_inner().expect("every claimed run completed");
+                for (&j, result) in members.iter().zip(results) {
+                    let (text, cfg) = jobs[j];
+                    let key = format!("{:016x}", fnv1a(text.as_bytes()));
+                    let accesses = total_accesses(cfg);
+                    let shared = j != lead;
+                    self.persist_result(&key, text, secs, &result);
+                    self.persist_cost(&key, secs, accesses, shared);
+                    if !shared {
+                        lock(&self.costs, "costs").insert(key, (secs, accesses));
+                    }
+                    if recorder.is_enabled() {
+                        recorder.counter("sweep.jobs_simulated", 1);
+                    }
+                    mem.insert(text.to_owned(), result);
                 }
                 if recorder.is_enabled() {
-                    recorder.counter("sweep.jobs_simulated", 1);
                     recorder.observe("sweep.job_wall_us", (secs * 1.0e6) as u64);
                 }
-                mem.insert((*text).to_owned(), result);
             }
             drop(mem);
             if recorder.is_enabled() {
                 let stats = self.stats();
                 recorder.gauge("sweep.cache_hits", stats.cache_hits as f64);
                 recorder.gauge("sweep.deduped", stats.deduped as f64);
-                recorder.gauge("sweep.restored", stats.restored as f64);
-                let ckpt = crate::checkpoint::stats();
-                for (name, delta) in [
-                    (
-                        "checkpoint.save",
-                        ckpt.saves.saturating_sub(ckpt_before.saves),
-                    ),
-                    (
-                        "checkpoint.restore",
-                        ckpt.restores.saturating_sub(ckpt_before.restores),
-                    ),
-                    (
-                        "checkpoint.fallback",
-                        ckpt.fallbacks.saturating_sub(ckpt_before.fallbacks),
-                    ),
-                ] {
-                    if delta > 0 {
-                        recorder.counter(name, delta);
-                    }
-                }
+                recorder.gauge("sweep.runs", stats.runs as f64);
                 if let Some(h) = recorder.take_histogram("sweep.job_wall_us") {
                     if let Some(record) = HistogramRecord::from_histogram(
                         "sweep.job_wall_us",
@@ -719,31 +723,6 @@ impl Sweep {
                     vec![("count", ArgValue::U64(batch_deduped))],
                 );
             }
-            let ckpt = crate::checkpoint::stats();
-            for (name, delta) in [
-                (
-                    "checkpoint.save",
-                    ckpt.saves.saturating_sub(ckpt_before.saves),
-                ),
-                (
-                    "checkpoint.restore",
-                    ckpt.restores.saturating_sub(ckpt_before.restores),
-                ),
-                (
-                    "checkpoint.fallback",
-                    ckpt.fallbacks.saturating_sub(ckpt_before.fallbacks),
-                ),
-            ] {
-                if delta > 0 {
-                    t.instant(
-                        Domain::Wall,
-                        0,
-                        now,
-                        name,
-                        vec![("count", ArgValue::U64(delta))],
-                    );
-                }
-            }
         }
 
         // Fill every unresolved slot from the store (its own run for
@@ -757,22 +736,29 @@ impl Sweep {
             .collect()
     }
 
-    /// Emits one wall-domain `simulate` span per completed job onto its
-    /// worker's track. Spans are sorted by `(worker, begin)` before
-    /// emission: each worker ran its jobs serially, so the sort makes
-    /// every track's event order monotonic regardless of the order the
+    /// Emits one wall-domain `simulate` span per engine run onto its
+    /// worker's track, labelled with its longest member and its member
+    /// count. Spans are sorted by `(worker, begin)` before emission:
+    /// each worker ran its groups serially, so the sort makes every
+    /// track's event order monotonic regardless of the order the
     /// workers' pushes interleaved in.
-    fn trace_jobs(&self, mut spans: Vec<JobSpan>, jobs: &[(&str, &SimConfig)]) {
+    fn trace_runs(
+        &self,
+        mut spans: Vec<RunSpan>,
+        jobs: &[(&str, &SimConfig)],
+        groups: &[Vec<usize>],
+        longest: &[usize],
+    ) {
         if spans.is_empty() {
             return;
         }
         let mut trace = lock(&self.trace, "trace");
         let Some(t) = trace.as_mut() else { return };
-        spans.sort_unstable_by_key(|&(w, _, begin, _, _)| (w, begin));
-        for (w, j, begin, end, restored) in spans {
+        spans.sort_unstable_by_key(|&(w, _, begin, _)| (w, begin));
+        for (w, g, begin, end) in spans {
             let tid = 1 + w as u32;
             t.set_track_name(Domain::Wall, tid, format!("sweep worker {w}"));
-            let cfg = jobs[j].1;
+            let cfg = jobs[longest[g]].1;
             t.begin_args(
                 Domain::Wall,
                 tid,
@@ -782,7 +768,7 @@ impl Sweep {
                     ("workload", ArgValue::from(cfg.workload.name.clone())),
                     ("scheme", ArgValue::from(cfg.scheme.label())),
                     ("accesses", ArgValue::U64(total_accesses(cfg))),
-                    ("restored", ArgValue::U64(u64::from(restored))),
+                    ("members", ArgValue::U64(groups[g].len() as u64)),
                 ],
             );
             t.end(Domain::Wall, tid, end.max(begin), "simulate");
@@ -810,14 +796,14 @@ impl Sweep {
         }
     }
 
-    fn persist_cost(&self, key: &str, wall_secs: f64, accesses: u64, restored: bool) {
+    fn persist_cost(&self, key: &str, wall_secs: f64, accesses: u64, shared: bool) {
         let mut file = lock(&self.costs_file, "costs file");
         if let Some(f) = file.as_mut() {
             let entry = CostEntry {
                 key: key.to_owned(),
                 wall_secs,
                 accesses,
-                restored,
+                shared,
             };
             if let Ok(mut line) = serde_json::to_string(&entry) {
                 line.push('\n');
@@ -874,6 +860,29 @@ mod tests {
     }
 
     #[test]
+    fn stats_of_records_without_runs_still_parse() {
+        let old = r#"{"simulated": 48, "cache_hits": 0, "deduped": 12,
+            "persisted_loaded": 0, "cache_errors": 0, "restored": 36}"#;
+        let stats: SweepStats = serde_json::from_str(old).expect("an old record parses");
+        assert_eq!((stats.simulated, stats.runs, stats.restored), (48, 48, 36));
+        let now = serde_json::to_string(&stats).expect("stats serialize");
+        assert_eq!(serde_json::from_str::<SweepStats>(&now).ok(), Some(stats));
+    }
+
+    #[test]
+    fn shared_and_restored_cost_lines_stay_out_of_the_model() {
+        let shared = |line: &str| {
+            serde_json::from_str::<CostEntry>(line)
+                .expect("a cost line parses")
+                .shared
+        };
+        let line = |flag: &str| format!(r#"{{"key": "k", "wall_secs": 1.5, "accesses": 9{flag}}}"#);
+        assert!(shared(&line(r#", "shared": true"#)));
+        assert!(shared(&line(r#", "restored": true"#)));
+        assert!(!shared(&line("")));
+    }
+
+    #[test]
     fn unpersisted_sweep_dedups_in_process() {
         let sweep = Sweep::new(SweepOptions::default());
         let cfg = tiny(TranslationScheme::PomTlb);
@@ -886,33 +895,5 @@ mod tests {
         let json = |r: &SimResult| serde_json::to_string(r).expect("result serializes");
         assert_eq!(json(&first[0]), json(&first[1]));
         assert_eq!(json(&first[0]), json(&second[0]));
-    }
-
-    #[test]
-    fn checkpoints_live_in_the_sweeps_own_cache_dir() {
-        let dir = std::env::temp_dir().join(format!("csalt-sweep-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let sweep = Sweep::new(SweepOptions {
-            cache_dir: Some(dir.clone()),
-            jobs: Some(1),
-        });
-        // Same warmup prefix, different measured phases: one job warms
-        // up and saves, the other restores.
-        let a = tiny(TranslationScheme::CsaltD);
-        let mut b = a.clone();
-        b.accesses_per_core += 500;
-        sweep.run_batch(vec![a, b]);
-        let images = std::fs::read_dir(&dir)
-            .expect("the sweep creates its cache dir")
-            .filter_map(Result::ok)
-            .filter(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                name.starts_with("ckpt-") && name.ends_with(".bin")
-            })
-            .count();
-        let restored = sweep.stats().restored;
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(images, 1, "the warmup image is saved in the sweep's dir");
-        assert_eq!(restored, 1, "the second job restores it");
     }
 }

@@ -1,8 +1,8 @@
 //! Trace replay through caller-supplied generators: staged (prepacked)
-//! and unstaged replay land bit-identical results, and replay never
-//! checkpoints. No test here passes a cache directory, so the
-//! process-wide checkpoint counters only move if a run checkpoints on
-//! its own.
+//! and unstaged replay land bit-identical results, replay never
+//! checkpoints, and damaged trace files never panic. No test here
+//! passes a cache directory, so the process-wide checkpoint counters
+//! only move if a run checkpoints on its own.
 
 use csalt_sim::{build_threads, run_in, run_with_generators, SimConfig, SimResult};
 use csalt_types::TranslationScheme;
@@ -110,4 +110,58 @@ fn generator_replay_never_checkpoints() {
         "a replay restored a warmup image"
     );
     assert_eq!(json(&first), json(&second));
+}
+
+/// Evenly spread body offsets flipped by the trace mutation test (every
+/// header byte is flipped as well).
+const BODY_MUTATIONS: usize = 48;
+
+/// Whole-file mutation of a recorded v2 trace: every header byte and
+/// evenly spread record bytes, each flipped with three masks. Opening
+/// the damaged file, and replaying it through the simulator whenever
+/// `TraceFile::open` accepts it, must never panic.
+#[test]
+fn mutated_trace_files_never_panic() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let mut cfg = SimConfig::new(
+        WorkloadSpec::homogeneous("gups", BenchKind::Gups),
+        TranslationScheme::CsaltCd,
+    );
+    cfg.system.cores = 1;
+    cfg.system.contexts_per_core = 1;
+    cfg.accesses_per_core = 300;
+    cfg.warmup_accesses_per_core = 100;
+    cfg.scale = 0.05;
+    let dir = std::env::temp_dir().join(format!("csalt-trace-mutation-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("trace.bin");
+    let mut g = build_threads(&cfg).remove(0).remove(0);
+    // Fewer records than the run pops, so replay wraps around.
+    TraceFile::record_v2(&path, &mut g, 128, csalt_types::Asid::new(1)).expect("record");
+    let file = std::fs::read(&path).expect("read trace");
+    let offsets =
+        (0..32).chain((0..BODY_MUTATIONS).map(|k| 32 + k * (file.len() - 32) / BODY_MUTATIONS));
+
+    let mut replayed = 0;
+    for at in offsets {
+        for mask in [0x01u8, 0x80, 0xff] {
+            let mut damaged = file.clone();
+            damaged[at] ^= mask;
+            std::fs::write(&path, &damaged).expect("write damaged trace");
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                TraceFile::open(&path).ok().map(|t| {
+                    run_with_generators(&cfg, vec![vec![AnyGenerator::Trace(t)]]);
+                })
+            }));
+            match outcome {
+                Ok(ran) => replayed += usize::from(ran.is_some()),
+                Err(_) => {
+                    let _ = std::fs::remove_dir_all(&dir);
+                    panic!("trace byte {at} ^ {mask:#04x} panicked");
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(replayed > 0, "no damaged trace was accepted and replayed");
 }

@@ -7,6 +7,9 @@ use csalt_sim::sweep::config_key;
 use csalt_sim::{checkpoint, run_in, SimConfig, SimResult, Sweep, SweepOptions};
 use csalt_types::TranslationScheme;
 use csalt_workloads::{BenchKind, WorkloadSpec};
+use proptest::prelude::*;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 fn small(scheme: TranslationScheme) -> SimConfig {
@@ -147,41 +150,100 @@ fn images(dir: &std::path::Path) -> usize {
     })
 }
 
-/// A leader saves a warmup image only when its batch holds a follower
-/// that restores it. The save counter is process-wide; every other test
-/// in this file runs singleton groups, which no longer checkpoint.
+/// One warmup prefix, three measured lengths and an occupancy variant:
+/// one engine run answers all four, saves no image, and each answer is
+/// the straight run's, byte for byte. The save counter is process-wide;
+/// no other test in this file passes a checkpoint directory.
 #[test]
-fn only_leaders_with_followers_save_warmup_images() {
-    let tmp = TempDir::new("singletons");
-    let before = checkpoint::stats();
-    let sweep = Sweep::new(SweepOptions::with_dir(&tmp.0));
-    sweep.run_batch(vec![
-        small(TranslationScheme::Conventional),
-        small(TranslationScheme::PomTlb),
-        small(TranslationScheme::CsaltCd),
-    ]);
-    assert_eq!(checkpoint::stats().saves - before.saves, 0);
-    assert_eq!(images(&tmp.0), 0);
-    assert_eq!(sweep.stats().restored, 0);
-
-    // One warmup prefix, three measured lengths: the leader saves once
-    // and each follower restores.
+fn a_warmup_group_is_one_run() {
     let tmp = TempDir::new("grouped");
-    let group: Vec<SimConfig> = [2_000, 3_000, 4_000]
+    let mut group: Vec<SimConfig> = [2_000, 3_000, 4_000]
         .into_iter()
         .map(|n| SimConfig {
             accesses_per_core: n,
             ..small(TranslationScheme::CsaltCd)
         })
         .collect();
+    group.push(SimConfig {
+        accesses_per_core: 3_000,
+        occupancy_scan_interval: 1_000,
+        ..small(TranslationScheme::CsaltCd)
+    });
     let before = checkpoint::stats();
     let sweep = Sweep::new(SweepOptions::with_dir(&tmp.0));
-    let restored = sweep.run_batch(group.clone());
-    assert_eq!(checkpoint::stats().saves - before.saves, 1);
-    assert_eq!(images(&tmp.0), 1);
-    assert_eq!(sweep.stats().restored, 2);
-    for (cfg, r) in group.iter().zip(&restored) {
-        assert_eq!(json(r), json(&run_in(cfg, None).0), "restore is exact");
+    let results = sweep.run_batch(group.clone());
+    assert_eq!(sweep.stats().runs, 1);
+    assert_eq!(sweep.stats().simulated, 4);
+    assert_eq!(sweep.stats().restored, 0);
+    assert_eq!(checkpoint::stats().saves - before.saves, 0);
+    assert_eq!(images(&tmp.0), 0);
+    assert_eq!(results[3].occupancy.len(), 3);
+    for (cfg, r) in group.iter().zip(&results) {
+        assert_eq!(json(r), json(&run_in(cfg, None).0), "a member is its run");
+    }
+}
+
+/// The base config of warmup group `g`: different schemes and warmups,
+/// one of them zero.
+fn group_base(g: u64) -> SimConfig {
+    match g {
+        0 => small(TranslationScheme::CsaltCd),
+        1 => SimConfig {
+            warmup_accesses_per_core: 0,
+            ..small(TranslationScheme::PomTlb)
+        },
+        _ => SimConfig {
+            warmup_accesses_per_core: 700,
+            ..small(TranslationScheme::CsaltD)
+        },
+    }
+}
+
+/// Measured lengths a member draws from, zero included.
+const LENGTHS: [u64; 5] = [0, 600, 1_000, 1_500, 2_000];
+/// Scan intervals: none, dividing most lengths, dividing few, and
+/// longer than every length.
+const SCANS: [u64; 4] = [0, 250, 700, 5_000];
+
+proptest! {
+    /// A batch of random warmup groups, with a duplicate and a config
+    /// answered by an earlier batch mixed in: one run per group that
+    /// simulates anything, and every config's result is its straight
+    /// run's, in submission order.
+    #[test]
+    fn random_groups_match_their_straight_runs(
+        members in prop::collection::vec((0u64..3, 0usize..5, 0usize..4), 1..7),
+    ) {
+        let mut configs: Vec<SimConfig> = members
+            .iter()
+            .map(|&(g, len, scan)| SimConfig {
+                accesses_per_core: LENGTHS[len],
+                occupancy_scan_interval: SCANS[scan],
+                ..group_base(g)
+            })
+            .collect();
+        configs.push(configs[0].clone());
+        let sweep = Sweep::new(SweepOptions::default());
+        let cached = configs[configs.len() / 2].clone();
+        sweep.run_batch(vec![cached.clone()]);
+
+        let mut straight: BTreeMap<String, String> = BTreeMap::new();
+        let mut groups = BTreeSet::new();
+        for cfg in &configs {
+            if let Entry::Vacant(slot) = straight.entry(config_key(cfg)) {
+                slot.insert(json(&run_in(cfg, None).0));
+                if *cfg != cached {
+                    groups.insert(checkpoint::warmup_prefix_json(cfg));
+                }
+            }
+        }
+        let results = sweep.run_batch(configs.clone());
+        prop_assert_eq!(results.len(), configs.len());
+        for (cfg, r) in configs.iter().zip(&results) {
+            prop_assert_eq!(&json(r), &straight[&config_key(cfg)]);
+        }
+        prop_assert_eq!(sweep.stats().runs, 1 + groups.len() as u64);
+        prop_assert_eq!(sweep.stats().simulated, straight.len() as u64);
     }
 }
 

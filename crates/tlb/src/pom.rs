@@ -563,8 +563,8 @@ mod tests {
         let image = w.finish("pin");
         assert_eq!(
             (image.len(), csalt_types::ckpt::image_checksum(&image)),
-            (575_535, 7_008_571_049_651_001_387),
-            "recorded with the dense two-array layout"
+            (575_535, 13_536_402_892_190_239_199),
+            "recorded with the dense two-array layout (re-framed for format version 3)"
         );
     }
 

@@ -33,8 +33,10 @@ pub const CKPT_MAGIC: [u8; 8] = *b"CSALTCKP";
 /// layout changes; older images are rejected (fall back to cold run).
 /// Version 2 replaced the byte-wise FNV-1a trailer with
 /// [`image_checksum`] and the POM-TLB's separate frame-number and
-/// size-code arrays with one array of packed frame words.
-pub const CKPT_VERSION: u32 = 2;
+/// size-code arrays with one array of packed frame words. Version 3
+/// records in the simulator's META section the warmup-prefix JSON an
+/// image was saved for.
+pub const CKPT_VERSION: u32 = 3;
 
 /// FNV-1a offset basis (matches the sweep cache's key hash).
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;

@@ -127,9 +127,11 @@ impl TraceFile {
     /// (bad magic, any version but 2, length/count mismatch, torn tail),
     /// if any record's vaddr is at or above 2^57 (past the 5-level
     /// address space, and past what a packed TLB key holds), if any
-    /// record's packed TLB keys are not the ones its vaddr packs to
-    /// under the header's ASID (replay would probe the TLBs with them),
-    /// or any underlying I/O error.
+    /// record's gap word has bits above the 32-bit gap and the write
+    /// bit (replay would drop them), if any record's packed TLB keys
+    /// are not the ones its vaddr packs to under the header's ASID
+    /// (replay would probe the TLBs with them), or any underlying I/O
+    /// error.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let bytes = std::fs::read(path)?;
         if bytes.len() < 8 || &bytes[0..4] != MAGIC {
@@ -179,6 +181,12 @@ impl TraceFile {
                     "record {i}: vaddr {:#x} is not below 2^57, the widest \
                      (5-level) virtual address space",
                     rec[0]
+                )));
+            }
+            if rec[1] >> 33 != 0 {
+                return Err(bad(format!(
+                    "record {i}: gap word {:#x} does not fit a 32-bit gap and a write bit",
+                    rec[1]
                 )));
             }
             let hint = TranslationHint::compute(VirtAddr::new(rec[0]), Asid::new(asid));
@@ -533,6 +541,33 @@ mod tests {
                 Ok(_) => assert!(ok, "{va:#x} must be rejected"),
                 Err(e) => {
                     assert!(!ok, "{va:#x} must open: {e}");
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                }
+            }
+        }
+    }
+
+    /// A gap word with a bit above the 32-bit gap and the write bit is
+    /// rejected: decoding would silently drop it.
+    #[test]
+    fn gap_words_past_33_bits_are_rejected() {
+        for (word, ok) in [((1 << 33) - 1, true), (1 << 33, false), (1 << 63, false)] {
+            let path = tmp("wide-gap");
+            let mut t = TraceFile::from_records(vec![MemAccess::read(VirtAddr::new(0x1000), 4)]);
+            TraceFile::record_v2(&path, &mut t, 1, Asid::new(1)).expect("record");
+            let mut bytes = std::fs::read(&path).expect("read");
+            let at = V2_HEADER_BYTES + 8;
+            bytes[at..at + 8].copy_from_slice(&u64::to_le_bytes(word));
+            std::fs::write(&path, &bytes).expect("write");
+            let opened = TraceFile::open(&path);
+            std::fs::remove_file(&path).ok();
+            match opened {
+                Ok(mut t) => {
+                    assert!(ok, "{word:#x} must be rejected");
+                    assert_eq!(t.next_access().gap, u32::MAX);
+                }
+                Err(e) => {
+                    assert!(!ok, "{word:#x} must open: {e}");
                     assert_eq!(e.kind(), io::ErrorKind::InvalidData);
                 }
             }

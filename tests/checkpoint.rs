@@ -5,7 +5,8 @@
 //! engine fingerprint must all decode to a clean error (never a panic,
 //! never a silently wrong hierarchy). Crafted images whose page tables
 //! are well framed but could never have been built are rejected as
-//! corrupt too, and a run handed one falls back to a cold warmup.
+//! corrupt too, and a run handed one falls back to a cold warmup, as
+//! does a run that finds another config's image under its own name.
 
 mod radix_reference;
 
@@ -23,6 +24,12 @@ use proptest::prelude::*;
 use radix_reference::{Entry, Node, ReferenceTable};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
+
+/// Held by the tests that assert on the process-wide checkpoint
+/// counters, so that one test's fallbacks never land in another's
+/// before/after window.
+static COUNTERS: Mutex<()> = Mutex::new(());
 
 /// A shrunken two-core machine: same shapes as `skylake()`, but small
 /// enough that whole-image scans (every torn-tail length) stay cheap.
@@ -400,6 +407,7 @@ impl Drop for TempDir {
 /// the edit's doing and not the re-framing's.
 #[test]
 fn crafted_page_tables_fall_back_to_cold_warmup() {
+    let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
     let cfg = crafted_run_config();
     let tmp = TempDir::new("crafted-tables");
     let (cold, restored) = run_in(&cfg, Some(&tmp.0));
@@ -414,6 +422,7 @@ fn crafted_page_tables_fall_back_to_cold_warmup() {
     let (fp, payload) = unframe(&image);
     let (at, len, valid) = find_table(&payload, 4);
 
+    let prefix = checkpoint::warmup_prefix_json(&cfg);
     let decode = |image: &[u8]| {
         let mut h = MemoryHierarchy::new(
             &cfg.system,
@@ -426,7 +435,7 @@ fn crafted_page_tables_fall_back_to_cold_warmup() {
             h.add_context();
         }
         let vms = cfg.system.contexts_per_core as usize;
-        HierarchyCheckpoint::decode_into(image, &fp, &mut h, 2, vms).map(|_| ())
+        HierarchyCheckpoint::decode_for(image, &fp, &prefix, &mut h, 2, vms).map(|_| ())
     };
 
     let same = splice(&image, at, len, &valid);
@@ -454,6 +463,44 @@ fn crafted_page_tables_fall_back_to_cold_warmup() {
     let (r, restored) = run_in(&cfg, Some(&tmp.0));
     assert!(restored, "the untouched image restores");
     assert_eq!(json(&r), json(&cold));
+}
+
+/// Image names carry only the 64-bit warmup key, so a colliding key
+/// would put one prefix's image under another's name. Copying a real
+/// image under a config of another seed (same shape) plays that out:
+/// the run rejects it on the warmup prefix its META section records,
+/// counts a fallback and reproduces its own cold run.
+#[test]
+fn an_image_under_another_configs_name_falls_back() {
+    let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let saved_for = crafted_run_config();
+    let cfg = SimConfig {
+        seed: saved_for.seed ^ 1,
+        ..saved_for.clone()
+    };
+    let tmp = TempDir::new("foreign-image");
+    let (_, restored) = run_in(&saved_for, Some(&tmp.0));
+    assert!(!restored, "a fresh directory has no image");
+    let image = std::fs::read_dir(&tmp.0)
+        .expect("cache directory")
+        .map(|e| e.expect("entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "bin"))
+        .expect("the cold run saved an image");
+    let name = format!(
+        "ckpt-{}-{}.bin",
+        csalt::sim::sweep::engine_fingerprint(),
+        checkpoint::warmup_key(&cfg)
+    );
+    std::fs::copy(&image, tmp.0.join(name)).expect("copy the image");
+
+    let before = checkpoint::stats();
+    let (r, restored) = run_in(&cfg, Some(&tmp.0));
+    let after = checkpoint::stats();
+    assert!(!restored, "another config's image restored");
+    assert_eq!(after.fallbacks - before.fallbacks, 1, "no fallback counted");
+    assert_eq!(after.restores, before.restores);
+    let json = |r: &SimResult| serde_json::to_string(r).expect("result serializes");
+    assert_eq!(json(&r), json(&run_in(&cfg, None).0));
 }
 
 /// Payload offsets sampled per image by the mutation test.
